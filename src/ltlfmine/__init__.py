@@ -8,8 +8,8 @@ from .sample import (LabeledSample, SampleError, Trace, WeightFn,
                      invert_labels, load_sample, loss, make_sample,
                      omega_rebalanced, omega_uniform, parse_sample,
                      weighted_loss)
-from .encoding import EncodingError, EncodingInstance, OperatorPool, \
-    build_instance, default_pool
+from .encoding import (EncodingError, EncodingInstance, OperatorPool,
+                       default_pool)
 from .maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, OPTIMAL,
                      MaxSatSolution, WeightedCnf, export_wcnf, import_model,
                      parse_wcnf, solve_decision, solve_optimal)
@@ -29,8 +29,7 @@ __all__ = [
     "LabeledSample", "SampleError", "Trace", "WeightFn", "invert_labels",
     "load_sample", "loss", "make_sample", "omega_rebalanced", "omega_uniform",
     "parse_sample", "weighted_loss",
-    "EncodingError", "EncodingInstance", "OperatorPool", "build_instance",
-    "default_pool",
+    "EncodingError", "EncodingInstance", "OperatorPool", "default_pool",
     "FEASIBLE", "HARD_UNSAT", "INFEASIBLE", "OPTIMAL", "MaxSatSolution",
     "WeightedCnf", "export_wcnf", "import_model", "parse_wcnf",
     "solve_decision", "solve_optimal", "SolveTimeout",

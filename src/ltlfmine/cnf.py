@@ -1,164 +1,100 @@
-"""Boolean expression trees, Tseitin conversion to CNF, and totalizer
-cardinality networks over literals.
+"""Generalized totalizer: a weighted sum over literals as CNF.
 
-Literals are signed DIMACS-style integers throughout.
+Literals are signed DIMACS-style integers throughout.  The encoding is
+the generalized totalizer of Joshi, Martins and Manquinho ("Generalized
+totalizer encoding for pseudo-Boolean constraints", CP 2015), made
+two-sided so that an output can be assumed to force a lower bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence
+
+# A node enumerates every pair of child sums; past this many pairs the
+# instance has too many distinct weight sums to be encoded this way.
+MAX_NODE_PAIRS = 4_000_000
 
 
-class BExpr:
-    """Base class for boolean expression nodes."""
+def totalizer(inputs: Sequence[tuple[int, int]],
+              new_var: Callable[[], int],
+              add_clause: Callable[[list[int]], None]
+              ) -> list[tuple[int, int]]:
+    """Build a two-sided totalizer over `(literal, positive int weight)`
+    pairs.
+
+    Returns `(s, o_s)` for every distinct nonzero sum `s` of input
+    weights, ascending.  Given the emitted clauses, `o_s` is true iff the
+    true inputs weigh at least `s`, so assuming `o_s` forces weight >= s.
+    Each distinct weight gets its own cardinality totalizer, and the group
+    roots are merged in a balanced tree in weight order; with unit weights
+    this is the classic cardinality totalizer.  Raises `ValueError` before
+    emitting a node with more than `MAX_NODE_PAIRS` pairs of child sums.
+    """
+    if any(w <= 0 for _, w in inputs):
+        raise ValueError("totalizer weights must be positive")
+    groups: dict[int, list[list[tuple[int, int]]]] = {}
+    for lit, w in inputs:
+        groups.setdefault(w, []).append([(w, lit)])
+    # Splitting a mix of k and m leaves of two weights by count gives a
+    # node with about (k+1)(m+1) sums; splitting at group boundaries keeps
+    # every node within a group a unit counter.
+    roots = [_merge_all(groups[w], new_var, add_clause)
+             for w in sorted(groups)]
+    return _merge_all(roots, new_var, add_clause) if roots else []
 
 
-@dataclass(frozen=True)
-class BVar(BExpr):
-    var: int  # positive variable id
-
-    def __post_init__(self):
-        if self.var <= 0:
-            raise ValueError("variable ids must be positive")
-
-
-@dataclass(frozen=True)
-class BNot(BExpr):
-    arg: BExpr
-
-
-@dataclass(frozen=True)
-class BAnd(BExpr):
-    args: tuple[BExpr, ...]
-
-    def __init__(self, *args: BExpr):
-        object.__setattr__(self, "args", tuple(args))
-
-
-@dataclass(frozen=True)
-class BOr(BExpr):
-    args: tuple[BExpr, ...]
-
-    def __init__(self, *args: BExpr):
-        object.__setattr__(self, "args", tuple(args))
-
-
-@dataclass(frozen=True)
-class BIff(BExpr):
-    left: BExpr
-    right: BExpr
-
-
-def _as_literal(expr: BExpr) -> Union[int, None]:
-    if isinstance(expr, BVar):
-        return expr.var
-    if isinstance(expr, BNot) and isinstance(expr.arg, BVar):
-        return -expr.arg.var
+def _unit_step(outs: list[tuple[int, int]]):
+    """The weight w if the sums are exactly w, 2w, 3w, ..., else None."""
+    w = outs[0][0]
+    if all(s == k * w for k, (s, _) in enumerate(outs, start=1)):
+        return w
     return None
 
 
-def _is_clause(expr: BExpr) -> bool:
-    return (isinstance(expr, BOr)
-            and all(_as_literal(a) is not None for a in expr.args))
+def _merge_all(nodes, new_var, add_clause) -> list[tuple[int, int]]:
+    """Merge the `(sum, output)` lists of `nodes` in a balanced tree."""
+    if len(nodes) == 1:
+        return nodes[0]
+    half = len(nodes) // 2
+    return _merge(_merge_all(nodes[:half], new_var, add_clause),
+                  _merge_all(nodes[half:], new_var, add_clause),
+                  new_var, add_clause)
 
 
-@dataclass
-class TseitinResult:
-    clauses: list[list[int]]
-    aux_vars: list[int]
-
-
-def tseitin(expr: BExpr, fresh_from: int) -> TseitinResult:
-    """Assert `expr` as an equisatisfiable clause set.
-
-    Conjunctions of literal-disjunctions (i.e. input already in CNF) pass
-    through unchanged with no auxiliary variables; anything else gets gate
-    definitions over fresh variables starting at `fresh_from`, plus a unit
-    clause on the top gate.
-    """
-    clauses: list[list[int]] = []
-    aux: list[int] = []
-    next_var = [fresh_from]
-    gate_memo: dict[BExpr, int] = {}
-
-    def fresh() -> int:
-        v = next_var[0]
-        next_var[0] += 1
-        aux.append(v)
-        return v
-
-    def lit_of(e: BExpr) -> int:
-        direct = _as_literal(e)
-        if direct is not None:
-            return direct
-        if isinstance(e, BNot):
-            return -lit_of(e.arg)
-        if e in gate_memo:
-            return gate_memo[e]
-        g = fresh()
-        gate_memo[e] = g
-        if isinstance(e, BAnd):
-            child_lits = [lit_of(c) for c in e.args]
-            for c in child_lits:
-                clauses.append([-g, c])
-            clauses.append([g] + [-c for c in child_lits])
-        elif isinstance(e, BOr):
-            child_lits = [lit_of(c) for c in e.args]
-            clauses.append([-g] + child_lits)
-            for c in child_lits:
-                clauses.append([g, -c])
-        elif isinstance(e, BIff):
-            a, b = lit_of(e.left), lit_of(e.right)
-            clauses.append([-g, -a, b])
-            clauses.append([-g, a, -b])
-            clauses.append([g, a, b])
-            clauses.append([g, -a, -b])
-        else:
-            raise TypeError(f"unsupported expression {e!r}")
-        return g
-
-    if _is_clause(expr):
-        clauses.append([_as_literal(a) for a in expr.args])
-    elif isinstance(expr, BAnd) and all(_is_clause(a) for a in expr.args):
-        for conjunct in expr.args:
-            clauses.append([_as_literal(a) for a in conjunct.args])
-    elif _as_literal(expr) is not None:
-        clauses.append([_as_literal(expr)])
-    else:
-        clauses.append([lit_of(expr)])
-    return TseitinResult(clauses, aux)
-
-
-def totalizer(lits: list[int], new_var: Callable[[], int],
-              add_clause: Callable[[list[int]], None]) -> list[int]:
-    """Build a two-sided totalizer over `lits`.
-
-    Returns outputs o[0..len-1] where o[k-1] is true iff at least k of the
-    inputs are true (given the emitted clauses are satisfied).
-    """
-    if not lits:
-        return []
-    if len(lits) == 1:
-        return [lits[0]]
-    half = len(lits) // 2
-    a = totalizer(lits[:half], new_var, add_clause)
-    b = totalizer(lits[half:], new_var, add_clause)
-    outs = [new_var() for _ in range(len(a) + len(b))]
-    for i in range(len(a) + 1):
-        for j in range(len(b) + 1):
+def _merge(a, b, new_var, add_clause) -> list[tuple[int, int]]:
+    if (len(a) + 1) * (len(b) + 1) > MAX_NODE_PAIRS:
+        raise ValueError("too many distinct soft-weight sums for a totalizer")
+    step = _unit_step(a)
+    unit = step is not None and step == _unit_step(b)
+    a = [(0, 0)] + a
+    b = [(0, 0)] + b
+    sums = sorted({x + y for x, _ in a for y, _ in b} - {0})
+    outs = {s: new_var() for s in sums}
+    successor = dict(zip([0] + sums, sums))
+    for i, (x, ox) in enumerate(a):
+        for j, (y, oy) in enumerate(b):
+            # Lower direction: the true inputs reach x + y, so o_{x+y}.
             if i + j >= 1:
-                clause = [outs[i + j - 1]]
+                clause = [outs[x + y]]
                 if i:
-                    clause.append(-a[i - 1])
+                    clause.append(-ox)
                 if j:
-                    clause.append(-b[j - 1])
+                    clause.append(-oy)
                 add_clause(clause)
-            if i + j < len(outs):
-                clause = [-outs[i + j]]
-                if i < len(a):
-                    clause.append(a[i])
-                if j < len(b):
-                    clause.append(b[j])
+            # Upper direction: the children weigh at most x and y, so the
+            # next sum above x + y is out of reach.
+            if x + y in successor:
+                clause = [-outs[successor[x + y]]]
+                if i + 1 < len(a):
+                    clause.append(a[i + 1][1])
+                if j + 1 < len(b):
+                    clause.append(b[j + 1][1])
                 add_clause(clause)
-    return outs
+    if not unit:
+        # With unequal steps "at most x + y" excludes more than the next
+        # sum: with weights {5, 3} and only the 3 true, o_8 would be
+        # free.  Chaining o_s -> o_prev(s) makes every larger output
+        # false as well; unit counters already imply it.
+        for lo, hi in zip(sums, sums[1:]):
+            add_clause([-outs[hi], outs[lo]])
+    return [(s, outs[s]) for s in sums]

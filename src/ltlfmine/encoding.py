@@ -83,7 +83,6 @@ class EncodingInstance:
         self.r: dict[tuple[int, int], int] = {}
         self.y: dict[tuple[int, int, int], int] = {}  # (trace idx, node, pos)
         self._allocate()
-        self.structural_groups: dict[str, list[list[int]]] = {}
         self.wcnf = WeightedCnf(self._next - 1)
         if var_comments:
             self.wcnf.comments.extend(self._var_map_comments())
@@ -128,35 +127,28 @@ class EncodingInstance:
 
     # -- structural clauses ------------------------------------------------
 
-    def _group(self, name: str, clause: list[int]) -> None:
-        self.structural_groups.setdefault(name, []).append(clause)
-        self.wcnf.add_hard(clause)
-
     def _emit_structural(self) -> None:
         n, labels = self.n, self.pool.labels
+        add = self.wcnf.add_hard
         for i in range(1, n + 1):
-            self._group("label_alo", [self.x[(i, lab)] for lab in labels])
+            add([self.x[(i, lab)] for lab in labels])
             for a in range(len(labels)):
                 for b in range(a + 1, len(labels)):
-                    self._group("label_amo", [-self.x[(i, labels[a])],
-                                              -self.x[(i, labels[b])]])
+                    add([-self.x[(i, labels[a])], -self.x[(i, labels[b])]])
         for i in range(2, n + 1):
-            self._group("left_alo", [self.l[(i, j)] for j in range(1, i)])
-            self._group("right_alo", [self.r[(i, j)] for j in range(1, i)])
+            add([self.l[(i, j)] for j in range(1, i)])
+            add([self.r[(i, j)] for j in range(1, i)])
             for a in range(1, i):
                 for b in range(a + 1, i):
-                    self._group("left_amo", [-self.l[(i, a)], -self.l[(i, b)]])
-                    self._group("right_amo", [-self.r[(i, a)], -self.r[(i, b)]])
-        self._group("first_node_nullary",
-                    [self.x[(1, lab)] for lab in self.pool.nullary])
+                    add([-self.l[(i, a)], -self.l[(i, b)]])
+                    add([-self.r[(i, a)], -self.r[(i, b)]])
+        add([self.x[(1, lab)] for lab in self.pool.nullary])
         # Unary nodes mirror the left child in the right-child slot, which
         # removes spurious model multiplicity.
         for i in range(2, self.n + 1):
             for op in self.pool.unary:
                 for j in range(1, i):
-                    self._group("unary_child_sync",
-                                [-self.x[(i, op)], -self.l[(i, j)],
-                                 self.r[(i, j)]])
+                    add([-self.x[(i, op)], -self.l[(i, j)], self.r[(i, j)]])
 
     # -- semantic clauses --------------------------------------------------
 
@@ -329,8 +321,3 @@ class EncodingInstance:
                 lits.append(self.r[(i, node.left)])
         return lits
 
-
-def build_instance(sample: LabeledSample, n: int, omega: WeightFn,
-                   pool: Optional[OperatorPool] = None,
-                   var_comments: bool = False) -> EncodingInstance:
-    return EncodingInstance(n, sample, omega, pool, var_comments)

@@ -1,15 +1,17 @@
 """Exact partial weighted MaxSAT on top of the CDCL core.
 
-All soft clauses produced by the encoder are unit literals, and the trace
-weight functions yield very few distinct weights (one for uniform, two for
-rebalanced).  The solver exploits this: soft literals are grouped by
-weight, each group gets a totalizer counting its satisfied literals, and
-feasibility of a weight target reduces to a small frontier of cardinality
-assumptions.  Exactness is the contract; the search strategy is not.
+Soft weights are scaled to integers by their common denominator, every
+soft clause is reduced to a literal, and one generalized totalizer over
+those literals yields an output o_s per achievable weight sum s; assuming
+o_s forces satisfied weight >= s.  A decision call makes one
+unconstrained solve and, if its model falls short of the target, at most
+one more solve under the single assumption o_s for the smallest s that
+meets the target.  Optimization binary-searches the sums.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import time
@@ -75,165 +77,102 @@ def check_hard(wcnf: WeightedCnf, assignment: dict) -> bool:
     return all(clause_satisfied(c, assignment) for c in wcnf.hard)
 
 
+def weight_denominator(wcnf: WeightedCnf) -> int:
+    if wcnf.weight_scale is not None:
+        return wcnf.weight_scale
+    denom = 1
+    for _, w in wcnf.soft:
+        denom = denom * w.denominator // math.gcd(denom, w.denominator)
+    return denom
+
+
+def scaled_soft(wcnf: WeightedCnf) -> tuple[int, list[tuple[list, int]]]:
+    """The weight denominator D and the soft clauses with weights times D."""
+    denom = weight_denominator(wcnf)
+    scaled = []
+    for clause, w in wcnf.soft:
+        sw = w * denom
+        if sw.denominator != 1:
+            raise ValueError("weight scale does not clear denominators")
+        scaled.append((clause, sw.numerator))
+    return denom, scaled
+
+
 class _Engine:
-    """Shared state for decision and optimization calls on one instance."""
+    """One totalizer over the soft literals, shared by decision and
+    optimization calls on one instance."""
 
     def __init__(self, wcnf: WeightedCnf):
         self.wcnf = wcnf
-        # Stepwise climbing toward a cardinality goal only pays off when
-        # individual solver calls are expensive; on small instances the
-        # extra calls dominate and a direct jump per frontier point wins.
-        self.prefer_climb = len(wcnf.hard) >= 5000
         self.solver = SatSolver()
         self.solver.ensure_var(wcnf.nvars)
         for clause in wcnf.hard:
             self.solver.add_clause(clause)
         # Reduce every soft clause to a literal: unit softs are used as-is,
         # larger ones get a relaxation variable s with s -> clause.
-        soft_lits = []
-        for clause, weight in wcnf.soft:
+        self.scale, scaled = scaled_soft(wcnf)
+        leaves = []
+        for clause, weight in scaled:
             if len(clause) == 1:
-                soft_lits.append((clause[0], weight))
+                lit = clause[0]
             else:
-                s = self.solver.new_var()
-                self.solver.add_clause(list(clause) + [-s])
-                soft_lits.append((s, weight))
-        groups: dict[Fraction, list[int]] = {}
-        for lit, weight in soft_lits:
-            groups.setdefault(weight, []).append(lit)
+                lit = self.solver.new_var()
+                self.solver.add_clause(list(clause) + [-lit])
+            leaves.append((lit, weight))
             # Bias the polarity toward satisfying the soft literal.
             self.solver.saved_phase[abs(lit)] = 1 if lit > 0 else 0
-        # Heaviest group first, so frontier enumeration prefers covering
-        # the target with few assumptions.
-        self.weights = sorted(groups, reverse=True)
-        self.counters = []
-        for w in self.weights:
-            outs = totalizer(groups[w], self.solver.new_var,
-                             self.solver.add_clause)
-            self.counters.append(outs)
-
-    def _frontier(self, target: Fraction) -> list[tuple[int, ...]]:
-        """Pareto-minimal satisfied-count vectors reaching `target`."""
-        sizes = [len(c) for c in self.counters]
-        vectors: list[tuple[int, ...]] = []
-
-        def rec(g: int, prefix: tuple[int, ...], remaining: Fraction):
-            if remaining <= 0:
-                vectors.append(prefix + (0,) * (len(sizes) - g))
-                return
-            if g == len(sizes) - 1:
-                w = self.weights[g]
-                k = math.ceil(remaining / w)
-                if k <= sizes[g]:
-                    vectors.append(prefix + (k,))
-                return
-            if g >= len(sizes):
-                return
-            for k in range(sizes[g] + 1):
-                rec(g + 1, prefix + (k,), remaining - k * self.weights[g])
-
-        if not sizes:
-            return [()] if target <= 0 else []
-        rec(0, (), target)
-        # Drop dominated vectors.
-        minimal = []
-        for v in vectors:
-            if not any(w != v and all(wi <= vi for wi, vi in zip(w, v))
-                       for w in vectors):
-                minimal.append(v)
-        return sorted(set(minimal))
-
-    def _assumptions(self, counts: tuple[int, ...]) -> list[int]:
-        lits = []
-        for g, k in enumerate(counts):
-            if k >= 1:
-                lits.append(self.counters[g][k - 1])
-        return lits
-
-    def _counts(self) -> tuple[int, ...]:
-        model = self.solver.full_model()
-        return tuple(sum(1 for out in outs if model.get(out, False))
-                     for outs in self.counters)
-
-    def _climb(self, goal: tuple[int, ...], deadline) -> bool:
-        """Solution-guided ascent from the last model to `goal`.
-
-        Every step assumes a count vector componentwise <= goal, so an
-        unsatisfiable step proves goal itself unreachable; a satisfiable
-        step yields a model whose counts strictly progress toward it.
-        Stepping through nearby bounds is much cheaper than one jump
-        because phase saving carries each model into the next call.
-        """
-        current = self._counts()
-        while any(c < g for c, g in zip(current, goal)):
-            step = tuple(min(c + 1, g) for c, g in zip(current, goal))
-            if not self.solver.solve(self._assumptions(step),
-                                     deadline=deadline):
-                return False
-            current = self._counts()
-        return True
+        outs = totalizer(leaves, self.solver.new_var, self.solver.add_clause)
+        self.sums = [0] + [s for s, _ in outs]
+        self.outputs = [None] + [o for _, o in outs]
 
     def _solution(self, status: str) -> MaxSatSolution:
-        model = self.solver.full_model()
-        assignment = {v: model.get(v, False)
-                      for v in range(1, self.wcnf.nvars + 1)}
+        model = self.solver.model()
+        assignment = {v: model[v] for v in range(1, self.wcnf.nvars + 1)}
         return MaxSatSolution(status, assignment,
                               recompute_soft_weight(self.wcnf, assignment))
 
-    def hard_satisfiable(self, deadline) -> bool:
-        return self.solver.solve((), deadline=deadline)
+    def _bounded(self, status: str, scaled_sum: int) -> MaxSatSolution:
+        """The model found under the assumption of the output for
+        `scaled_sum`, which must weigh at least that much."""
+        solution = self._solution(status)
+        if solution.satisfied_soft_weight * self.scale < scaled_sum:
+            raise RuntimeError("totalizer output did not bound the soft "
+                               "weight (encoder bug)")
+        return solution
+
+    def _index(self, solution: MaxSatSolution) -> int:
+        return self.sums.index(solution.satisfied_soft_weight * self.scale)
 
     def decision(self, target: Fraction,
-                 deadline: Optional[float] = None,
-                 climb: bool = True) -> MaxSatSolution:
+                 deadline: Optional[float] = None) -> MaxSatSolution:
         # An unconstrained solve is cheap and, with phases biased toward
         # the soft literals, often meets the target outright; it also
-        # detects hard unsatisfiability before any frontier work.
+        # detects hard unsatisfiability.
         if not self.solver.solve((), deadline=deadline):
             return MaxSatSolution(HARD_UNSAT)
         candidate = self._solution(FEASIBLE)
         if candidate.satisfied_soft_weight >= target:
             return candidate
-        for counts in self._frontier(target):
-            if climb and self.prefer_climb:
-                verdict = self._climb(counts, deadline)
-            else:
-                verdict = self.solver.solve(self._assumptions(counts),
-                                            deadline=deadline)
-            if verdict:
-                return self._solution(FEASIBLE)
+        k = bisect.bisect_left(self.sums, math.ceil(target * self.scale))
+        if k < len(self.sums) and self.solver.solve([self.outputs[k]],
+                                                    deadline=deadline):
+            return self._bounded(FEASIBLE, self.sums[k])
         return MaxSatSolution(INFEASIBLE)
-
-    def achievable_totals(self) -> list[Fraction]:
-        totals = {Fraction(0)}
-        for w, outs in zip(self.weights, self.counters):
-            totals = {t + k * w for t in totals for k in range(len(outs) + 1)}
-            if len(totals) > 4_000_000:
-                raise ValueError("too many distinct soft-weight totals")
-        return sorted(totals)
 
     def optimal(self, deadline: Optional[float] = None) -> MaxSatSolution:
         if not self.solver.solve((), deadline=deadline):
             return MaxSatSolution(HARD_UNSAT)
         best = self._solution(OPTIMAL)
-        totals = self.achievable_totals()
-        # Binary search the largest feasible total; feasibility of
-        # "satisfied weight >= t" is monotone in t.
-        lo = totals.index(best.satisfied_soft_weight)
-        hi = len(totals) - 1
+        # Binary search the largest feasible sum; feasibility of
+        # "satisfied weight >= s" is monotone in s.
+        lo, hi = self._index(best), len(self.sums) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            # Direct jumps: the binary search probes mostly-infeasible
-            # targets over many small weight groups, where stepwise
-            # climbing multiplies solver calls without paying off.
-            result = self.decision(totals[mid], deadline=deadline,
-                                   climb=False)
-            if result.status == FEASIBLE:
-                best = result
-                lo = totals.index(result.satisfied_soft_weight)
+            if self.solver.solve([self.outputs[mid]], deadline=deadline):
+                best = self._bounded(OPTIMAL, self.sums[mid])
+                lo = self._index(best)
             else:
                 hi = mid - 1
-        best.status = OPTIMAL
         return best
 
 
@@ -257,25 +196,10 @@ def solve_decision(wcnf: WeightedCnf, target: Fraction,
 
 # -- DIMACS WCNF interchange ------------------------------------------------
 
-def weight_denominator(wcnf: WeightedCnf) -> int:
-    if wcnf.weight_scale is not None:
-        return wcnf.weight_scale
-    denom = 1
-    for _, w in wcnf.soft:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    return denom
-
-
 def export_wcnf(wcnf: WeightedCnf, target) -> None:
     """Write DIMACS WCNF: soft weights scaled to integers by the common
     denominator (recorded as `c weight-scale <D>`), hard weight = top."""
-    denom = weight_denominator(wcnf)
-    scaled = []
-    for clause, w in wcnf.soft:
-        sw = w * denom
-        if sw.denominator != 1:
-            raise ValueError("weight scale does not clear denominators")
-        scaled.append((clause, sw.numerator))
+    denom, scaled = scaled_soft(wcnf)
     top = sum(s for _, s in scaled) + 1
     lines = [f"c weight-scale {denom}"]
     lines += wcnf.comments

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 
@@ -34,9 +35,12 @@ class SatSolver:
     def __init__(self):
         self.nvars = 0
         self.clauses: list[list[int]] = []   # internal literal codes
-        # lit code -> clause indices; codes are 2v / 2v+1, slots 0-1 unused
-        self.watches: list[list[int]] = [[], []]
-        self.assign: list[int] = [-1]        # var -> -1 unset / 0 false / 1 true
+        # lit code -> watching clause indices, and per entry a blocking
+        # literal of the same clause; codes are 2v / 2v+1, slots 0-1 unused
+        self.watch_clause: list[list[int]] = [[], []]
+        self.watch_blocker: list[list[int]] = [[], []]
+        # lit code -> -1 unset / 0 false / 1 true; value[2v] is var v's value
+        self.value: list[int] = [-1, -1]
         self.level: list[int] = [0]
         self.reason: list[int] = [-1]        # var -> clause index or -1
         self.activity: list[float] = [0.0]
@@ -46,6 +50,8 @@ class SatSolver:
         self.qhead = 0
         self.var_inc = 1.0
         self.order: list[tuple[float, int]] = []
+        # var -> order holds an entry keyed by the var's current activity
+        self.queued: list[bool] = [False]
         self.units: list[int] = []
         self.unsat = False
 
@@ -54,13 +60,15 @@ class SatSolver:
     def ensure_var(self, v: int) -> None:
         while self.nvars < v:
             self.nvars += 1
-            self.assign.append(-1)
+            self.value.append(-1)
+            self.value.append(-1)
             self.level.append(0)
             self.reason.append(-1)
             self.activity.append(0.0)
             self.saved_phase.append(0)
-            self.watches.append([])
-            self.watches.append([])
+            self.watch_clause += ([], [])
+            self.watch_blocker += ([], [])
+            self.queued.append(True)
             heapq.heappush(self.order, (0.0, self.nvars))
 
     def new_var(self) -> int:
@@ -85,11 +93,18 @@ class SatSolver:
         if len(clause) == 1:
             self.units.append(clause[0])
             return
+        self._attach(clause)
+
+    def _attach(self, clause: list[int]) -> int:
+        """Store `clause`, watching its first two literals; return its index."""
         idx = len(self.clauses)
         self.clauses.append(clause)
-        # watch entries carry a blocking literal to skip satisfied clauses
-        self.watches[clause[0]].append((idx, clause[1]))
-        self.watches[clause[1]].append((idx, clause[0]))
+        # each watch carries the other watched literal as its blocker
+        self.watch_clause[clause[0]].append(idx)
+        self.watch_blocker[clause[0]].append(clause[1])
+        self.watch_clause[clause[1]].append(idx)
+        self.watch_blocker[clause[1]].append(clause[0])
+        return idx
 
     @staticmethod
     def _code(lit: int) -> int:
@@ -99,23 +114,17 @@ class SatSolver:
     def _decode(code: int) -> int:
         return -(code >> 1) if code & 1 else (code >> 1)
 
-    def _lit_value(self, code: int) -> int:
-        # 1 true, 0 false, -1 unassigned
-        val = self.assign[code >> 1]
-        if val < 0:
-            return -1
-        return val ^ (code & 1)
-
     # -- trail -------------------------------------------------------------
 
     def _enqueue(self, code: int, reason: int) -> bool:
-        val = self._lit_value(code)
+        val = self.value[code]
         if val == 0:
             return False
         if val == -1:
             var = code >> 1
-            self.assign[var] = 1 - (code & 1)
-            self.saved_phase[var] = self.assign[var]
+            self.value[code] = 1
+            self.value[code ^ 1] = 0
+            self.saved_phase[var] = 1 - (code & 1)
             self.level[var] = len(self.trail_lim)
             self.reason[var] = reason
             self.trail.append(code)
@@ -128,75 +137,112 @@ class SatSolver:
         if self._decision_level() <= target_level:
             return
         limit = self.trail_lim[target_level]
+        value = self.value
+        reason = self.reason
+        queued = self.queued
+        activity = self.activity
+        order = self.order
         for code in reversed(self.trail[limit:]):
             var = code >> 1
-            self.assign[var] = -1
-            self.reason[var] = -1
-            heapq.heappush(self.order, (-self.activity[var], var))
+            value[code] = value[code ^ 1] = -1
+            reason[var] = -1
+            if not queued[var]:
+                queued[var] = True
+                heapq.heappush(order, (-activity[var], var))
         del self.trail[limit:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
+        # Every bump leaves an entry keyed by an old activity behind; drop
+        # those before they outnumber the variables.
+        if len(self.order) > 2 * self.nvars:
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        """One entry per unassigned variable, keyed by current activity."""
+        value = self.value
+        self.queued = [False] + [value[2 * v] == -1
+                                 for v in range(1, self.nvars + 1)]
+        self.order = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
+                      if value[2 * v] == -1]
+        heapq.heapify(self.order)
 
     # -- propagation -------------------------------------------------------
 
     def _propagate(self) -> int:
         """Run unit propagation; return a conflicting clause index or -1."""
-        # Hot loop: value tests are inlined (a literal code c is true iff
-        # assign[c >> 1] == 1 - (c & 1)) and blocking literals short-cut
-        # already-satisfied clauses without touching the clause itself.
-        assign = self.assign
+        # Hot loop: literal values are read straight from `value` by code,
+        # and blocking literals short-cut already-satisfied clauses without
+        # touching the clause itself.
+        value = self.value
         clauses = self.clauses
-        watches = self.watches
+        watch_clause = self.watch_clause
+        watch_blocker = self.watch_blocker
         trail = self.trail
+        saved_phase = self.saved_phase
+        level = self.level
+        reason = self.reason
+        current_level = len(self.trail_lim)
+        not_true = (1).__ne__
         while self.qhead < len(trail):
             code = trail[self.qhead]
             self.qhead += 1
             falsified = code ^ 1
-            watch_list = watches[falsified]
-            i = 0
-            end = len(watch_list)
-            while i < end:
-                ci, blocker = watch_list[i]
-                bval = assign[blocker >> 1]
-                if bval >= 0 and bval == 1 - (blocker & 1):
-                    i += 1
-                    continue
-                clause = clauses[ci]
-                if clause[0] == falsified:
-                    clause[0] = clause[1]
-                    clause[1] = falsified
-                first = clause[0]
-                fval = assign[first >> 1]
-                if fval >= 0 and fval == 1 - (first & 1):
-                    watch_list[i] = (ci, first)
-                    i += 1
-                    continue
-                moved = False
-                for k in range(2, len(clause)):
-                    lit = clause[k]
-                    val = assign[lit >> 1]
-                    if val < 0 or val == 1 - (lit & 1):
-                        clause[1] = lit
-                        clause[k] = falsified
-                        watches[lit].append((ci, first))
-                        watch_list[i] = watch_list[end - 1]
-                        watch_list[end - 1] = watch_list[-1]
-                        watch_list.pop()
-                        end -= 1
-                        moved = True
+            wclause = watch_clause[falsified]
+            wblocker = watch_blocker[falsified]
+            end = len(wclause)
+            # Most blockers are true.  A true literal stays true for the
+            # rest of propagation, so only the other positions need a visit;
+            # they are found in one C-level pass over the blockers.
+            pending = list(compress(range(end), map(
+                not_true, map(value.__getitem__, wblocker))))
+            p = 0
+            q = len(pending)
+            while p < q:
+                i = pending[p]
+                p += 1
+                while value[wblocker[i]] != 1:
+                    ci = wclause[i]
+                    clause = clauses[ci]
+                    if clause[0] == falsified:
+                        clause[0] = clause[1]
+                        clause[1] = falsified
+                    first = clause[0]
+                    fval = value[first]
+                    if fval == 1:
+                        wblocker[i] = first
                         break
-                if moved:
-                    continue
-                if fval == (first & 1):
-                    return ci  # first watch false: conflict
-                # unit: enqueue first
-                var = first >> 1
-                assign[var] = 1 - (first & 1)
-                self.saved_phase[var] = assign[var]
-                self.level[var] = len(self.trail_lim)
-                self.reason[var] = ci
-                trail.append(first)
-                i += 1
+                    for k in range(2, len(clause)):
+                        lit = clause[k]
+                        if value[lit] != 0:
+                            # Watch lit instead of falsified.
+                            clause[1] = lit
+                            clause[k] = falsified
+                            watch_clause[lit].append(ci)
+                            watch_blocker[lit].append(first)
+                            # The last watch moves into slot i.
+                            end -= 1
+                            wclause[i] = wclause[end]
+                            wblocker[i] = wblocker[end]
+                            wclause.pop()
+                            wblocker.pop()
+                            break
+                    else:
+                        if fval == 0:
+                            return ci  # first watch false: conflict
+                        # unit: enqueue first
+                        value[first] = 1
+                        value[first ^ 1] = 0
+                        var = first >> 1
+                        saved_phase[var] = 1 - (first & 1)
+                        level[var] = current_level
+                        reason[var] = ci
+                        trail.append(first)
+                        break
+                    # Visit the moved watch in slot i now if it is pending.
+                    if q > p and pending[q - 1] == end:
+                        q -= 1
+                        continue
+                    break
         return -1
 
     # -- conflict analysis -------------------------------------------------
@@ -207,6 +253,8 @@ class SatSolver:
             for v in range(1, self.nvars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_order()
+        self.queued[var] = True
         heapq.heappush(self.order, (-self.activity[var], var))
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
@@ -239,12 +287,8 @@ class SatSolver:
                 break
             reason_clause = self.clauses[self.reason[code >> 1]]
         learned[0] = code ^ 1
-        if len(learned) == 1:
-            back_level = 0
-        else:
-            levels = sorted((self.level[l >> 1] for l in learned[1:]),
-                            reverse=True)
-            back_level = levels[0]
+        back_level = max((self.level[l >> 1] for l in learned[1:]),
+                         default=0)
         return learned, back_level
 
     def _learn(self, learned: list[int]) -> None:
@@ -255,21 +299,19 @@ class SatSolver:
         best = max(range(1, len(learned)),
                    key=lambda k: self.level[learned[k] >> 1])
         learned[1], learned[best] = learned[best], learned[1]
-        idx = len(self.clauses)
-        self.clauses.append(learned)
-        self.watches[learned[0]].append((idx, learned[1]))
-        self.watches[learned[1]].append((idx, learned[0]))
-        self._enqueue(learned[0], idx)
+        self._enqueue(learned[0], self._attach(learned))
 
     # -- search ------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
         while self.order:
-            _, var = heapq.heappop(self.order)
-            if self.assign[var] == -1:
+            key, var = heapq.heappop(self.order)
+            if -key == self.activity[var]:
+                self.queued[var] = False
+            if self.value[2 * var] == -1:
                 return var
         for var in range(1, self.nvars + 1):
-            if self.assign[var] == -1:
+            if self.value[2 * var] == -1:
                 return var
         return 0
 
@@ -307,12 +349,9 @@ class SatSolver:
                     # Conflict forced by the assumption prefix alone.
                     return False
                 learned, back_level = self._analyze(conflict)
-                back_level = max(back_level, 0)
+                # Backtracking may drop part of the assumption prefix;
+                # the loop below re-applies it.
                 self._backtrack(back_level)
-                if back_level < len(assumption_codes):
-                    # Dropped part of the assumption prefix; the learned
-                    # clause is kept, assumptions get re-applied below.
-                    pass
                 self._learn(learned)
                 self.var_inc /= self._VAR_DECAY
                 conflicts_since_restart += 1
@@ -327,7 +366,7 @@ class SatSolver:
             depth = self._decision_level()
             if depth < len(assumption_codes):
                 code = assumption_codes[depth]
-                val = self._lit_value(code)
+                val = self.value[code]
                 if val == 0:
                     return False
                 if val == 1:
@@ -345,13 +384,6 @@ class SatSolver:
             self._enqueue(next_code, -1)
 
     def model(self) -> dict[int, bool]:
-        """Assignment after a satisfiable `solve` call."""
-        return {v: self.assign[v] == 1
-                for v in range(1, self.nvars + 1) if self.assign[v] != -1}
-
-    def full_model(self) -> dict[int, bool]:
-        out = {}
-        for v in range(1, self.nvars + 1):
-            val = self.assign[v]
-            out[v] = (val == 1) if val != -1 else False
-        return out
+        """Assignment of every variable after a satisfiable `solve` call;
+        unassigned variables read as False."""
+        return {v: self.value[2 * v] == 1 for v in range(1, self.nvars + 1)}

@@ -106,7 +106,7 @@ def test_criterion_03_encoding_soundness_valuations():
         for _ in range(10):
             assumptions = random_structure_assumptions(rng, inst)
             assert solver.solve(assumptions)
-            model = solver.full_model()
+            model = solver.model()
             f = inst.decode_model(model)
             for t, trace in enumerate(inst.traces):
                 assert model[inst.y[(t, n, 0)]] == bool(f.satisfies(trace))

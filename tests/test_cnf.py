@@ -1,138 +1,91 @@
 import itertools
-import random
 
 import pytest
 
-from ltlfmine.cnf import (BAnd, BIff, BNot, BOr, BVar, totalizer, tseitin)
+from ltlfmine.cnf import totalizer
 from ltlfmine.sat import SatSolver
 
 
-def eval_expr(expr, bits):
-    if isinstance(expr, BVar):
-        return bits[expr.var - 1]
-    if isinstance(expr, BNot):
-        return not eval_expr(expr.arg, bits)
-    if isinstance(expr, BAnd):
-        return all(eval_expr(a, bits) for a in expr.args)
-    if isinstance(expr, BOr):
-        return any(eval_expr(a, bits) for a in expr.args)
-    if isinstance(expr, BIff):
-        return eval_expr(expr.left, bits) == eval_expr(expr.right, bits)
-    raise TypeError(expr)
-
-
-def random_expr(rng, nvars, depth):
-    if depth == 0 or rng.random() < 0.3:
-        v = BVar(rng.randint(1, nvars))
-        return BNot(v) if rng.random() < 0.5 else v
-    kind = rng.randrange(4)
-    if kind == 0:
-        return BNot(random_expr(rng, nvars, depth - 1))
-    if kind == 3:
-        return BIff(random_expr(rng, nvars, depth - 1),
-                    random_expr(rng, nvars, depth - 1))
-    args = [random_expr(rng, nvars, depth - 1)
-            for _ in range(rng.randint(1, 3))]
-    return BAnd(*args) if kind == 1 else BOr(*args)
-
-
-class TestTseitin:
-    def test_cnf_input_passes_through(self):
-        expr = BAnd(BOr(BVar(1), BNot(BVar(2))), BOr(BVar(3)))
-        result = tseitin(expr, fresh_from=4)
-        assert result.aux_vars == []
-        assert result.clauses == [[1, -2], [3]]
-
-    def test_single_clause_passes_through(self):
-        result = tseitin(BOr(BVar(1), BVar(2)), fresh_from=3)
-        assert result.aux_vars == []
-        assert result.clauses == [[1, 2]]
-
-    def test_bare_literal(self):
-        result = tseitin(BNot(BVar(2)), fresh_from=3)
-        assert result.clauses == [[-2]]
-        assert result.aux_vars == []
-
-    def test_and_of_literals_gets_gate(self):
-        # A bare conjunction is not clause-shaped, so it costs one gate:
-        # three defining clauses plus the unit on the gate.
-        result = tseitin(BAnd(BVar(1), BVar(2)), fresh_from=3)
-        assert result.aux_vars == [3]
-        assert sorted(result.clauses) == sorted(
-            [[-3, 1], [-3, 2], [3, -1, -2], [3]])
-
-    def test_shared_subexpression_single_gate(self):
-        shared = BAnd(BVar(1), BVar(2))
-        expr = BIff(shared, BNot(shared))
-        result = tseitin(expr, fresh_from=3)
-        # one gate for the conjunction, one for the equivalence
-        assert len(result.aux_vars) == 2
-
-    def test_equisatisfiability_randomized(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            nvars = rng.randint(1, 4)
-            expr = random_expr(rng, nvars, rng.randint(0, 4))
-            result = tseitin(expr, fresh_from=nvars + 1)
-            expected = any(
-                eval_expr(expr, bits)
-                for bits in itertools.product([False, True], repeat=nvars))
-            solver = SatSolver()
-            solver.ensure_var(nvars)
-            for c in result.clauses:
-                solver.add_clause(c)
-            assert solver.solve() == expected
-
-    def test_models_project_to_satisfying_assignments(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            nvars = rng.randint(1, 4)
-            expr = random_expr(rng, nvars, rng.randint(0, 3))
-            result = tseitin(expr, fresh_from=nvars + 1)
-            solver = SatSolver()
-            solver.ensure_var(nvars)
-            for c in result.clauses:
-                solver.add_clause(c)
-            if solver.solve():
-                model = solver.full_model()
-                bits = [model[v] for v in range(1, nvars + 1)]
-                assert eval_expr(expr, bits)
+def unit(lits):
+    return [(lit, 1) for lit in lits]
 
 
 class TestTotalizer:
-    def check_exhaustive(self, n):
+    def check_exhaustive(self, weights):
+        # One output per nonzero subset sum, and under every input
+        # assignment the clauses force o_s to [true inputs weigh >= s].
+        n = len(weights)
         solver = SatSolver()
         solver.ensure_var(n)
         lits = list(range(1, n + 1))
-        outs = totalizer(lits, solver.new_var, solver.add_clause)
-        assert len(outs) == n
+        outs = totalizer(list(zip(lits, weights)), solver.new_var,
+                         solver.add_clause)
+        sums = {sum(c) for k in range(1, n + 1)
+                for c in itertools.combinations(weights, k)}
+        assert [s for s, _ in outs] == sorted(sums)
         for bits in itertools.product([False, True], repeat=n):
             assumptions = [v if bits[v - 1] else -v for v in lits]
-            assert solver.solve(assumptions)
-            count = sum(bits)
-            model = solver.full_model()
-            for k in range(1, n + 1):
-                got = model[abs(outs[k - 1])] == (outs[k - 1] > 0)
-                assert got == (count >= k)
+            weight = sum(w for w, b in zip(weights, bits) if b)
+            for s, out in outs:
+                forced = out if weight >= s else -out
+                assert solver.solve(assumptions + [forced])
+                assert not solver.solve(assumptions + [-forced])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_counts_exactly(self, n):
-        self.check_exhaustive(n)
+        self.check_exhaustive([1] * n)
+
+    @pytest.mark.parametrize("weights", [
+        [5, 3], [3, 5], [2, 2, 3], [1, 1, 2, 2, 2], [1, 2, 4, 8],
+        [4, 4, 4], [7, 1, 3, 1, 5, 2], [6, 10, 15, 6]])
+    def test_weighted_sums_exactly(self, weights):
+        self.check_exhaustive(weights)
+
+    def test_unit_weights_match_cardinality_totalizer(self):
+        # Unit counters need no chain clauses: lower and upper direction
+        # per pair of child counts, nothing else.
+        clauses = []
+        counter = itertools.count(9)
+        outs = totalizer(unit(range(1, 9)), lambda: next(counter),
+                         clauses.append)
+        assert [s for s, _ in outs] == list(range(1, 9))
+        assert len(clauses) == 2 * sum((a + 1) * (b + 1) - 1
+                                       for a, b in [(1, 1)] * 4
+                                       + [(2, 2)] * 2 + [(4, 4)])
+
+    def test_two_weights_stay_small(self):
+        # Rebalanced trace weights on 101 positives and 399 negatives:
+        # each weight gets its own counter, so only the root mixes them,
+        # with 102 * 400 pairs of child sums.  Splitting the weight-sorted
+        # leaves by count would put about 3.8M pairs at the root.
+        clauses = []
+        counter = itertools.count(501)
+        leaves = [(v, 399) for v in range(1, 102)]
+        leaves += [(v, 101) for v in range(102, 501)]
+        outs = totalizer(leaves, lambda: next(counter), clauses.append)
+        assert [s for s, _ in outs] == sorted(
+            {399 * a + 101 * b for a in range(102) for b in range(400)} - {0})
+        assert len(clauses) < 400_000
 
     def test_empty_input(self):
         solver = SatSolver()
         assert totalizer([], solver.new_var, solver.add_clause) == []
+
+    def test_nonpositive_weight_rejected(self):
+        solver = SatSolver()
+        with pytest.raises(ValueError):
+            totalizer([(1, 0)], solver.new_var, solver.add_clause)
 
     def test_output_assumption_forces_count(self):
         # Assuming o_k must force at least k true inputs in every model.
         n = 6
         solver = SatSolver()
         solver.ensure_var(n)
-        outs = totalizer(list(range(1, n + 1)), solver.new_var,
+        outs = totalizer(unit(range(1, n + 1)), solver.new_var,
                          solver.add_clause)
-        for k in range(1, n + 1):
-            assert solver.solve([outs[k - 1]])
-            model = solver.full_model()
+        for k, out in outs:
+            assert solver.solve([out])
+            model = solver.model()
             assert sum(model[v] for v in range(1, n + 1)) >= k
 
     def test_negative_input_literals(self):
@@ -140,9 +93,9 @@ class TestTotalizer:
         n = 4
         solver = SatSolver()
         solver.ensure_var(n)
-        outs = totalizer([-v for v in range(1, n + 1)], solver.new_var,
+        outs = totalizer(unit(-v for v in range(1, n + 1)), solver.new_var,
                          solver.add_clause)
-        assert solver.solve([outs[2], 1])  # >= 3 of them false, var 1 true
-        model = solver.full_model()
+        assert solver.solve([outs[2][1], 1])  # >= 3 of them false, var 1 true
+        model = solver.model()
         assert sum(not model[v] for v in range(1, n + 1)) >= 3
         assert model[1]

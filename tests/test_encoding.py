@@ -37,27 +37,32 @@ class TestOperatorPool:
 class TestStructuralClauses:
     def test_label_clause_count_n3_ten_labels(self):
         # one at-least-one clause plus C(10,2) pairwise exclusions per
-        # node: 3 * (1 + 45) = 138
+        # node: 3 * (1 + 45) = 138; the only other clause over label
+        # variables alone is the first-node nullary clause.
         inst = instance_for(BASIC, 3)
         assert len(inst.pool.labels) == 10
-        count = (len(inst.structural_groups["label_alo"])
-                 + len(inst.structural_groups["label_amo"]))
+        label_vars = set(inst.x.values())
+        first = sorted(inst.x[(1, p)] for p in inst.pool.nullary)
+        count = sum(1 for c in inst.wcnf.hard
+                    if all(abs(lit) in label_vars for lit in c)
+                    and sorted(c) != first)
         assert count == 138
 
     def test_child_clause_counts(self):
         inst = instance_for(BASIC, 3)
         # node 2: 1 choice, node 3: 2 choices -> ALO 2 clauses each side,
         # AMO only for node 3 (one pair) each side
-        assert len(inst.structural_groups["left_alo"]) == 2
-        assert len(inst.structural_groups["right_alo"]) == 2
-        assert len(inst.structural_groups["left_amo"]) == 1
-        assert len(inst.structural_groups["right_amo"]) == 1
+        for table in (inst.l, inst.r):
+            child_vars = set(table.values())
+            own = [c for c in inst.wcnf.hard
+                   if all(abs(lit) in child_vars for lit in c)]
+            assert sum(1 for c in own if all(lit > 0 for lit in c)) == 2
+            assert sum(1 for c in own if all(lit < 0 for lit in c)) == 1
 
     def test_first_node_nullary(self):
         inst = instance_for(BASIC, 2)
-        clause = inst.structural_groups["first_node_nullary"][0]
-        assert sorted(clause) == sorted(
-            inst.x[(1, p)] for p in inst.pool.nullary)
+        first = sorted(inst.x[(1, p)] for p in inst.pool.nullary)
+        assert first in [sorted(c) for c in inst.wcnf.hard]
 
     def test_size_one_has_no_child_variables(self):
         inst = instance_for(BASIC, 1)
@@ -86,7 +91,7 @@ class TestModels:
         f = parse_formula("F p1", ("p0", "p1"))
         solver = self.hard_solver(inst)
         assert solver.solve(inst.structure_assumptions(f))
-        assert inst.decode_model(solver.full_model()) == f
+        assert inst.decode_model(solver.model()) == f
 
     def test_clamped_structure_valuations_match_semantics(self):
         rng = random.Random(21)
@@ -97,7 +102,7 @@ class TestModels:
             f = parse_formula(text, sample.alphabet)
             assert f.size == 3
             assert solver.solve(inst.structure_assumptions(f))
-            model = solver.full_model()
+            model = solver.model()
             assert inst.decode_model(model) == f
             for t, trace in enumerate(inst.traces):
                 for tau in range(len(trace)):

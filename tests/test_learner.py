@@ -77,19 +77,26 @@ class TestLearnMinimal:
         assert all(it["status"] == "infeasible"
                    for it in r.iterations[:-1])
 
-    def test_minimality_against_enumeration_small(self):
+    @pytest.mark.parametrize("weights, kappa", [
+        ("uniform", Fraction(0)), ("rebalanced", Fraction(0)),
+        ("rebalanced", Fraction(1, 4))],
+        ids=["uniform-0", "rebalanced-0", "rebalanced-1_4"])
+    def test_minimality_against_enumeration_small(self, weights, kappa):
         formulas = enumerate_formulas(("p0", "p1"), 3)
         rng = random.Random(15)
         for _ in range(25):
-            s = random_sample(rng, ("p0", "p1"), max_traces=6, max_len=4)
-            omega = omega_uniform(s)
-            expected = brute_minimal_size(s, Fraction(0), omega, formulas)
-            r = learn_minimal(s, LearnConfig(max_size=3))
+            s = random_sample(rng, ("p0", "p1"), max_traces=6, max_len=4,
+                              require_both_classes=weights == "rebalanced")
+            omega = resolve_omega(s, weights)
+            expected = brute_minimal_size(s, kappa, omega, formulas)
+            r = learn_minimal(s, LearnConfig(kappa=kappa, weights=weights,
+                                             max_size=3))
             if expected is None:
                 assert r.status == SIZE_CAP
             else:
                 assert r.status == SOLVED
                 assert r.size == expected
+                assert r.achieved_loss <= kappa
 
     def test_explicit_weights_must_sum_to_one(self):
         s = parse_sample("1\n---\n0\n")

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,17 @@ class TestSolveDecision:
                 assert result.satisfied_soft_weight >= target
             else:
                 assert result.status == INFEASIBLE
+
+    def test_many_distinct_weights_fail_promptly(self):
+        # 30 power-of-two weights give 2^30 - 1 distinct sums: the
+        # totalizer refuses the root node instead of enumerating them.
+        wcnf = WeightedCnf(30)
+        for v in range(1, 31):
+            wcnf.add_soft([v], Fraction(2 ** (v - 1), 2 ** 30 - 1))
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="distinct"):
+            solve_decision(wcnf, Fraction(1, 2))
+        assert time.monotonic() - started < 30
 
 
 class TestWcnfFormat:

@@ -118,7 +118,31 @@ class TestAssumptions:
             got = solver.solve(assumptions)
             assert got == brute_sat(nvars, clauses, assumptions)
             if got:
-                model = solver.full_model()
+                model = solver.model()
+                def val(lit):
+                    return model[abs(lit)] == (lit > 0)
+                assert all(any(val(l) for l in c) for c in clauses)
+                assert all(val(a) for a in assumptions)
+
+    def test_dense_randomized_against_brute_force(self):
+        # Few variables, many clauses: watch lists grow long enough for
+        # propagation to visit only the watches whose blocker is not true.
+        rng = random.Random(43)
+        for round_ in range(150):
+            nvars = rng.randint(4, 9)
+            clauses = [[rng.choice([-1, 1]) * v
+                        for v in rng.sample(range(1, nvars + 1), 3)]
+                       for _ in range(rng.randint(3 * nvars, 5 * nvars))]
+            assumptions = [rng.choice([-1, 1]) * v
+                           for v in rng.sample(range(1, nvars + 1),
+                                               rng.randint(0, 2))]
+            solver = SatSolver()
+            for c in clauses:
+                solver.add_clause(c)
+            got = solver.solve(assumptions)
+            assert got == brute_sat(nvars, clauses, assumptions)
+            if got:
+                model = solver.model()
                 def val(lit):
                     return model[abs(lit)] == (lit > 0)
                 assert all(any(val(l) for l in c) for c in clauses)
