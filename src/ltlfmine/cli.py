@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="uniform")
     p.add_argument("--with-constants", action="store_true")
     p.add_argument("--var-comments", action="store_true",
-                   help="annotate the variable meaning in comments")
+                   help="annotate the variable meaning in comments "
+                        "(c var V x|l|r|y|L|R ...)")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--import-model", metavar="MODEL",
                    help="decode an external solver's model file instead")

@@ -4,12 +4,20 @@ For a target DAG size n and a labeled sample, the instance contains:
 
 * structural hard clauses fixing one operator label per node and one
   left/right child (with smaller id) per non-leaf node;
+* channel clauses: per trace t, node i >= 2 and position tau, the
+  variables L(t,i,tau) and R(t,i,tau) equal the valuation of the chosen
+  left and right child, l(i,j) -> (L <-> y_j) and r(i,k) -> (R <-> y_k);
 * semantic hard clauses defining, per trace and position, the valuation
-  variable of every node from its children's valuations (temporal
+  variable y of every node from L and R, stated once per node and
+  operator and guarded by the operator's label variable alone (temporal
   operators use the one-step suffix recurrences, so the clause count
   stays linear in the trace length);
 * one unit soft clause per trace asserting correct classification at the
   root, weighted by the trace weight function.
+
+Channel and semantic clauses together number O(n^2 * sum |u|) over the
+traces u, instead of one copy of every operator's semantics per pair of
+children, O(n^3 * |ops| * sum |u|).
 
 Models of the hard clauses decode to LTLf formulas; the satisfied soft
 weight of a model equals one minus the weighted loss of the decoded
@@ -82,6 +90,10 @@ class EncodingInstance:
         self.l: dict[tuple[int, int], int] = {}
         self.r: dict[tuple[int, int], int] = {}
         self.y: dict[tuple[int, int, int], int] = {}  # (trace idx, node, pos)
+        # (trace idx, node >= 2, pos) -> the chosen left / right child's
+        # valuation there
+        self.left: dict[tuple[int, int, int], int] = {}
+        self.right: dict[tuple[int, int, int], int] = {}
         self._allocate()
         self.wcnf = WeightedCnf(self._next - 1)
         if var_comments:
@@ -112,6 +124,11 @@ class EncodingInstance:
             for i in range(1, n + 1):
                 for tau in range(len(trace)):
                     self.y[(t, i, tau)] = self._fresh()
+        for t, trace in enumerate(self.traces):
+            for i in range(2, n + 1):
+                for tau in range(len(trace)):
+                    self.left[(t, i, tau)] = self._fresh()
+                    self.right[(t, i, tau)] = self._fresh()
 
     def _var_map_comments(self) -> list[str]:
         lines = []
@@ -123,13 +140,17 @@ class EncodingInstance:
             lines.append(f"c var {v} r {i} {j}")
         for (t, i, tau), v in self.y.items():
             lines.append(f"c var {v} y {t} {i} {tau}")
+        for (t, i, tau), v in self.left.items():
+            lines.append(f"c var {v} L {t} {i} {tau}")
+        for (t, i, tau), v in self.right.items():
+            lines.append(f"c var {v} R {t} {i} {tau}")
         return lines
 
     # -- structural clauses ------------------------------------------------
 
     def _emit_structural(self) -> None:
         n, labels = self.n, self.pool.labels
-        add = self.wcnf.add_hard
+        add = self.wcnf.hard.append
         for i in range(1, n + 1):
             add([self.x[(i, lab)] for lab in labels])
             for a in range(len(labels)):
@@ -155,8 +176,8 @@ class EncodingInstance:
     def _emit_semantic(self, t: int) -> None:
         trace = self.traces[t]
         m = len(trace)
-        add = self.wcnf.add_hard
-        x, l, r, y = self.x, self.l, self.r, self.y
+        add = self.wcnf.hard.append
+        x, y = self.x, self.y
         for i in range(1, self.n + 1):
             for p in self.pool.alphabet:
                 xp = x[(i, p)]
@@ -168,85 +189,100 @@ class EncodingInstance:
                 sign = 1 if c == F.TRUE else -1
                 for tau in range(m):
                     add([-xc, sign * y[(t, i, tau)]])
+        # per node, its valuation variables along the trace
+        ys = {i: [y[(t, i, tau)] for tau in range(m)]
+              for i in range(1, self.n + 1)}
         for i in range(2, self.n + 1):
+            left = [self.left[(t, i, tau)] for tau in range(m)]
+            right = [self.right[(t, i, tau)] for tau in range(m)]
             for j in range(1, i):
-                for op in self.pool.unary:
-                    a = [-x[(i, op)], -l[(i, j)]]
-                    self._unary_semantics(op, a, t, i, j, m)
-            for j in range(1, i):
-                for k in range(1, i):
-                    for op in self.pool.binary:
-                        a = [-x[(i, op)], -l[(i, j)], -r[(i, k)]]
-                        self._binary_semantics(op, a, t, i, j, k, m)
+                self._channel(self.l[(i, j)], left, ys[j])
+                self._channel(self.r[(i, j)], right, ys[j])
+            for op in self.pool.unary:
+                self._unary_semantics(op, -x[(i, op)], ys[i], left)
+            for op in self.pool.binary:
+                self._binary_semantics(op, -x[(i, op)], ys[i], left, right)
 
-    def _unary_semantics(self, op, a, t, i, j, m) -> None:
-        add, y = self.wcnf.add_hard, self.y
+    def _channel(self, select: int, channel: list[int],
+                 child: list[int]) -> None:
+        """select -> (channel <-> child) at every position."""
+        add = self.wcnf.hard.append
+        for c, yj in zip(channel, child):
+            add([-select, -c, yj])
+            add([-select, c, -yj])
+
+    def _unary_semantics(self, op, g, own, left) -> None:
+        """Clauses, guarded by the literal g, giving own = op(left)."""
+        add = self.wcnf.hard.append
+        m = len(own)
         for tau in range(m):
-            yi = y[(t, i, tau)]
-            yj = y[(t, j, tau)]
+            yi = own[tau]
+            a = left[tau]
             last = tau == m - 1
             if op == F.NOT:
-                add(a + [-yi, -yj])
-                add(a + [yi, yj])
+                add([g, -yi, -a])
+                add([g, yi, a])
             elif op == F.NEXT:
                 if last:
-                    add(a + [-yi])
+                    add([g, -yi])
                 else:
-                    yjn = y[(t, j, tau + 1)]
-                    add(a + [-yi, yjn])
-                    add(a + [yi, -yjn])
+                    an = left[tau + 1]
+                    add([g, -yi, an])
+                    add([g, yi, -an])
             elif op == F.EVENTUALLY:
-                # y_i(tau) <-> y_j(tau) or y_i(tau+1)
+                # y_i(tau) <-> L(tau) or y_i(tau+1)
                 if last:
-                    add(a + [-yi, yj])
-                    add(a + [yi, -yj])
+                    add([g, -yi, a])
+                    add([g, yi, -a])
                 else:
-                    yin = y[(t, i, tau + 1)]
-                    add(a + [-yi, yj, yin])
-                    add(a + [yi, -yj])
-                    add(a + [yi, -yin])
+                    yin = own[tau + 1]
+                    add([g, -yi, a, yin])
+                    add([g, yi, -a])
+                    add([g, yi, -yin])
             elif op == F.GLOBALLY:
-                # y_i(tau) <-> y_j(tau) and y_i(tau+1)
+                # y_i(tau) <-> L(tau) and y_i(tau+1)
                 if last:
-                    add(a + [-yi, yj])
-                    add(a + [yi, -yj])
+                    add([g, -yi, a])
+                    add([g, yi, -a])
                 else:
-                    yin = y[(t, i, tau + 1)]
-                    add(a + [yi, -yj, -yin])
-                    add(a + [-yi, yj])
-                    add(a + [-yi, yin])
+                    yin = own[tau + 1]
+                    add([g, yi, -a, -yin])
+                    add([g, -yi, a])
+                    add([g, -yi, yin])
             else:
                 raise ValueError(f"unsupported unary operator {op!r}")
 
-    def _binary_semantics(self, op, a, t, i, j, k, m) -> None:
-        add, y = self.wcnf.add_hard, self.y
+    def _binary_semantics(self, op, g, own, left, right) -> None:
+        """Clauses, guarded by the literal g, giving own = left op right."""
+        add = self.wcnf.hard.append
+        m = len(own)
         for tau in range(m):
-            yi = y[(t, i, tau)]
-            yj = y[(t, j, tau)]
-            yk = y[(t, k, tau)]
+            yi = own[tau]
+            a = left[tau]
+            b = right[tau]
             if op == F.OR:
-                add(a + [-yi, yj, yk])
-                add(a + [yi, -yj])
-                add(a + [yi, -yk])
+                add([g, -yi, a, b])
+                add([g, yi, -a])
+                add([g, yi, -b])
             elif op == F.AND:
-                add(a + [yi, -yj, -yk])
-                add(a + [-yi, yj])
-                add(a + [-yi, yk])
+                add([g, yi, -a, -b])
+                add([g, -yi, a])
+                add([g, -yi, b])
             elif op == F.IMPLIES:
-                add(a + [-yi, -yj, yk])
-                add(a + [yi, yj])
-                add(a + [yi, -yk])
+                add([g, -yi, -a, b])
+                add([g, yi, a])
+                add([g, yi, -b])
             elif op == F.UNTIL:
-                # y_i(tau) <-> y_k(tau) or (y_j(tau) and y_i(tau+1))
+                # y_i(tau) <-> R(tau) or (L(tau) and y_i(tau+1))
                 if tau == m - 1:
-                    add(a + [-yi, yk])
-                    add(a + [yi, -yk])
+                    add([g, -yi, b])
+                    add([g, yi, -b])
                 else:
-                    yin = y[(t, i, tau + 1)]
-                    add(a + [-yi, yk, yj])
-                    add(a + [-yi, yk, yin])
-                    add(a + [yi, -yk])
-                    add(a + [yi, -yj, -yin])
+                    yin = own[tau + 1]
+                    add([g, -yi, b, a])
+                    add([g, -yi, b, yin])
+                    add([g, yi, -b])
+                    add([g, yi, -a, -yin])
             else:
                 raise ValueError(f"unsupported binary operator {op!r}")
 

@@ -74,6 +74,8 @@ def learn_minimal(sample: LabeledSample,
     iterations = []
     for n in range(1, config.max_size + 1):
         started = time.monotonic()
+        if deadline is not None and started >= deadline:
+            return LearnResult(TIMED_OUT, iterations=iterations)
         instance = EncodingInstance(n, sample, omega, pool)
         remaining = None if deadline is None else deadline - time.monotonic()
         if remaining is not None and remaining <= 0:

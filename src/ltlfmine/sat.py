@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 
@@ -35,14 +34,14 @@ class SatSolver:
     def __init__(self):
         self.nvars = 0
         self.clauses: list[list[int]] = []   # internal literal codes
-        # lit code -> watching clause indices, and per entry a blocking
-        # literal of the same clause; codes are 2v / 2v+1, slots 0-1 unused
-        self.watch_clause: list[list[int]] = [[], []]
+        # lit code -> watching clauses, and per entry a blocking literal of
+        # the same clause; codes are 2v / 2v+1, slots 0-1 unused
+        self.watch_clause: list[list[list[int]]] = [[], []]
         self.watch_blocker: list[list[int]] = [[], []]
         # lit code -> -1 unset / 0 false / 1 true; value[2v] is var v's value
         self.value: list[int] = [-1, -1]
         self.level: list[int] = [0]
-        self.reason: list[int] = [-1]        # var -> clause index or -1
+        self.reason: list = [None]           # var -> implying clause or None
         self.activity: list[float] = [0.0]
         self.saved_phase: list[int] = [0]
         self.trail: list[int] = []
@@ -52,6 +51,7 @@ class SatSolver:
         self.order: list[tuple[float, int]] = []
         # var -> order holds an entry keyed by the var's current activity
         self.queued: list[bool] = [False]
+        self.seen: list[bool] = [False]       # conflict analysis scratch
         self.units: list[int] = []
         self.unsat = False
 
@@ -63,12 +63,13 @@ class SatSolver:
             self.value.append(-1)
             self.value.append(-1)
             self.level.append(0)
-            self.reason.append(-1)
+            self.reason.append(None)
             self.activity.append(0.0)
             self.saved_phase.append(0)
             self.watch_clause += ([], [])
             self.watch_blocker += ([], [])
             self.queued.append(True)
+            self.seen.append(False)
             heapq.heappush(self.order, (0.0, self.nvars))
 
     def new_var(self) -> int:
@@ -95,16 +96,14 @@ class SatSolver:
             return
         self._attach(clause)
 
-    def _attach(self, clause: list[int]) -> int:
-        """Store `clause`, watching its first two literals; return its index."""
-        idx = len(self.clauses)
+    def _attach(self, clause: list[int]) -> None:
+        """Store `clause`, watching its first two literals."""
         self.clauses.append(clause)
         # each watch carries the other watched literal as its blocker
-        self.watch_clause[clause[0]].append(idx)
+        self.watch_clause[clause[0]].append(clause)
         self.watch_blocker[clause[0]].append(clause[1])
-        self.watch_clause[clause[1]].append(idx)
+        self.watch_clause[clause[1]].append(clause)
         self.watch_blocker[clause[1]].append(clause[0])
-        return idx
 
     @staticmethod
     def _code(lit: int) -> int:
@@ -116,7 +115,7 @@ class SatSolver:
 
     # -- trail -------------------------------------------------------------
 
-    def _enqueue(self, code: int, reason: int) -> bool:
+    def _enqueue(self, code: int, reason: Optional[list[int]]) -> bool:
         val = self.value[code]
         if val == 0:
             return False
@@ -138,14 +137,12 @@ class SatSolver:
             return
         limit = self.trail_lim[target_level]
         value = self.value
-        reason = self.reason
         queued = self.queued
         activity = self.activity
         order = self.order
         for code in reversed(self.trail[limit:]):
             var = code >> 1
             value[code] = value[code ^ 1] = -1
-            reason[var] = -1
             if not queued[var]:
                 queued[var] = True
                 heapq.heappush(order, (-activity[var], var))
@@ -168,13 +165,12 @@ class SatSolver:
 
     # -- propagation -------------------------------------------------------
 
-    def _propagate(self) -> int:
-        """Run unit propagation; return a conflicting clause index or -1."""
+    def _propagate(self) -> Optional[list[int]]:
+        """Run unit propagation; return a conflicting clause or None."""
         # Hot loop: literal values are read straight from `value` by code,
         # and blocking literals short-cut already-satisfied clauses without
         # touching the clause itself.
         value = self.value
-        clauses = self.clauses
         watch_clause = self.watch_clause
         watch_blocker = self.watch_blocker
         trail = self.trail
@@ -182,27 +178,27 @@ class SatSolver:
         level = self.level
         reason = self.reason
         current_level = len(self.trail_lim)
-        not_true = (1).__ne__
-        while self.qhead < len(trail):
-            code = trail[self.qhead]
-            self.qhead += 1
+        qhead = self.qhead
+        while qhead < len(trail):
+            code = trail[qhead]
+            qhead += 1
             falsified = code ^ 1
-            wclause = watch_clause[falsified]
             wblocker = watch_blocker[falsified]
-            end = len(wclause)
+            end = len(wblocker)
             # Most blockers are true.  A true literal stays true for the
             # rest of propagation, so only the other positions need a visit;
-            # they are found in one C-level pass over the blockers.
-            pending = list(compress(range(end), map(
-                not_true, map(value.__getitem__, wblocker))))
+            # they are collected first, in one comprehension.
+            pending = [i for i in range(end) if value[wblocker[i]] != 1]
+            if not pending:
+                continue
+            wclause = watch_clause[falsified]
             p = 0
             q = len(pending)
             while p < q:
                 i = pending[p]
                 p += 1
                 while value[wblocker[i]] != 1:
-                    ci = wclause[i]
-                    clause = clauses[ci]
+                    clause = wclause[i]
                     if clause[0] == falsified:
                         clause[0] = clause[1]
                         clause[1] = falsified
@@ -217,7 +213,7 @@ class SatSolver:
                             # Watch lit instead of falsified.
                             clause[1] = lit
                             clause[k] = falsified
-                            watch_clause[lit].append(ci)
+                            watch_clause[lit].append(clause)
                             watch_blocker[lit].append(first)
                             # The last watch moves into slot i.
                             end -= 1
@@ -228,14 +224,15 @@ class SatSolver:
                             break
                     else:
                         if fval == 0:
-                            return ci  # first watch false: conflict
+                            self.qhead = qhead
+                            return clause  # first watch false: conflict
                         # unit: enqueue first
                         value[first] = 1
                         value[first ^ 1] = 0
                         var = first >> 1
                         saved_phase[var] = 1 - (first & 1)
                         level[var] = current_level
-                        reason[var] = ci
+                        reason[var] = clause
                         trail.append(first)
                         break
                     # Visit the moved watch in slot i now if it is pending.
@@ -243,7 +240,8 @@ class SatSolver:
                         q -= 1
                         continue
                     break
-        return -1
+        self.qhead = qhead
+        return None
 
     # -- conflict analysis -------------------------------------------------
 
@@ -257,49 +255,56 @@ class SatSolver:
         self.queued[var] = True
         heapq.heappush(self.order, (-self.activity[var], var))
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         learned = [0]  # slot for the asserting literal
-        seen = [False] * (self.nvars + 1)
+        # `seen` is all False between calls: a current-level variable is
+        # cleared when the trail walk reaches it, the others at the end.
+        seen = self.seen
+        level = self.level
+        trail = self.trail
         counter = 0
         code = -1
-        index = len(self.trail)
-        reason_clause = self.clauses[conflict]
+        index = len(trail)
+        reason_clause = conflict
         cur_level = self._decision_level()
         while True:
             for lit in reason_clause:
                 var = lit >> 1
                 if lit == code:
                     continue
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     self._bump(var)
-                    if self.level[var] >= cur_level:
+                    if level[var] >= cur_level:
                         counter += 1
                     else:
                         learned.append(lit)
             while True:
                 index -= 1
-                code = self.trail[index]
+                code = trail[index]
                 if seen[code >> 1]:
                     break
+            seen[code >> 1] = False
             counter -= 1
             if counter == 0:
                 break
-            reason_clause = self.clauses[self.reason[code >> 1]]
+            reason_clause = self.reason[code >> 1]
         learned[0] = code ^ 1
-        back_level = max((self.level[l >> 1] for l in learned[1:]),
-                         default=0)
+        for lit in learned[1:]:
+            seen[lit >> 1] = False
+        back_level = max((level[l >> 1] for l in learned[1:]), default=0)
         return learned, back_level
 
     def _learn(self, learned: list[int]) -> None:
         if len(learned) == 1:
-            self._enqueue(learned[0], -1)
+            self._enqueue(learned[0], None)
             return
         # Put a highest-level literal in the second watch slot.
         best = max(range(1, len(learned)),
                    key=lambda k: self.level[learned[k] >> 1])
         learned[1], learned[best] = learned[best], learned[1]
-        self._enqueue(learned[0], self._attach(learned))
+        self._attach(learned)
+        self._enqueue(learned[0], learned)
 
     # -- search ------------------------------------------------------------
 
@@ -324,13 +329,13 @@ class SatSolver:
             self.ensure_var(abs(a))
         self._backtrack(0)
         for code in self.units:
-            if not self._enqueue(code, -1):
+            if not self._enqueue(code, None):
                 self.unsat = True
                 return False
         # Re-propagate the full trail: clauses added since the last call
         # may already be unit or falsified under level-0 assignments.
         self.qhead = 0
-        if self._propagate() != -1:
+        if self._propagate() is not None:
             self.unsat = True
             return False
         assumption_codes = [self._code(a) for a in assumptions]
@@ -339,7 +344,7 @@ class SatSolver:
         restart_limit = self.RESTART_BASE * _luby(restart_round)
         while True:
             conflict = self._propagate()
-            if conflict != -1:
+            if conflict is not None:
                 if deadline is not None and time.monotonic() > deadline:
                     raise SolveTimeout()
                 if self._decision_level() == 0:
@@ -381,7 +386,7 @@ class SatSolver:
                     return True
                 next_code = 2 * var + (1 - self.saved_phase[var])
             self.trail_lim.append(len(self.trail))
-            self._enqueue(next_code, -1)
+            self._enqueue(next_code, None)
 
     def model(self) -> dict[int, bool]:
         """Assignment of every variable after a satisfiable `solve` call;

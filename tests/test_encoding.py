@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine.encoding import (EncodingError, EncodingInstance, OperatorPool,
                                default_pool)
-from ltlfmine.formula import parse_formula
+from ltlfmine.formula import FormulaBuilder, parse_formula
 from ltlfmine.maxsat import HARD_UNSAT, OPTIMAL, solve_optimal
 from ltlfmine.sample import (omega_uniform, parse_sample, weighted_loss)
 from ltlfmine.sat import SatSolver
 from helpers import random_sample
+from test_acceptance import random_structure_assumptions
 
 BASIC = "1,0;1,1\n0,1\n---\n0,0\n1,0\n"
 
@@ -73,23 +75,24 @@ class TestStructuralClauses:
             instance_for(BASIC, 0)
 
 
-class TestModels:
-    def hard_solver(self, inst):
-        solver = SatSolver()
-        solver.ensure_var(inst.wcnf.nvars)
-        for c in inst.wcnf.hard:
-            solver.add_clause(c)
-        return solver
+def hard_solver(inst):
+    solver = SatSolver()
+    solver.ensure_var(inst.wcnf.nvars)
+    for c in inst.wcnf.hard:
+        solver.add_clause(c)
+    return solver
 
+
+class TestModels:
     def test_hard_clauses_satisfiable(self):
         for n in (1, 2, 3):
             inst = instance_for(BASIC, n)
-            assert self.hard_solver(inst).solve()
+            assert hard_solver(inst).solve()
 
     def test_decode_known_structure(self):
         inst = instance_for(BASIC, 2)
         f = parse_formula("F p1", ("p0", "p1"))
-        solver = self.hard_solver(inst)
+        solver = hard_solver(inst)
         assert solver.solve(inst.structure_assumptions(f))
         assert inst.decode_model(solver.model()) == f
 
@@ -97,7 +100,7 @@ class TestModels:
         rng = random.Random(21)
         sample = parse_sample(BASIC)
         inst = EncodingInstance(3, sample, omega_uniform(sample))
-        solver = self.hard_solver(inst)
+        solver = hard_solver(inst)
         for text in ("p0 U p1", "! (X p0)", "F (G p1)", "G (p0 -> p0)"):
             f = parse_formula(text, sample.alphabet)
             assert f.size == 3
@@ -157,6 +160,81 @@ class TestOptimalAgainstEnumeration:
             "true", "p0")
 
 
+def chosen_child(model, table, i):
+    hits = [j for j in range(1, i) if model[table[(i, j)]]]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def node_formulas(inst, model):
+    """Node id -> the formula of that node's sub-DAG, read off the model's
+    label and child variables."""
+    builder = FormulaBuilder()
+    ids = {}
+    for i in range(1, inst.n + 1):
+        label = inst.node_label(model, i)
+        if label in inst.pool.constants:
+            ids[i] = builder.const(label == "true")
+        elif inst.pool.is_nullary(label):
+            ids[i] = builder.prop(label)
+        elif label in inst.pool.unary:
+            ids[i] = builder.unary(label, ids[chosen_child(model, inst.l, i)])
+        else:
+            ids[i] = builder.binary(label, ids[chosen_child(model, inst.l, i)],
+                                    ids[chosen_child(model, inst.r, i)])
+    return {i: builder.finish(ids[i]) for i in ids}
+
+
+class TestChannels:
+    @pytest.mark.parametrize("constants", [(), ("true", "false")],
+                             ids=["props", "constants"])
+    def test_every_node_and_channel_matches_semantics(self, constants):
+        # Under random structures, every node's valuation variable equals
+        # its sub-DAG evaluated at every position, and every channel
+        # variable equals its chosen child's valuation (for nullary and
+        # unary nodes too, whose child slots the semantics ignore).
+        rng = random.Random(42)
+        for _ in range(40):
+            sample = random_sample(rng, ("p0", "p1"), max_traces=4,
+                                   max_len=4)
+            pool = OperatorPool(sample.alphabet, constants=constants)
+            n = rng.randint(2, 5)
+            inst = EncodingInstance(n, sample, omega_uniform(sample), pool)
+            solver = hard_solver(inst)
+            for _ in range(5):
+                assert solver.solve(random_structure_assumptions(rng, inst))
+                model = solver.model()
+                formulas = node_formulas(inst, model)
+                children = {i: (chosen_child(model, inst.l, i),
+                                chosen_child(model, inst.r, i))
+                            for i in range(2, n + 1)}
+                for t, trace in enumerate(inst.traces):
+                    for tau in range(len(trace)):
+                        for i in range(1, n + 1):
+                            assert model[inst.y[(t, i, tau)]] \
+                                == bool(formulas[i].evaluate(trace, tau))
+                        for i, (j, k) in children.items():
+                            assert model[inst.left[(t, i, tau)]] \
+                                == model[inst.y[(t, j, tau)]]
+                            assert model[inst.right[(t, i, tau)]] \
+                                == model[inst.y[(t, k, tau)]]
+
+    def test_channel_variables_exist_only_for_inner_nodes(self):
+        inst = instance_for(BASIC, 3)
+        keys = {(t, i, tau) for t, trace in enumerate(inst.traces)
+                for i in (2, 3) for tau in range(len(trace))}
+        assert set(inst.left) == keys and set(inst.right) == keys
+
+
+def test_hard_clause_count_stays_quadratic_in_size():
+    # universality2 at 50 traces, n = 8: one copy of each operator's
+    # semantics per (left, right) pair of children took 630,703 hard
+    # clauses; channelling takes 91,745.
+    sample = generate_sample(GenSpec("universality2", 50, seed=0))
+    inst = EncodingInstance(8, sample, omega_uniform(sample))
+    assert len(inst.wcnf.hard) <= 150_000
+
+
 def test_var_comments_cover_all_variables():
     sample = parse_sample(BASIC)
     inst = EncodingInstance(2, sample, omega_uniform(sample),
@@ -164,3 +242,6 @@ def test_var_comments_cover_all_variables():
     described = {int(line.split()[2]) for line in inst.wcnf.comments
                  if line.startswith("c var ")}
     assert described == set(range(1, inst.wcnf.nvars + 1))
+    kinds = {line.split()[3] for line in inst.wcnf.comments
+             if line.startswith("c var ")}
+    assert kinds == {"x", "l", "r", "y", "L", "R"}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ltlfmine import learner
 from ltlfmine.encoding import OperatorPool
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega,
@@ -68,6 +69,17 @@ class TestLearnMinimal:
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
         r = learn_minimal(s, LearnConfig(timeout=0.0))
         assert r.status == TIMED_OUT
+
+    def test_timeout_checked_before_encoding(self, monkeypatch):
+        built = []
+        real = learner.EncodingInstance
+        monkeypatch.setattr(learner, "EncodingInstance",
+                            lambda *args: built.append(args) or real(*args))
+        s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
+        r = learn_minimal(s, LearnConfig(timeout=0))
+        assert r.status == TIMED_OUT
+        assert built == []
+        assert r.iterations == []
 
     def test_iterations_record_ascending_sizes(self):
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
