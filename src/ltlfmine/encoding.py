@@ -22,6 +22,11 @@ children, O(n^3 * |ops| * sum |u|).
 Models of the hard clauses decode to LTLf formulas; the satisfied soft
 weight of a model equals one minus the weighted loss of the decoded
 formula.
+
+`EncodingInstance` builds all of this as a `WeightedCnf`.
+`IncrementalInstance` streams the structural clauses into a SAT solver
+and adds one trace's variables and clauses at a time, for the exact
+learner; both state a trace's semantics with the same emitters.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Optional
 from . import formula as F
 from .formula import Formula, FormulaBuilder
 from .maxsat import WeightedCnf
+from .sat import SatSolver
 from .sample import LabeledSample, Trace, WeightFn
 
 
@@ -73,12 +79,18 @@ def default_pool(alphabet) -> OperatorPool:
     return OperatorPool(tuple(alphabet))
 
 
-class EncodingInstance:
-    """Variables and clauses of the size-n search instance."""
+class _Skeleton:
+    """The size-n structure: label and child variables, structural
+    clauses, decoding, and the per-trace emitters.
 
-    def __init__(self, n: int, sample: LabeledSample, omega: WeightFn,
-                 pool: Optional[OperatorPool] = None,
-                 var_comments: bool = False):
+    Clauses go to the sink `self._add`, set by the subclass before it
+    emits anything; the per-trace emitters write one trace's valuation,
+    channel and semantic clauses, so the full instance and the
+    incremental one state every trace's semantics with the same code.
+    """
+
+    def __init__(self, n: int, sample: LabeledSample,
+                 pool: Optional[OperatorPool]):
         if n < 1:
             raise ValueError("target size must be at least 1")
         self.n = n
@@ -94,14 +106,8 @@ class EncodingInstance:
         # valuation there
         self.left: dict[tuple[int, int, int], int] = {}
         self.right: dict[tuple[int, int, int], int] = {}
-        self._allocate()
-        self.wcnf = WeightedCnf(self._next - 1)
-        if var_comments:
-            self.wcnf.comments.extend(self._var_map_comments())
-        self._emit_structural()
-        for t in range(len(self.traces)):
-            self._emit_semantic(t)
-        self._emit_satisfaction(omega)
+        self._add = None
+        self._allocate_structure()
 
     # -- variables ---------------------------------------------------------
 
@@ -110,7 +116,7 @@ class EncodingInstance:
         self._next += 1
         return v
 
-    def _allocate(self) -> None:
+    def _allocate_structure(self) -> None:
         n, pool = self.n, self.pool
         for i in range(1, n + 1):
             for label in pool.labels:
@@ -120,37 +126,23 @@ class EncodingInstance:
                 self.l[(i, j)] = self._fresh()
             for j in range(1, i):
                 self.r[(i, j)] = self._fresh()
-        for t, trace in enumerate(self.traces):
-            for i in range(1, n + 1):
-                for tau in range(len(trace)):
-                    self.y[(t, i, tau)] = self._fresh()
-        for t, trace in enumerate(self.traces):
-            for i in range(2, n + 1):
-                for tau in range(len(trace)):
-                    self.left[(t, i, tau)] = self._fresh()
-                    self.right[(t, i, tau)] = self._fresh()
 
-    def _var_map_comments(self) -> list[str]:
-        lines = []
-        for (i, label), v in self.x.items():
-            lines.append(f"c var {v} x {i} {label}")
-        for (i, j), v in self.l.items():
-            lines.append(f"c var {v} l {i} {j}")
-        for (i, j), v in self.r.items():
-            lines.append(f"c var {v} r {i} {j}")
-        for (t, i, tau), v in self.y.items():
-            lines.append(f"c var {v} y {t} {i} {tau}")
-        for (t, i, tau), v in self.left.items():
-            lines.append(f"c var {v} L {t} {i} {tau}")
-        for (t, i, tau), v in self.right.items():
-            lines.append(f"c var {v} R {t} {i} {tau}")
-        return lines
+    def _allocate_valuations(self, t: int) -> None:
+        for i in range(1, self.n + 1):
+            for tau in range(len(self.traces[t])):
+                self.y[(t, i, tau)] = self._fresh()
+
+    def _allocate_channels(self, t: int) -> None:
+        for i in range(2, self.n + 1):
+            for tau in range(len(self.traces[t])):
+                self.left[(t, i, tau)] = self._fresh()
+                self.right[(t, i, tau)] = self._fresh()
 
     # -- structural clauses ------------------------------------------------
 
     def _emit_structural(self) -> None:
         n, labels = self.n, self.pool.labels
-        add = self.wcnf.hard.append
+        add = self._add
         for i in range(1, n + 1):
             add([self.x[(i, lab)] for lab in labels])
             for a in range(len(labels)):
@@ -176,7 +168,7 @@ class EncodingInstance:
     def _emit_semantic(self, t: int) -> None:
         trace = self.traces[t]
         m = len(trace)
-        add = self.wcnf.hard.append
+        add = self._add
         x, y = self.x, self.y
         for i in range(1, self.n + 1):
             for p in self.pool.alphabet:
@@ -206,14 +198,14 @@ class EncodingInstance:
     def _channel(self, select: int, channel: list[int],
                  child: list[int]) -> None:
         """select -> (channel <-> child) at every position."""
-        add = self.wcnf.hard.append
+        add = self._add
         for c, yj in zip(channel, child):
             add([-select, -c, yj])
             add([-select, c, -yj])
 
     def _unary_semantics(self, op, g, own, left) -> None:
         """Clauses, guarded by the literal g, giving own = op(left)."""
-        add = self.wcnf.hard.append
+        add = self._add
         m = len(own)
         for tau in range(m):
             yi = own[tau]
@@ -254,7 +246,7 @@ class EncodingInstance:
 
     def _binary_semantics(self, op, g, own, left, right) -> None:
         """Clauses, guarded by the literal g, giving own = left op right."""
-        add = self.wcnf.hard.append
+        add = self._add
         m = len(own)
         for tau in range(m):
             yi = own[tau]
@@ -286,15 +278,10 @@ class EncodingInstance:
             else:
                 raise ValueError(f"unsupported binary operator {op!r}")
 
-    # -- soft clauses ------------------------------------------------------
-
-    def _emit_satisfaction(self, omega: WeightFn) -> None:
-        if set(omega) != set(self.traces):
-            raise ValueError("weight function domain does not match sample")
-        for t, (trace, label) in enumerate(self.sample.entries):
-            root_y = self.y[(t, self.n, 0)]
-            lit = root_y if label == 1 else -root_y
-            self.wcnf.add_soft([lit], Fraction(omega[trace]))
+    def root_literal(self, t: int) -> int:
+        """The literal stating that the root classifies trace t correctly."""
+        root_y = self.y[(t, self.n, 0)]
+        return root_y if self.sample.entries[t][1] == 1 else -root_y
 
     # -- decoding ----------------------------------------------------------
 
@@ -357,3 +344,69 @@ class EncodingInstance:
                 lits.append(self.r[(i, node.left)])
         return lits
 
+
+class EncodingInstance(_Skeleton):
+    """Variables and clauses of the size-n search instance."""
+
+    def __init__(self, n: int, sample: LabeledSample, omega: WeightFn,
+                 pool: Optional[OperatorPool] = None,
+                 var_comments: bool = False):
+        super().__init__(n, sample, pool)
+        for t in range(len(self.traces)):
+            self._allocate_valuations(t)
+        for t in range(len(self.traces)):
+            self._allocate_channels(t)
+        self.wcnf = WeightedCnf(self._next - 1)
+        self._add = self.wcnf.hard.append
+        if var_comments:
+            self.wcnf.comments.extend(self._var_map_comments())
+        self._emit_structural()
+        for t in range(len(self.traces)):
+            self._emit_semantic(t)
+        self._emit_satisfaction(omega)
+
+    def _var_map_comments(self) -> list[str]:
+        lines = []
+        for (i, label), v in self.x.items():
+            lines.append(f"c var {v} x {i} {label}")
+        for (i, j), v in self.l.items():
+            lines.append(f"c var {v} l {i} {j}")
+        for (i, j), v in self.r.items():
+            lines.append(f"c var {v} r {i} {j}")
+        for (t, i, tau), v in self.y.items():
+            lines.append(f"c var {v} y {t} {i} {tau}")
+        for (t, i, tau), v in self.left.items():
+            lines.append(f"c var {v} L {t} {i} {tau}")
+        for (t, i, tau), v in self.right.items():
+            lines.append(f"c var {v} R {t} {i} {tau}")
+        return lines
+
+    def _emit_satisfaction(self, omega: WeightFn) -> None:
+        if set(omega) != set(self.traces):
+            raise ValueError("weight function domain does not match sample")
+        for t, trace in enumerate(self.traces):
+            self.wcnf.add_soft([self.root_literal(t)],
+                               Fraction(omega[trace]))
+
+
+class IncrementalInstance(_Skeleton):
+    """The size-n structure in a SAT solver, with traces added one at a
+    time: a trace's variables and hard clauses go straight into `solver`,
+    and its root literal is for the caller to assume.  Clauses are only
+    ever added, so clauses the solver learned stay valid."""
+
+    def __init__(self, n: int, sample: LabeledSample,
+                 pool: Optional[OperatorPool] = None):
+        super().__init__(n, sample, pool)
+        self.solver = SatSolver()
+        self.solver.ensure_var(self._next - 1)
+        self._add = self.solver.add_clause
+        self._emit_structural()
+
+    def add_trace(self, t: int) -> int:
+        """Encode sample trace t; return its root literal."""
+        self._allocate_valuations(t)
+        self._allocate_channels(t)
+        self.solver.ensure_var(self._next - 1)
+        self._emit_semantic(t)
+        return self.root_literal(t)

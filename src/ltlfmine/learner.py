@@ -1,21 +1,39 @@
-"""Minimal-size formula learning by iterative deepening over the MaxSAT
-encoding.
+"""Minimal-size formula learning by iterative deepening.
 
 For each candidate size n the learner only needs the decision question
 "is there a size-n formula with weighted loss <= kappa", i.e. satisfied
 soft weight >= 1 - kappa; it stops at the first n where the answer is
-yes, which makes the returned size minimal.
+yes, which makes the returned size minimal.  The question is answered
+on one of two paths, chosen by kappa alone:
+
+* kappa > 0: one MaxSAT decision on the full size-n instance, every
+  trace encoded, with a totalizer over the soft clauses.
+* kappa = 0: trace weights are positive, so every trace must be
+  classified correctly and the question is plain SAT.  The learner keeps
+  a subset T of the sample, empty at first.  Per size, one SAT solver
+  holds the structural clauses and the clauses of the traces in T, whose
+  root literals are assumed.  UNSAT means no size-n formula classifies T
+  correctly, so none classifies the whole sample S correctly either:
+  the size is infeasible, and T carries over to n + 1.  A model decodes
+  to a formula that is checked on S with the exact loss; loss 0 ends the
+  search, and otherwise the first misclassified trace joins T and the
+  same solver solves again.  Clauses are only ever added, so its learned
+  clauses stay valid.  Each round adds a trace, so a size takes at most
+  |S| + 1 rounds.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import maxsat
-from .encoding import EncodingInstance, OperatorPool, default_pool
+from .encoding import (EncodingInstance, IncrementalInstance, OperatorPool,
+                       default_pool)
 from .formula import Formula, FormulaBuilder
 from .sample import (LabeledSample, WeightFn, omega_rebalanced, omega_uniform,
                      weighted_loss)
@@ -24,6 +42,8 @@ from .sat import SolveTimeout
 SOLVED = "solved"
 SIZE_CAP = "size-cap"
 TIMED_OUT = "timed-out"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -59,7 +79,78 @@ def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
     total = sum(weights.values(), Fraction(0))
     if total != 1:
         raise ValueError("explicit trace weights must sum to exactly 1")
+    if any(w <= 0 for w in weights.values()):
+        raise ValueError("explicit trace weights must be positive")
     return weights
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left before `deadline`; raises SolveTimeout when none are."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise SolveTimeout()
+    return left
+
+
+def _decide_relaxed(sample, omega, pool, target, n, deadline, record):
+    """One MaxSAT decision on the full size-n instance: a formula with
+    satisfied soft weight >= target and its loss, or None."""
+    instance = EncodingInstance(n, sample, omega, pool)
+    record["traces_encoded"] = sample.size
+    record["rounds"] = 1
+    result = maxsat.solve_decision(instance.wcnf, target,
+                                   timeout=_remaining(deadline))
+    record["status"] = result.status
+    if result.status == maxsat.HARD_UNSAT:
+        raise RuntimeError(
+            "hard constraints unsatisfiable; this indicates an encoder bug")
+    if result.status != maxsat.FEASIBLE:
+        return None
+    formula = instance.decode_model(result.assignment)
+    achieved = 1 - result.satisfied_soft_weight
+    recomputed = weighted_loss(sample, formula, omega)
+    if recomputed != achieved:
+        raise RuntimeError(
+            f"decoded loss {recomputed} != 1 - soft weight {achieved}")
+    return formula, achieved
+
+
+def _decide_exact(sample, omega, pool, encoded, n, deadline, record):
+    """Size n with every trace of `encoded` (T) assumed correctly
+    classified; T grows by counterexamples and carries over to the next
+    size.  A formula with loss 0 on the whole sample and its loss, or
+    None."""
+    instance = IncrementalInstance(n, sample, pool)
+    solver = instance.solver
+    roots = [instance.add_trace(t) for t in encoded]
+    entries = sample.entries
+    record["traces_encoded"] = len(encoded)
+    while True:
+        _remaining(deadline)
+        record["rounds"] += 1
+        if not solver.solve(roots, deadline=deadline):
+            if solver.unsat:
+                raise RuntimeError("hard constraints unsatisfiable; "
+                                   "this indicates an encoder bug")
+            record["status"] = maxsat.INFEASIBLE
+            return None
+        formula = instance.decode_model(solver.model())
+        if any(formula.satisfies(entries[t][0]) != entries[t][1]
+               for t in encoded):
+            raise RuntimeError("decoded formula misclassifies an encoded "
+                               "trace; this indicates an encoder bug")
+        achieved = weighted_loss(sample, formula, omega)
+        if achieved == 0:
+            record["status"] = maxsat.FEASIBLE
+            return formula, achieved
+        # Weights are positive, so some trace outside T is misclassified.
+        t = next(t for t, (u, b) in enumerate(entries)
+                 if formula.satisfies(u) != b)
+        encoded.append(t)
+        roots.append(instance.add_trace(t))
+        record["traces_encoded"] = len(encoded)
 
 
 def learn_minimal(sample: LabeledSample,
@@ -68,7 +159,11 @@ def learn_minimal(sample: LabeledSample,
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
     pool = config.pool or default_pool(sample.alphabet)
-    target = 1 - config.kappa
+    if config.kappa == 0:
+        decide = functools.partial(_decide_exact, sample, omega, pool, [])
+    else:
+        decide = functools.partial(_decide_relaxed, sample, omega, pool,
+                                   1 - config.kappa)
     deadline = (None if config.timeout is None
                 else time.monotonic() + config.timeout)
     iterations = []
@@ -76,30 +171,21 @@ def learn_minimal(sample: LabeledSample,
         started = time.monotonic()
         if deadline is not None and started >= deadline:
             return LearnResult(TIMED_OUT, iterations=iterations)
-        instance = EncodingInstance(n, sample, omega, pool)
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            return LearnResult(TIMED_OUT, iterations=iterations)
+        record = {"size": n, "status": "timeout", "seconds": 0.0,
+                  "traces_encoded": 0, "rounds": 0}
         try:
-            result = maxsat.solve_decision(instance.wcnf, target,
-                                           timeout=remaining)
+            found = decide(n, deadline, record)
         except SolveTimeout:
-            iterations.append({"size": n, "status": "timeout",
-                               "seconds": time.monotonic() - started})
+            found = None
+        record["seconds"] = time.monotonic() - started
+        iterations.append(record)
+        log.debug("size %d: %s, %d traces encoded, %d rounds, %.3f s", n,
+                  record["status"], record["traces_encoded"],
+                  record["rounds"], record["seconds"])
+        if record["status"] == "timeout":
             return LearnResult(TIMED_OUT, iterations=iterations)
-        elapsed = time.monotonic() - started
-        iterations.append({"size": n, "status": result.status,
-                           "seconds": elapsed})
-        if result.status == maxsat.HARD_UNSAT:
-            raise RuntimeError(
-                "hard constraints unsatisfiable; this indicates an encoder bug")
-        if result.status == maxsat.FEASIBLE:
-            formula = instance.decode_model(result.assignment)
-            achieved = 1 - result.satisfied_soft_weight
-            recomputed = weighted_loss(sample, formula, omega)
-            if recomputed != achieved:
-                raise RuntimeError(
-                    f"decoded loss {recomputed} != 1 - soft weight {achieved}")
+        if found is not None:
+            formula, achieved = found
             return LearnResult(SOLVED, formula, formula.size, achieved,
                                iterations)
     return LearnResult(SIZE_CAP, iterations=iterations)

@@ -1,10 +1,12 @@
+import logging
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from ltlfmine import learner
-from ltlfmine.encoding import OperatorPool
+from ltlfmine import learner, maxsat
+from ltlfmine.encoding import EncodingInstance, OperatorPool
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega,
                               trivial_perfect_formula)
@@ -70,24 +72,69 @@ class TestLearnMinimal:
         r = learn_minimal(s, LearnConfig(timeout=0.0))
         assert r.status == TIMED_OUT
 
-    def test_timeout_checked_before_encoding(self, monkeypatch):
+    @pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1, 10)],
+                             ids=["exact", "relaxed"])
+    def test_timeout_checked_before_encoding(self, monkeypatch, kappa):
         built = []
-        real = learner.EncodingInstance
-        monkeypatch.setattr(learner, "EncodingInstance",
-                            lambda *args: built.append(args) or real(*args))
+        for name in ("EncodingInstance", "IncrementalInstance"):
+            real = getattr(learner, name)
+            monkeypatch.setattr(
+                learner, name,
+                lambda *args, real=real: built.append(args) or real(*args))
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
-        r = learn_minimal(s, LearnConfig(timeout=0))
+        r = learn_minimal(s, LearnConfig(kappa=kappa, timeout=0))
         assert r.status == TIMED_OUT
         assert built == []
         assert r.iterations == []
 
-    def test_iterations_record_ascending_sizes(self):
+    def test_timeout_between_counterexample_rounds(self, monkeypatch):
+        # The first candidate at size 1 misclassifies a trace outside T;
+        # the clock jumps past the deadline while it is being checked, so
+        # the learner must stop before it solves again.
+        s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
+        real_clock = time.monotonic
+        offset = [0.0]
+        real_loss = learner.weighted_loss
+
+        def late_loss(*args):
+            offset[0] = 3600.0
+            return real_loss(*args)
+
+        monkeypatch.setattr(time, "monotonic",
+                            lambda: real_clock() + offset[0])
+        monkeypatch.setattr(learner, "weighted_loss", late_loss)
+        r = learn_minimal(s, LearnConfig(timeout=60))
+        assert r.status == TIMED_OUT
+        assert r.formula is None
+        assert [(it["size"], it["status"], it["rounds"])
+                for it in r.iterations] == [(1, "timeout", 1)]
+
+    def test_iterations_record_ascending_sizes(self, caplog):
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
-        r = learn_minimal(s)
-        sizes = [it["size"] for it in r.iterations]
-        assert sizes == list(range(1, len(sizes) + 1))
-        assert all(it["status"] == "infeasible"
-                   for it in r.iterations[:-1])
+        for kappa in (Fraction(0), Fraction(1, 10)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="ltlfmine.learner"):
+                r = learn_minimal(s, LearnConfig(kappa=kappa))
+            sizes = [it["size"] for it in r.iterations]
+            assert sizes == list(range(1, len(sizes) + 1))
+            assert all(it["status"] == "infeasible"
+                       for it in r.iterations[:-1])
+            assert r.iterations[-1]["status"] == "feasible"
+            encoded = [it["traces_encoded"] for it in r.iterations]
+            rounds = [it["rounds"] for it in r.iterations]
+            if kappa == 0:
+                # T only grows, by one trace per extra round.
+                assert encoded == sorted(encoded)
+                assert encoded[-1] <= s.size
+                assert all(k >= 1 for k in rounds)
+                assert sum(rounds) == len(rounds) + encoded[-1]
+            else:
+                assert encoded == [s.size] * len(sizes)
+                assert rounds == [1] * len(sizes)
+            logged = [rec for rec in caplog.records
+                      if rec.name == "ltlfmine.learner"]
+            assert len(logged) == len(sizes)
+            assert all(rec.levelno == logging.DEBUG for rec in logged)
 
     @pytest.mark.parametrize("weights, kappa", [
         ("uniform", Fraction(0)), ("rebalanced", Fraction(0)),
@@ -126,6 +173,63 @@ class TestLearnMinimal:
         assert r.status == SOLVED
         assert r.size == 1
         assert loss(s, r.formula) == 0
+
+
+def random_weights(rng, sample):
+    raw = {u: rng.randint(1, 5) for u in sample.traces()}
+    total = sum(raw.values())
+    return {u: Fraction(k, total) for u, k in raw.items()}
+
+
+class TestExactPath:
+    """kappa = 0 encodes a growing subset T of the traces into one SAT
+    solver per size; its answers must match the full MaxSAT instance."""
+
+    @pytest.mark.parametrize("weights", ["uniform", "rebalanced", "explicit"])
+    def test_matches_first_feasible_full_instance(self, weights):
+        rng = random.Random(17)
+        for _ in range(20):
+            s = random_sample(rng, ("p0", "p1"), max_traces=6, max_len=4,
+                              require_both_classes=weights == "rebalanced")
+            w = random_weights(rng, s) if weights == "explicit" else weights
+            omega = resolve_omega(s, w)
+            expected = None
+            for n in range(1, 5):
+                inst = EncodingInstance(n, s, omega)
+                result = maxsat.solve_decision(inst.wcnf, Fraction(1))
+                if result.status == maxsat.FEASIBLE:
+                    expected = n
+                    break
+            r = learn_minimal(s, LearnConfig(weights=w, max_size=4))
+            if expected is None:
+                assert r.status == SIZE_CAP
+                assert len(r.iterations) == 4
+            else:
+                assert r.status == SOLVED
+                assert r.size == expected
+                assert r.achieved_loss == 0
+                assert weighted_loss(s, r.formula, omega) == 0
+
+    def test_counterexample_outside_subset_adds_a_round(self):
+        # F p1 needs two nodes; at size 2 the first candidate over the
+        # traces carried from size 1 misclassifies another trace.
+        s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
+        r = learn_minimal(s)
+        assert r.status == SOLVED
+        assert r.size == 2
+        assert loss(s, r.formula) == 0
+        first, last = r.iterations
+        assert last["rounds"] > 1
+        assert last["traces_encoded"] > first["traces_encoded"]
+        assert last["traces_encoded"] < s.size
+
+    def test_nonpositive_explicit_weight_rejected(self):
+        s = parse_sample("1\n---\n0\n0;0\n")
+        u, v, w = s.traces()
+        with pytest.raises(ValueError, match="positive"):
+            learn_minimal(s, LearnConfig(weights={u: Fraction(1, 2),
+                                                  v: Fraction(1, 2),
+                                                  w: Fraction(0)}))
 
 
 class TestTrivialPerfectFormula:

@@ -161,6 +161,43 @@ class TestAssumptions:
             if solver.unsat:
                 break
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_growth_after_sat_under_assumptions(self, seed):
+        # The exact learner's pattern: after each satisfiable solve, fresh
+        # variables and clauses over old and new ones arrive, and one more
+        # assumption joins the list; the solver is never rebuilt.
+        rng = random.Random(seed)
+        nvars = rng.randint(1, 3)
+        solver = SatSolver()
+        clauses = random_cnf(rng, nvars, rng.randint(0, 4))
+        for c in clauses:
+            solver.add_clause(c)
+        assumptions = []
+        for _ in range(8):
+            got = solver.solve(assumptions)
+            assert got == brute_sat(nvars, clauses, assumptions)
+            if solver.unsat:
+                assert not brute_sat(nvars, clauses)
+            if got:
+                model = solver.model()
+                def val(lit):
+                    return model[abs(lit)] == (lit > 0)
+                assert all(any(val(l) for l in c) for c in clauses)
+                assert all(val(a) for a in assumptions)
+            elif solver.unsat:
+                break
+            added = rng.randint(0, 2)
+            solver.ensure_var(nvars + added)
+            nvars += added
+            for c in random_cnf(rng, nvars, rng.randint(1, 4)):
+                clauses.append(c)
+                solver.add_clause(c)
+            assumptions.append(rng.choice([-1, 1]) * rng.randint(1, nvars))
+        # Without assumptions, False means the clauses alone are UNSAT.
+        satisfiable = brute_sat(nvars, clauses)
+        assert solver.solve() == satisfiable
+        assert solver.unsat == (not satisfiable)
+
 
 def test_deadline_raises_timeout():
     # A hard random instance; with an already-expired deadline the solver
