@@ -83,8 +83,8 @@ class _Skeleton:
     """The size-n structure: label and child variables, structural
     clauses, decoding, and the per-trace emitters.
 
-    Clauses go to the sink `self._add`, set by the subclass before it
-    emits anything; the per-trace emitters write one trace's valuation,
+    Clauses, tuples of ints, go to the sink `self._add`, set by the
+    subclass before it emits anything; the per-trace emitters write one trace's valuation,
     channel and semantic clauses, so the full instance and the
     incremental one state every trace's semantics with the same code.
     """
@@ -144,24 +144,24 @@ class _Skeleton:
         n, labels = self.n, self.pool.labels
         add = self._add
         for i in range(1, n + 1):
-            add([self.x[(i, lab)] for lab in labels])
+            add(tuple(self.x[(i, lab)] for lab in labels))
             for a in range(len(labels)):
                 for b in range(a + 1, len(labels)):
-                    add([-self.x[(i, labels[a])], -self.x[(i, labels[b])]])
+                    add((-self.x[(i, labels[a])], -self.x[(i, labels[b])]))
         for i in range(2, n + 1):
-            add([self.l[(i, j)] for j in range(1, i)])
-            add([self.r[(i, j)] for j in range(1, i)])
+            add(tuple(self.l[(i, j)] for j in range(1, i)))
+            add(tuple(self.r[(i, j)] for j in range(1, i)))
             for a in range(1, i):
                 for b in range(a + 1, i):
-                    add([-self.l[(i, a)], -self.l[(i, b)]])
-                    add([-self.r[(i, a)], -self.r[(i, b)]])
-        add([self.x[(1, lab)] for lab in self.pool.nullary])
+                    add((-self.l[(i, a)], -self.l[(i, b)]))
+                    add((-self.r[(i, a)], -self.r[(i, b)]))
+        add(tuple(self.x[(1, lab)] for lab in self.pool.nullary))
         # Unary nodes mirror the left child in the right-child slot, which
         # removes spurious model multiplicity.
         for i in range(2, self.n + 1):
             for op in self.pool.unary:
                 for j in range(1, i):
-                    add([-self.x[(i, op)], -self.l[(i, j)], self.r[(i, j)]])
+                    add((-self.x[(i, op)], -self.l[(i, j)], self.r[(i, j)]))
 
     # -- semantic clauses --------------------------------------------------
 
@@ -175,12 +175,12 @@ class _Skeleton:
                 xp = x[(i, p)]
                 for tau in range(m):
                     yv = y[(t, i, tau)]
-                    add([-xp, yv] if p in trace[tau] else [-xp, -yv])
+                    add((-xp, yv) if p in trace[tau] else (-xp, -yv))
             for c in self.pool.constants:
                 xc = x[(i, c)]
                 sign = 1 if c == F.TRUE else -1
                 for tau in range(m):
-                    add([-xc, sign * y[(t, i, tau)]])
+                    add((-xc, sign * y[(t, i, tau)]))
         # per node, its valuation variables along the trace
         ys = {i: [y[(t, i, tau)] for tau in range(m)]
               for i in range(1, self.n + 1)}
@@ -200,8 +200,8 @@ class _Skeleton:
         """select -> (channel <-> child) at every position."""
         add = self._add
         for c, yj in zip(channel, child):
-            add([-select, -c, yj])
-            add([-select, c, -yj])
+            add((-select, -c, yj))
+            add((-select, c, -yj))
 
     def _unary_semantics(self, op, g, own, left) -> None:
         """Clauses, guarded by the literal g, giving own = op(left)."""
@@ -212,35 +212,35 @@ class _Skeleton:
             a = left[tau]
             last = tau == m - 1
             if op == F.NOT:
-                add([g, -yi, -a])
-                add([g, yi, a])
+                add((g, -yi, -a))
+                add((g, yi, a))
             elif op == F.NEXT:
                 if last:
-                    add([g, -yi])
+                    add((g, -yi))
                 else:
                     an = left[tau + 1]
-                    add([g, -yi, an])
-                    add([g, yi, -an])
+                    add((g, -yi, an))
+                    add((g, yi, -an))
             elif op == F.EVENTUALLY:
                 # y_i(tau) <-> L(tau) or y_i(tau+1)
                 if last:
-                    add([g, -yi, a])
-                    add([g, yi, -a])
+                    add((g, -yi, a))
+                    add((g, yi, -a))
                 else:
                     yin = own[tau + 1]
-                    add([g, -yi, a, yin])
-                    add([g, yi, -a])
-                    add([g, yi, -yin])
+                    add((g, -yi, a, yin))
+                    add((g, yi, -a))
+                    add((g, yi, -yin))
             elif op == F.GLOBALLY:
                 # y_i(tau) <-> L(tau) and y_i(tau+1)
                 if last:
-                    add([g, -yi, a])
-                    add([g, yi, -a])
+                    add((g, -yi, a))
+                    add((g, yi, -a))
                 else:
                     yin = own[tau + 1]
-                    add([g, yi, -a, -yin])
-                    add([g, -yi, a])
-                    add([g, -yi, yin])
+                    add((g, yi, -a, -yin))
+                    add((g, -yi, a))
+                    add((g, -yi, yin))
             else:
                 raise ValueError(f"unsupported unary operator {op!r}")
 
@@ -253,28 +253,28 @@ class _Skeleton:
             a = left[tau]
             b = right[tau]
             if op == F.OR:
-                add([g, -yi, a, b])
-                add([g, yi, -a])
-                add([g, yi, -b])
+                add((g, -yi, a, b))
+                add((g, yi, -a))
+                add((g, yi, -b))
             elif op == F.AND:
-                add([g, yi, -a, -b])
-                add([g, -yi, a])
-                add([g, -yi, b])
+                add((g, yi, -a, -b))
+                add((g, -yi, a))
+                add((g, -yi, b))
             elif op == F.IMPLIES:
-                add([g, -yi, -a, b])
-                add([g, yi, a])
-                add([g, yi, -b])
+                add((g, -yi, -a, b))
+                add((g, yi, a))
+                add((g, yi, -b))
             elif op == F.UNTIL:
                 # y_i(tau) <-> R(tau) or (L(tau) and y_i(tau+1))
                 if tau == m - 1:
-                    add([g, -yi, b])
-                    add([g, yi, -b])
+                    add((g, -yi, b))
+                    add((g, yi, -b))
                 else:
                     yin = own[tau + 1]
-                    add([g, -yi, b, a])
-                    add([g, -yi, b, yin])
-                    add([g, yi, -b])
-                    add([g, yi, -a, -yin])
+                    add((g, -yi, b, a))
+                    add((g, -yi, b, yin))
+                    add((g, yi, -b))
+                    add((g, yi, -a, -yin))
             else:
                 raise ValueError(f"unsupported binary operator {op!r}")
 

@@ -34,19 +34,24 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 HARD_UNSAT = "hard-unsat"
 
+WRITE_SLICE = 16384  # hard clauses per write in export_wcnf
+
 
 @dataclass
 class WeightedCnf:
-    """Hard clauses plus weighted soft clauses over variables 1..nvars."""
+    """Hard clauses plus weighted soft clauses over variables 1..nvars.
+
+    A hard clause is a tuple of ints: `add_hard`, the encoder and
+    `parse_wcnf` all store tuples."""
 
     nvars: int
-    hard: list = field(default_factory=list)              # list[list[int]]
+    hard: list = field(default_factory=list)              # list[tuple[int, ...]]
     soft: list = field(default_factory=list)              # list[(clause, Fraction)]
     comments: list = field(default_factory=list)          # extra "c" lines for export
     weight_scale: Optional[int] = None                    # fixed denominator, else lcm
 
     def add_hard(self, clause: Sequence[int]) -> None:
-        self.hard.append(list(clause))
+        self.hard.append(tuple(clause))
 
     def add_soft(self, clause: Sequence[int], weight: Fraction) -> None:
         if weight <= 0:
@@ -198,23 +203,37 @@ def solve_decision(wcnf: WeightedCnf, target: Fraction,
 
 def export_wcnf(wcnf: WeightedCnf, target) -> None:
     """Write DIMACS WCNF: soft weights scaled to integers by the common
-    denominator (recorded as `c weight-scale <D>`), hard weight = top."""
-    denom, scaled = scaled_soft(wcnf)
-    top = sum(s for _, s in scaled) + 1
-    lines = [f"c weight-scale {denom}"]
-    lines += wcnf.comments
-    nclauses = len(wcnf.hard) + len(scaled)
-    lines.append(f"p wcnf {wcnf.nvars} {nclauses} {top}")
-    for clause in wcnf.hard:
-        lines.append(f"{top} " + " ".join(map(str, clause)) + " 0")
-    for clause, sw in scaled:
-        lines.append(f"{sw} " + " ".join(map(str, clause)) + " 0")
-    text = "\n".join(lines) + "\n"
+    denominator (recorded as `c weight-scale <D>`), hard weight = top.
+
+    The header goes out first, then the hard clauses in slices of
+    WRITE_SLICE, so the whole file is never held as one string.  Each hard
+    clause, a tuple of ints, is formatted by one `%` with a format string
+    per clause length.  The bytes are unchanged from joining one line per
+    clause, `<weight> <lits> 0`, the empty clause's `<top>  0` included."""
     if hasattr(target, "write"):
-        target.write(text)
+        _write_wcnf(wcnf, target)
     else:
         with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_wcnf(wcnf, handle)
+
+
+def _write_wcnf(wcnf: WeightedCnf, handle) -> None:
+    denom, scaled = scaled_soft(wcnf)
+    top = sum(s for _, s in scaled) + 1
+    hard = wcnf.hard
+    header = [f"c weight-scale {denom}", *wcnf.comments,
+              f"p wcnf {wcnf.nvars} {len(hard) + len(scaled)} {top}", ""]
+    handle.write("\n".join(header))
+    # f"{top} " + " ".join(lits) + " 0" with the literals left to `%`, so
+    # the empty clause is "<top>  0"
+    formats = [f"{top} " + " ".join(["%d"] * k) + " 0"
+               for k in range(max(map(len, hard), default=0) + 1)]
+    for start in range(0, len(hard), WRITE_SLICE):
+        handle.write("\n".join([formats[len(clause)] % tuple(clause)
+                                for clause in hard[start:start + WRITE_SLICE]]))
+        handle.write("\n")
+    handle.write("".join(f"{sw} " + " ".join(map(str, clause)) + " 0\n"
+                         for clause, sw in scaled))
 
 
 def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
@@ -223,7 +242,7 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
     denom = 1
     top = None
     nvars = 0
-    hard: list[list[int]] = []
+    hard: list[tuple[int, ...]] = []
     soft: list[tuple[list[int], Fraction]] = []
     for line in text.splitlines():
         line = line.strip()
@@ -236,6 +255,9 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
             continue
         if line.startswith("p wcnf"):
             parts = line.split()
+            if len(parts) != 5 or not all(x.isdigit() for x in parts[2:]):
+                raise ValueError(f"malformed p-line {line!r}: expected "
+                                 "'p wcnf <nvars> <nclauses> <top>'")
             nvars = int(parts[2])
             top = int(parts[4])
             continue
@@ -246,7 +268,7 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
         if top is None:
             raise ValueError("clause before p-line")
         if weight >= top:
-            hard.append(clause)
+            hard.append(tuple(clause))
         else:
             soft.append((clause, Fraction(weight, denom)))
     return WeightedCnf(nvars, hard, soft, weight_scale=denom)
@@ -254,14 +276,17 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
 
 def import_model(source, wcnf: WeightedCnf) -> dict:
     """Parse a model file (space-separated signed ints, optionally on
-    `v`-prefixed lines) and validate it against the hard clauses."""
+    `v`-prefixed lines) and validate it against the hard clauses.
+
+    Every literal's variable must lie in 1..nvars and no variable may be
+    given both signs; variables the model leaves out are false."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
     assignment = {v: False for v in range(1, wcnf.nvars + 1)}
-    found = False
+    given: set[int] = set()
     for line in text.splitlines():
         line = line.strip()
         if line.startswith("v "):
@@ -272,9 +297,15 @@ def import_model(source, wcnf: WeightedCnf) -> dict:
             lit = int(token)
             if lit == 0:
                 continue
-            assignment[abs(lit)] = lit > 0
-            found = True
-    if not found:
+            var = abs(lit)
+            if var > wcnf.nvars:
+                raise ValueError(f"model literal {lit} is outside the "
+                                 f"instance's variables 1..{wcnf.nvars}")
+            if -lit in given:
+                raise ValueError(f"model gives variable {var} both signs")
+            given.add(lit)
+            assignment[var] = lit > 0
+    if not given:
         raise ValueError("model file contains no literals")
     if not check_hard(wcnf, assignment):
         raise ValueError("imported model violates a hard clause")

@@ -186,3 +186,13 @@ class TestExportWcnf:
     def test_invalid_size(self, sample_file, capsys):
         code, _, _ = run(["export-wcnf", sample_file, "0"], capsys)
         assert code == cli.EXIT_USAGE
+
+    def test_import_model_rejects_unknown_variable(self, sample_file,
+                                                   tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text("v 1 -2 100000 0\n")
+        code, _, err = run(
+            ["export-wcnf", sample_file, "2",
+             "--import-model", str(model_path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "100000" in err and "outside" in err

@@ -209,6 +209,132 @@ class TestWcnfFormat:
         with pytest.raises(ValueError, match="no literals"):
             import_model(io.StringIO("c nothing\n"), self.build())
 
+    def test_import_model_rejects_unknown_variable(self):
+        with pytest.raises(ValueError, match="outside"):
+            import_model(io.StringIO("v 1 -2 7 0"), WeightedCnf(2))
+
+    def test_import_model_rejects_both_signs(self):
+        with pytest.raises(ValueError, match="both signs"):
+            import_model(io.StringIO("1 -1 2"), WeightedCnf(2))
+
+    def test_import_model_rejects_bit_string(self):
+        # MaxSAT-Evaluation-style "v 0110" is not a list of literals.
+        with pytest.raises(ValueError, match="outside"):
+            import_model(io.StringIO("v 0110\n"), WeightedCnf(4))
+
+    def test_import_model_accepts_repeated_literal(self):
+        model = import_model(io.StringIO("v 1 1 -2 0"), WeightedCnf(2))
+        assert model == {1: True, 2: False}
+
+    def test_parse_rejects_short_p_line(self):
+        with pytest.raises(ValueError, match="malformed p-line"):
+            parse_wcnf("p wcnf 2 1\n1 2 0\n")
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             WeightedCnf(1).add_soft([1], Fraction(0))
+
+
+def reference_export(wcnf):
+    """One line per clause, built clause by clause: the format
+    `export_wcnf` must reproduce byte for byte."""
+    denom, scaled = maxsat.scaled_soft(wcnf)
+    top = sum(s for _, s in scaled) + 1
+    lines = [f"c weight-scale {denom}"]
+    lines += wcnf.comments
+    lines.append(f"p wcnf {wcnf.nvars} {len(wcnf.hard) + len(scaled)} {top}")
+    for clause in wcnf.hard:
+        lines.append(f"{top} " + " ".join(map(str, clause)) + " 0")
+    for clause, sw in scaled:
+        lines.append(f"{sw} " + " ".join(map(str, clause)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def export_text(wcnf):
+    buf = io.StringIO()
+    export_wcnf(wcnf, buf)
+    return buf.getvalue()
+
+
+def mixed_wcnf(rng, nhard):
+    """Hard clauses of length 0-6, some appended as lists and some as
+    tuples, with duplicate and complementary literals; soft weights over
+    several denominators; comment lines."""
+    nvars = rng.randint(1, 30)
+    wcnf = WeightedCnf(nvars)
+    wcnf.comments = [f"c note {k}" for k in range(rng.randint(0, 3))]
+    for _ in range(nhard):
+        clause = [rng.choice([-1, 1]) * rng.randint(1, nvars)
+                  for _ in range(rng.randint(0, 6))]
+        if clause and rng.random() < 0.2:
+            clause.append(rng.choice([clause[0], -clause[0]]))
+        kind = rng.randrange(3)
+        if kind == 0:
+            wcnf.add_hard(clause)
+        else:
+            wcnf.hard.append(clause if kind == 1 else tuple(clause))
+    for _ in range(rng.randint(0, 5)):
+        clause = [rng.choice([-1, 1]) * rng.randint(1, nvars)
+                  for _ in range(rng.randint(0, 3))]
+        wcnf.add_soft(clause, Fraction(rng.randint(1, 9),
+                                       rng.choice([1, 2, 3, 7, 10])))
+    return wcnf
+
+
+class TestExportBytes:
+    def test_random_instances_match_reference(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            wcnf = mixed_wcnf(rng, rng.randint(0, 40))
+            assert export_text(wcnf) == reference_export(wcnf)
+
+    def test_every_clause_length(self):
+        wcnf = WeightedCnf(6)
+        for k in range(7):
+            wcnf.add_hard(range(1, k + 1))
+            wcnf.hard.append(list(range(-1, -k - 1, -1)))
+        wcnf.add_soft([2], Fraction(1, 4))
+        text = export_text(wcnf)
+        assert text == reference_export(wcnf)
+        assert "\n2  0\n" in text  # the empty clause, weight top = 2
+
+    def test_fixed_weight_scale(self):
+        wcnf = mixed_wcnf(random.Random(8), 10)
+        wcnf.add_soft([1], Fraction(1, 3))
+        wcnf.weight_scale = 3 * maxsat.weight_denominator(wcnf)
+        assert export_text(wcnf) == reference_export(wcnf)
+
+    def test_slice_boundaries(self, monkeypatch):
+        rng = random.Random(13)
+        for width in (1, 2, 7):
+            monkeypatch.setattr(maxsat, "WRITE_SLICE", width)
+            for nhard in (0, width - 1, width, width + 1, 3 * width + 2):
+                wcnf = mixed_wcnf(rng, nhard)
+                assert export_text(wcnf) == reference_export(wcnf)
+
+    def test_more_clauses_than_one_slice_to_a_path(self, tmp_path):
+        wcnf = mixed_wcnf(random.Random(21), 2 * maxsat.WRITE_SLICE + 5)
+        path = tmp_path / "big.wcnf"
+        export_wcnf(wcnf, str(path))
+        assert path.read_bytes() == reference_export(wcnf).encode("utf-8")
+
+    def test_encoding_instance_with_var_comments(self, tmp_path):
+        from ltlfmine.encoding import EncodingInstance
+        from ltlfmine.sample import omega_uniform, parse_sample
+        sample = parse_sample("1,0;1,1\n0,1\n---\n0,0\n1,0\n")
+        inst = EncodingInstance(3, sample, omega_uniform(sample),
+                                var_comments=True)
+        expected = reference_export(inst.wcnf)
+        assert export_text(inst.wcnf) == expected
+        path = tmp_path / "inst.wcnf"
+        export_wcnf(inst.wcnf, path)
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_parse_back_gives_tuples(self):
+        rng = random.Random(34)
+        for _ in range(50):
+            wcnf = mixed_wcnf(rng, rng.randint(0, 30))
+            back = parse_wcnf(export_text(wcnf))
+            assert all(type(c) is tuple for c in back.hard)
+            assert back.hard == [tuple(c) for c in wcnf.hard]
+            assert back.nvars == wcnf.nvars
