@@ -1,0 +1,194 @@
+"""Exhaustive decision of the smallest formula sizes over bitset
+signatures.
+
+All traces of the sample are laid end to end in one int (`Layout`), so
+a formula's truth values at every position of every trace are one int,
+its signature, and each operator is a few big-int operations.  A trace
+is misclassified when the bit of its position 0 is set in
+`(signature ^ positives) & first`, and the loss, scaled by the weights'
+common denominator D, is one popcount per distinct weight.
+
+Formulas are enumerated level by level in DAG size, the number of
+distinct subformulas (as `Formula` counts it after hash-consing): a
+unary `op(f)` has size |f| + 1, a binary `op(f, g)` has size
+|sub(f) | sub(g)| + 1, so `p & p` has size 2.  Levels below the size
+being decided are stored with each formula's signature and subformula
+set; the level being decided is streamed and stored only when a later
+level will need it.  No formula is pruned by its signature: two formulas
+with one signature can differ in what they share inside a larger one.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .formula import CONSTANTS, PROP, TRUE, Formula, FormulaBuilder, Layout
+from .sample import LabeledSample, WeightFn
+
+LIMIT = 4          # sizes up to LIMIT are decided by enumeration
+CHECK_EVERY = 4096  # candidates between two calls of the deadline check
+
+
+class Enumerator:
+    """Formulas over one operator pool, by size, with their signatures on
+    one sample and their weighted losses."""
+
+    def __init__(self, sample: LabeledSample, omega: WeightFn, pool):
+        traces = sample.traces()
+        self.pool = pool
+        layout = self.layout = Layout([len(u) for u in traces])
+        starts = layout.offsets
+        self.positives = layout.bits(
+            starts[t] for t, (_, b) in enumerate(sample.entries) if b)
+        self.denominator = math.lcm(*(omega[u].denominator for u in traces))
+        groups: dict[int, list[int]] = {}
+        for t, u in enumerate(traces):
+            groups.setdefault(int(omega[u] * self.denominator),
+                              []).append(starts[t])
+        self.groups = [(w, layout.bits(ones))
+                       for w, ones in sorted(groups.items())]
+        # Stored formulas, by id: key, signature and subformula ids.  A key
+        # is (PROP, name), (constant,), (op, f) or (op, f, g) over ids.
+        self.keys: list[tuple] = []
+        self.sigs: list[int] = []
+        self.subs: list[frozenset] = []
+        self.intern: dict[tuple, int] = {}
+        self.levels: dict[int, list[int]] = {}
+        self.candidates = 0
+        symbols = [symbol for u in traces for symbol in u]
+        self.leaves = [((PROP, p), layout.bits(
+            pos for pos, symbol in enumerate(symbols) if p in symbol))
+            for p in pool.alphabet]
+        self.leaves += [((c,), layout.full if c == TRUE else 0)
+                        for c in pool.constants]
+
+    def loss(self, sig: int) -> int:
+        """Weighted loss of a signature, times the denominator."""
+        wrong = (sig ^ self.positives) & self.layout.first
+        if not wrong:
+            return 0
+        return sum(w * (wrong & mask).bit_count() for w, mask in self.groups)
+
+    def bound(self, kappa: Fraction) -> int:
+        """The largest scaled loss that is at most kappa."""
+        return math.floor(kappa * self.denominator)
+
+    def search(self, n: int, bound: int, tick):
+        """The key and scaled loss of the first formula of size n whose
+        scaled loss is at most `bound`, or None.  `self.candidates` counts
+        the formulas whose loss was computed; `tick` is called before the
+        first and after every CHECK_EVERY of them, and may raise to stop
+        the search."""
+        loss, every = self.loss, CHECK_EVERY
+        count = 0
+        for key, sig in self.level(n):
+            if count % every == 0:
+                self.candidates = count
+                tick()
+            count += 1
+            value = loss(sig)
+            if value <= bound:
+                self.candidates = count
+                return key, value
+        self.candidates = count
+        return None
+
+    def level(self, n: int):
+        """(key, signature) of every formula of size n, once each.  Sizes
+        1..n-1 must have been generated in full before; size n is stored
+        for the next one unless n is LIMIT."""
+        if sorted(self.levels) != list(range(1, n)):
+            raise ValueError(f"sizes below {n} must be enumerated in full, "
+                             f"and only once")
+        store = n < LIMIT
+        stored = []
+        for key, sig in self._generate(n):
+            if store:
+                stored.append(self._store(key, sig))
+            yield key, sig
+        if store:
+            self.levels[n] = stored
+
+    def _generate(self, n: int):
+        if n == 1:
+            yield from self.leaves
+            return
+        sigs, layout = self.sigs, self.layout
+        for op in self.pool.unary:
+            apply = layout.unary[op]
+            for f in self.levels[n - 1]:
+                yield (op, f), apply(sigs[f])
+        binary = [(op, layout.binary[op]) for op in self.pool.binary]
+        if not binary:
+            return
+        for f, g in self._pairs(n - 1):
+            a, b = sigs[f], sigs[g]
+            for op, apply in binary:
+                yield (op, f, g), apply(a, b)
+
+    def _store(self, key: tuple, sig: int) -> int:
+        i = len(self.keys)
+        sub = {i}
+        if key[0] != PROP:
+            for child in key[1:]:
+                sub |= self.subs[child]
+        self.keys.append(key)
+        self.sigs.append(sig)
+        self.subs.append(frozenset(sub))
+        self.intern[key] = i
+        return i
+
+    def _pairs(self, s: int):
+        """Ordered pairs (f, g) of stored formulas with s subformulas
+        between them: each f, then each g with s - |f| subformulas
+        outside f's, built up from f's subformulas."""
+        for a in range(1, s + 1):
+            for f in self.levels[a]:
+                for g in self._extend(self.subs[f], s - a):
+                    yield f, g
+
+    def _extend(self, inside: frozenset, k: int):
+        """Stored formulas with exactly k subformulas outside `inside`, a
+        set of stored formulas closed under subformulas; each once."""
+        if k == 0:
+            yield from inside
+            return
+        intern = self.intern
+        if k == 1:
+            for leaf in self.levels[1]:
+                if leaf not in inside:
+                    yield leaf
+        if self.pool.unary:
+            for h in self._extend(inside, k - 1):
+                for op in self.pool.unary:
+                    g = intern[(op, h)]
+                    if g not in inside:
+                        yield g
+        if not self.pool.binary:
+            return
+        for m in range(k):
+            for h in self._extend(inside, m):
+                around = inside | self.subs[h] if m else inside
+                for h2 in self._extend(around, k - 1 - m):
+                    for op in self.pool.binary:
+                        g = intern[(op, h, h2)]
+                        if g not in inside:
+                            yield g
+
+    def build(self, key: tuple) -> Formula:
+        """The formula of a key from `level` or `search`."""
+        builder = FormulaBuilder()
+
+        def node(key) -> int:
+            op = key[0]
+            if op == PROP:
+                return builder.prop(key[1])
+            if op in CONSTANTS:
+                return builder.const(op == TRUE)
+            children = [node(self.keys[c]) for c in key[1:]]
+            if len(children) == 1:
+                return builder.unary(op, children[0])
+            return builder.binary(op, *children)
+
+        return builder.finish(node(key))

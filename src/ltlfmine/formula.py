@@ -9,6 +9,7 @@ so the node count equals the number of unique subformulas.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -118,22 +119,25 @@ class Formula:
     def _from_nodes(cls, nodes: list[Node], root: int) -> "Formula":
         # Renumber the sub-DAG reachable from `root` in left-first
         # post-order; this makes the numbering a function of structure
-        # alone (canonicalization is idempotent).
+        # alone (canonicalization is idempotent).  Iterative, so deep
+        # formulas need no deep recursion.
         order: list[int] = []
         seen: set[int] = set()
-
-        def visit(i: int) -> None:
+        stack = [(root, False)]
+        while stack:
+            i, children_done = stack.pop()
+            if children_done:
+                order.append(i)
+                continue
             if i in seen:
-                return
+                continue
             seen.add(i)
             node = nodes[i - 1]
-            if node.left:
-                visit(node.left)
+            stack.append((i, True))
             if node.right:
-                visit(node.right)
-            order.append(i)
-
-        visit(root)
+                stack.append((node.right, False))
+            if node.left:
+                stack.append((node.left, False))
         remap = {old: new for new, old in enumerate(order, start=1)}
         renumbered = tuple(
             Node(n.op, n.name,
@@ -194,67 +198,108 @@ class Formula:
 
         Next is strong (false at the last position); Until requires its
         right argument to hold at some position, with the left argument
-        holding strictly before.
+        holding strictly before.  Each node's truth over all positions
+        is one int, computed in node order with `Layout`'s primitives.
         """
         if not 0 <= position < len(trace):
             raise IndexError(f"position {position} out of range for trace "
                              f"of length {len(trace)}")
-        memo: dict[tuple[int, int], int] = {}
-        return self._eval(self.root, trace, position, memo)
-
-    def _eval(self, i: int, trace, pos: int, memo) -> int:
-        key = (i, pos)
-        if key in memo:
-            return memo[key]
-        node = self.node(i)
-        op = node.op
-        last = len(trace) - 1
-        if op == PROP:
-            val = 1 if node.name in trace[pos] else 0
-        elif op == TRUE:
-            val = 1
-        elif op == FALSE:
-            val = 0
-        elif op == NOT:
-            val = 1 - self._eval(node.left, trace, pos, memo)
-        elif op == NEXT:
-            val = 0 if pos == last else self._eval(node.left, trace, pos + 1, memo)
-        elif op == EVENTUALLY:
-            val = 0
-            for j in range(pos, last + 1):
-                if self._eval(node.left, trace, j, memo):
-                    val = 1
-                    break
-        elif op == GLOBALLY:
-            val = 1
-            for j in range(pos, last + 1):
-                if not self._eval(node.left, trace, j, memo):
-                    val = 0
-                    break
-        elif op == OR:
-            val = max(self._eval(node.left, trace, pos, memo),
-                      self._eval(node.right, trace, pos, memo))
-        elif op == AND:
-            val = min(self._eval(node.left, trace, pos, memo),
-                      self._eval(node.right, trace, pos, memo))
-        elif op == IMPLIES:
-            val = max(1 - self._eval(node.left, trace, pos, memo),
-                      self._eval(node.right, trace, pos, memo))
-        elif op == UNTIL:
-            val = 0
-            for j in range(pos, last + 1):
-                if self._eval(node.right, trace, j, memo):
-                    val = 1
-                    break
-                if not self._eval(node.left, trace, j, memo):
-                    break
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-        memo[key] = val
-        return val
+        layout = _trace_layout(len(trace))
+        values: list[int] = []
+        for node in self.nodes:
+            op = node.op
+            if op == PROP:
+                name = node.name
+                value = sum(1 << pos for pos, symbol in enumerate(trace)
+                            if name in symbol)
+            elif op == TRUE:
+                value = layout.full
+            elif op == FALSE:
+                value = 0
+            elif op in layout.unary:
+                value = layout.unary[op](values[node.left - 1])
+            elif op in layout.binary:
+                value = layout.binary[op](values[node.left - 1],
+                                          values[node.right - 1])
+            else:
+                raise ValueError(f"unknown operator {op!r}")
+            values.append(value)
+        return (values[-1] >> position) & 1
 
     def satisfies(self, trace) -> int:
         return self.evaluate(trace, 0)
+
+
+# -- bitset semantics -------------------------------------------------------
+
+class Layout:
+    """Traces laid end to end in one int, one bit per position.
+
+    Trace t occupies the bits from its offset on, position 0 lowest, so a
+    formula's truth values at every position of every trace form one int,
+    its signature.  `unary` and `binary` map each operator to its
+    primitive on signatures; every signature lies under `full`.
+    """
+
+    def __init__(self, lengths):
+        offsets, total = [], 0
+        for length in lengths:
+            offsets.append(total)
+            total += length
+        self.offsets = offsets
+        self.total = total
+        self.full = (1 << total) - 1
+        self.first = self.bits(offsets)
+        self.notlast = self.full ^ self.bits(
+            off + length - 1 for off, length in zip(offsets, lengths))
+        # (k, positions whose k-th successor is in the same trace) for
+        # k = 1, 2, 4, ... below the longest trace: the doubling steps of
+        # the suffix scans.
+        self.steps = []
+        k, mask, longest = 1, self.notlast, max(lengths, default=0)
+        while k < longest:
+            self.steps.append((k, mask))
+            mask &= mask >> k
+            k *= 2
+        full = self.full
+        self.unary = {NOT: lambda a: full ^ a, NEXT: self.next,
+                      EVENTUALLY: self.eventually, GLOBALLY: self.globally}
+        self.binary = {OR: lambda a, b: a | b, AND: lambda a, b: a & b,
+                       IMPLIES: lambda a, b: (full ^ a) | b,
+                       UNTIL: self.until}
+
+    def bits(self, ones) -> int:
+        """The int whose set bits are the positions `ones`."""
+        digits = bytearray(b"0" * self.total)
+        for pos in ones:
+            digits[self.total - 1 - pos] = 49  # ord("1")
+        return int(digits, 2) if digits else 0
+
+    def next(self, a: int) -> int:
+        return (a >> 1) & self.notlast
+
+    def eventually(self, a: int) -> int:
+        # Segmented suffix OR: after the step of shift k, a position
+        # covers the next 2k positions of its trace.
+        for k, mask in self.steps:
+            a |= (a >> k) & mask
+        return a
+
+    def globally(self, a: int) -> int:
+        return self.full ^ self.eventually(self.full ^ a)
+
+    def until(self, a: int, b: int) -> int:
+        # b U-holds at i iff b | (a & r(i+1)); doubling composes these
+        # steps: `a` holds where a holds on the whole covered span.
+        for k, mask in self.steps:
+            b |= a & (b >> k) & mask
+            a &= (a >> k) & mask
+        return b
+
+
+@functools.lru_cache(maxsize=256)
+def _trace_layout(length: int) -> Layout:
+    return Layout((length,))
 
 
 # -- construction helpers ---------------------------------------------------

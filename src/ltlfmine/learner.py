@@ -3,23 +3,30 @@
 For each candidate size n the learner only needs the decision question
 "is there a size-n formula with weighted loss <= kappa", i.e. satisfied
 soft weight >= 1 - kappa; it stops at the first n where the answer is
-yes, which makes the returned size minimal.  The question is answered
-on one of two paths, chosen by kappa alone:
+yes, which makes the returned size minimal.  Each size has one decision
+path, chosen by the size, then by kappa:
 
-* kappa > 0: one MaxSAT decision on the full size-n instance, every
-  trace encoded, with a totalizer over the soft clauses.
-* kappa = 0: trace weights are positive, so every trace must be
-  classified correctly and the question is plain SAT.  The learner keeps
-  a subset T of the sample, empty at first.  Per size, one SAT solver
-  holds the structural clauses and the clauses of the traces in T, whose
-  root literals are assumed.  UNSAT means no size-n formula classifies T
-  correctly, so none classifies the whole sample S correctly either:
-  the size is infeasible, and T carries over to n + 1.  A model decodes
-  to a formula that is checked on S with the exact loss; loss 0 ends the
-  search, and otherwise the first misclassified trace joins T and the
-  same solver solves again.  Clauses are only ever added, so its learned
-  clauses stay valid.  Each round adds a trace, so a size takes at most
-  |S| + 1 rounds.
+* n <= enumeration.LIMIT (4): every formula of size n over the operator
+  pool is enumerated with its bitset signature on the whole sample, and
+  the first whose weighted loss is <= kappa is taken (`enumeration`).
+  No instance is built, and `candidates` counts the formulas tried.
+* larger n, kappa > 0: one MaxSAT decision on the full size-n instance,
+  every trace encoded, with a totalizer over the soft clauses.
+* larger n, kappa = 0: trace weights are positive, so every trace must
+  be classified correctly and the question is plain SAT.  The learner
+  keeps a subset T of the sample, empty at first.  Per size, one SAT
+  solver holds the structural clauses and the clauses of the traces in
+  T, whose root literals are assumed.  UNSAT means no size-n formula
+  classifies T correctly, so none classifies the whole sample S
+  correctly either: the size is infeasible, and T carries over to n + 1.
+  A model decodes to a formula that is checked on S with the exact loss;
+  loss 0 ends the search, and otherwise the first misclassified trace
+  joins T and the same solver solves again.  Clauses are only ever
+  added, so its learned clauses stay valid.  Each round adds a trace, so
+  a size takes at most |S| + 1 rounds.
+
+Every path recomputes the exact weighted loss of the formula it accepts;
+the enumerated one also checks the formula's size.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import Optional, Union
 from . import maxsat
 from .encoding import (EncodingInstance, IncrementalInstance, OperatorPool,
                        default_pool)
+from .enumeration import LIMIT, Enumerator
 from .formula import Formula, FormulaBuilder
 from .sample import (LabeledSample, WeightFn, omega_rebalanced, omega_uniform,
                      weighted_loss)
@@ -153,16 +161,44 @@ def _decide_exact(sample, omega, pool, encoded, n, deadline, record):
         record["traces_encoded"] = len(encoded)
 
 
+def _decide_enumerated(sample, omega, enumerator, kappa, n, deadline,
+                       record):
+    """Every formula of size n, in turn: the first with weighted loss <=
+    kappa and its loss, or None."""
+    try:
+        found = enumerator.search(n, enumerator.bound(kappa),
+                                  lambda: _remaining(deadline))
+    finally:
+        record["candidates"] = enumerator.candidates
+    if found is None:
+        record["status"] = maxsat.INFEASIBLE
+        return None
+    key, scaled = found
+    formula = enumerator.build(key)
+    achieved = Fraction(scaled, enumerator.denominator)
+    recomputed = weighted_loss(sample, formula, omega)
+    if formula.size != n or recomputed != achieved or achieved > kappa:
+        raise RuntimeError(
+            f"enumerated formula {formula.to_text()} of size {formula.size} "
+            f"has loss {recomputed}, not {achieved} at size {n} within "
+            f"{kappa}; this indicates an enumerator bug")
+    record["status"] = maxsat.FEASIBLE
+    return formula, achieved
+
+
 def learn_minimal(sample: LabeledSample,
                   config: Optional[LearnConfig] = None) -> LearnResult:
     """Smallest formula over the operator pool with weighted loss <= kappa."""
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
     pool = config.pool or default_pool(sample.alphabet)
+    enumerated = functools.partial(_decide_enumerated, sample, omega,
+                                   Enumerator(sample, omega, pool),
+                                   config.kappa)
     if config.kappa == 0:
-        decide = functools.partial(_decide_exact, sample, omega, pool, [])
+        solved = functools.partial(_decide_exact, sample, omega, pool, [])
     else:
-        decide = functools.partial(_decide_relaxed, sample, omega, pool,
+        solved = functools.partial(_decide_relaxed, sample, omega, pool,
                                    1 - config.kappa)
     deadline = (None if config.timeout is None
                 else time.monotonic() + config.timeout)
@@ -172,15 +208,18 @@ def learn_minimal(sample: LabeledSample,
         if deadline is not None and started >= deadline:
             return LearnResult(TIMED_OUT, iterations=iterations)
         record = {"size": n, "status": "timeout", "seconds": 0.0,
-                  "traces_encoded": 0, "rounds": 0}
+                  "traces_encoded": 0, "rounds": 0, "candidates": 0}
+        decision = "enumerated" if n <= LIMIT else "sat"
+        decide = enumerated if n <= LIMIT else solved
         try:
             found = decide(n, deadline, record)
         except SolveTimeout:
             found = None
         record["seconds"] = time.monotonic() - started
         iterations.append(record)
-        log.debug("size %d: %s, %d traces encoded, %d rounds, %.3f s", n,
-                  record["status"], record["traces_encoded"],
+        log.debug("size %d (%s): %s, %d candidates, %d traces encoded, "
+                  "%d rounds, %.3f s", n, decision, record["status"],
+                  record["candidates"], record["traces_encoded"],
                   record["rounds"], record["seconds"])
         if record["status"] == "timeout":
             return LearnResult(TIMED_OUT, iterations=iterations)

@@ -237,11 +237,14 @@ def _write_wcnf(wcnf: WeightedCnf, handle) -> None:
 
 
 def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
-    """Read back the WCNF format written by `export_wcnf`."""
+    """Read back the WCNF format written by `export_wcnf`.
+
+    Every literal's variable must lie in 1..nvars, and the clause count
+    must be the p-line's."""
     text = source if isinstance(source, str) else source.read()
     denom = 1
     top = None
-    nvars = 0
+    nvars = nclauses = 0
     hard: list[tuple[int, ...]] = []
     soft: list[tuple[list[int], Fraction]] = []
     for line in text.splitlines():
@@ -258,8 +261,7 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
             if len(parts) != 5 or not all(x.isdigit() for x in parts[2:]):
                 raise ValueError(f"malformed p-line {line!r}: expected "
                                  "'p wcnf <nvars> <nclauses> <top>'")
-            nvars = int(parts[2])
-            top = int(parts[4])
+            nvars, nclauses, top = map(int, parts[2:])
             continue
         parts = [int(x) for x in line.split()]
         if parts[-1] != 0:
@@ -267,10 +269,16 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
         weight, clause = parts[0], parts[1:-1]
         if top is None:
             raise ValueError("clause before p-line")
+        bad = [lit for lit in clause if not 1 <= abs(lit) <= nvars]
+        if bad:
+            raise ValueError(f"literal {bad[0]} outside variables 1..{nvars}")
         if weight >= top:
             hard.append(tuple(clause))
         else:
             soft.append((clause, Fraction(weight, denom)))
+    if len(hard) + len(soft) != nclauses:
+        raise ValueError(f"{len(hard) + len(soft)} clauses, but the p-line "
+                         f"declares {nclauses}")
     return WeightedCnf(nvars, hard, soft, weight_scale=denom)
 
 

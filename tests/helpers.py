@@ -7,21 +7,24 @@ import itertools
 import random
 from fractions import Fraction
 
-from ltlfmine.formula import (BINARY_OPS, Formula, FormulaBuilder, UNARY_OPS)
+from ltlfmine.formula import (BINARY_OPS, CONSTANTS, EVENTUALLY, FALSE,
+                              GLOBALLY, IMPLIES, NEXT, NOT, OR, AND, PROP,
+                              TRUE, UNARY_OPS, UNTIL, Formula, FormulaBuilder)
 from ltlfmine.maxsat import WeightedCnf, clause_satisfied
 from ltlfmine.sample import LabeledSample, Trace, make_sample
 
 
-def enumerate_formulas(props, max_n):
+def enumerate_formulas(props, max_n, constants=()):
     """All distinct canonical formulas representable by a syntax DAG with
-    at most max_n nodes, grouped by exact size.
+    at most max_n nodes over the propositions, the constants and every
+    operator, grouped by exact size.
 
     Enumerates every node table (per node: a label, plus children with
     smaller ids), decodes the root, and dedupes.  A table of size n can
     decode to a smaller formula (sharing, unreachable nodes), so sizes are
     taken from the canonical formula, not the table.
     """
-    labels = list(props)
+    labels = list(props) + list(constants)
 
     def node_options(i):
         opts = [(p, 0, 0) for p in labels]
@@ -41,6 +44,8 @@ def enumerate_formulas(props, max_n):
             for i, (label, j, k) in enumerate(combo, start=1):
                 if label in props:
                     ids[i] = builder.prop(label)
+                elif label in CONSTANTS:
+                    ids[i] = builder.const(label == TRUE)
                 elif label in UNARY_OPS:
                     ids[i] = builder.unary(label, ids[j])
                 else:
@@ -50,6 +55,90 @@ def enumerate_formulas(props, max_n):
                 seen.add(f.nodes)
                 by_size.setdefault(f.size, []).append(f)
     return by_size
+
+
+def reference_evaluate(f: Formula, trace, position: int) -> int:
+    """Finite-trace valuation by memoized recursion over (node, position):
+    the reference for `Formula.evaluate`."""
+    memo: dict[tuple[int, int], int] = {}
+    last = len(trace) - 1
+
+    def value(i: int, pos: int) -> int:
+        key = (i, pos)
+        if key in memo:
+            return memo[key]
+        node = f.node(i)
+        op = node.op
+        if op == PROP:
+            val = 1 if node.name in trace[pos] else 0
+        elif op == TRUE:
+            val = 1
+        elif op == FALSE:
+            val = 0
+        elif op == NOT:
+            val = 1 - value(node.left, pos)
+        elif op == NEXT:
+            val = 0 if pos == last else value(node.left, pos + 1)
+        elif op == EVENTUALLY:
+            val = int(any(value(node.left, j) for j in range(pos, last + 1)))
+        elif op == GLOBALLY:
+            val = int(all(value(node.left, j) for j in range(pos, last + 1)))
+        elif op == OR:
+            val = max(value(node.left, pos), value(node.right, pos))
+        elif op == AND:
+            val = min(value(node.left, pos), value(node.right, pos))
+        elif op == IMPLIES:
+            val = max(1 - value(node.left, pos), value(node.right, pos))
+        else:
+            assert op == UNTIL
+            val = 0
+            for j in range(pos, last + 1):
+                if value(node.right, j):
+                    val = 1
+                    break
+                if not value(node.left, j):
+                    break
+        memo[key] = val
+        return val
+
+    return value(f.root, position)
+
+
+def sat_decision(sample, omega, pool, kappa, n, encoded=None, deadline=None,
+                 record=None):
+    """The learner's SAT-side decision of size n, called directly:
+    `_decide_exact` over the trace subset `encoded` at kappa 0,
+    `_decide_relaxed` above.  A formula and its loss, or None."""
+    from ltlfmine import learner
+
+    record = {} if record is None else record
+    record.setdefault("traces_encoded", 0)
+    record.setdefault("rounds", 0)
+    if kappa == 0:
+        return learner._decide_exact(
+            sample, omega, pool, [] if encoded is None else encoded, n,
+            deadline, record)
+    return learner._decide_relaxed(sample, omega, pool, 1 - kappa, n,
+                                   deadline, record)
+
+
+def sat_minimal(sample, omega, kappa, max_size, pool=None):
+    """The learner's loop over sizes 1..max_size with every size decided
+    by `sat_decision`, T carried across sizes at kappa 0: (size, formula,
+    loss, per-size records), size None when no size up to max_size is
+    feasible."""
+    from ltlfmine.encoding import default_pool
+
+    pool = pool or default_pool(sample.alphabet)
+    encoded, records = [], []
+    for n in range(1, max_size + 1):
+        record = {"size": n, "status": "timeout"}
+        records.append(record)
+        found = sat_decision(sample, omega, pool, kappa, n, encoded,
+                             record=record)
+        if found is not None:
+            return n, found[0], found[1], records
+    return None, None, None, records
 
 
 def brute_minimal_size(sample, kappa, omega, formulas_by_size):

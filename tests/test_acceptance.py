@@ -26,7 +26,7 @@ from ltlfmine.sample import (loss, make_sample, omega_uniform, parse_sample,
                              weighted_loss)
 from ltlfmine.sat import SatSolver
 from helpers import (brute_maxsat, brute_minimal_size, enumerate_formulas,
-                     random_formula, random_sample, random_trace)
+                     random_formula, random_sample, random_trace, sat_minimal)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,9 @@ def formulas_up_to_4():
 
 def test_criterion_01_minimality_matches_enumeration(formulas_up_to_4):
     # Learned size equals the brute-force minimum over all syntax DAGs of
-    # size <= 4, and the achieved weighted loss never exceeds kappa.
+    # size <= 4, and the achieved weighted loss never exceeds kappa.  The
+    # learner enumerates these sizes, so the SAT decisions the learner
+    # uses from size 5 on are checked against the same minimum here.
     rng = random.Random(101)
     started = time.monotonic()
     checked = 0
@@ -58,6 +60,12 @@ def test_criterion_01_minimality_matches_enumeration(formulas_up_to_4):
             assert result.size == expected
             assert result.achieved_loss <= kappa
             assert weighted_loss(sample, result.formula, omega) <= kappa
+        size, formula, achieved, _ = sat_minimal(sample, omega, kappa, 4)
+        assert size == expected
+        if expected is not None:
+            assert formula.size == expected
+            assert achieved <= kappa
+            assert weighted_loss(sample, formula, omega) == achieved
         checked += 1
     assert checked == 200
     assert time.monotonic() - started < 300

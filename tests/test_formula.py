@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ltlfmine.formula import (Formula, FormulaBuilder, LtlSyntaxError,
                               UnknownPropositionError, from_tree,
                               parse_formula)
-from helpers import random_formula, random_trace
+from helpers import random_formula, random_trace, reference_evaluate
 
 
 def naive_eval(f: Formula, i: int, trace, pos: int) -> bool:
@@ -67,6 +67,12 @@ class TestStructure:
         f = parse_formula("p")
         assert f.size == 1
         assert f.to_text() == "p"
+
+    def test_numbering_is_left_first_post_order(self):
+        f = parse_formula("(p U G q) | F G q")
+        assert [(n.op, n.name, n.left, n.right) for n in f.nodes] == [
+            ("prop", "p", 0, 0), ("prop", "q", 0, 0), ("G", None, 2, 0),
+            ("U", None, 1, 3), ("F", None, 3, 0), ("|", None, 4, 5)]
 
     def test_canonical_numbering_is_structure_only(self):
         # The same formula built in different construction orders gets
@@ -174,6 +180,51 @@ class TestSemantics:
 def formula_texts(draw):
     rng = random.Random(draw(st.integers(0, 10 ** 9)))
     return random_formula(rng, ("p", "q", "r"), depth=draw(st.integers(0, 5)))
+
+
+@st.composite
+def formulas_with_constants(draw):
+    builder = FormulaBuilder()
+    nodes = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["leaf", "unary", "binary"])
+                    if nodes else st.just("leaf"))
+        if kind == "leaf":
+            leaf = draw(st.sampled_from(["p", "q", "true", "false"]))
+            nodes.append(builder.const(leaf == "true")
+                         if leaf in ("true", "false") else builder.prop(leaf))
+        elif kind == "unary":
+            nodes.append(builder.unary(draw(st.sampled_from("!XFG")),
+                                       draw(st.sampled_from(nodes))))
+        else:
+            nodes.append(builder.binary(
+                draw(st.sampled_from(["|", "&", "->", "U"])),
+                draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))))
+    return builder.finish(nodes[-1])
+
+
+traces = st.lists(st.frozensets(st.sampled_from(["p", "q"])),
+                  min_size=1, max_size=9).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas_with_constants(), traces)
+def test_evaluate_matches_reference_at_every_position(f, trace):
+    for pos in range(len(trace)):
+        assert f.evaluate(trace, pos) == reference_evaluate(f, trace, pos)
+
+
+def test_deep_formula_evaluates_without_recursion():
+    builder = FormulaBuilder()
+    node = builder.prop("p")
+    for _ in range(1500):
+        node = builder.unary("X", node)
+    f = builder.finish(node)
+    assert f.size == 1501
+    p = frozenset(["p"])
+    assert f.satisfies((frozenset(),) * 1500 + (p,)) == 1
+    assert f.satisfies((p,) * 1500) == 0
+    assert f.evaluate((frozenset(),) * 1501 + (p,), 1) == 1
 
 
 @settings(max_examples=150, deadline=None)

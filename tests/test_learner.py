@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from ltlfmine import learner, maxsat
-from ltlfmine.encoding import EncodingInstance, OperatorPool
+from ltlfmine import enumeration, learner, maxsat
+from ltlfmine.encoding import EncodingInstance, OperatorPool, default_pool
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega,
                               trivial_perfect_formula)
 from ltlfmine.sample import (loss, omega_rebalanced, omega_uniform,
                              parse_sample, weighted_loss)
-from helpers import (brute_minimal_size, enumerate_formulas, random_sample)
+from ltlfmine.sat import SolveTimeout
+from helpers import (brute_minimal_size, enumerate_formulas, random_sample,
+                     sat_decision, sat_minimal)
 
 
 class TestLearnMinimal:
@@ -90,8 +92,11 @@ class TestLearnMinimal:
     def test_timeout_between_counterexample_rounds(self, monkeypatch):
         # The first candidate at size 1 misclassifies a trace outside T;
         # the clock jumps past the deadline while it is being checked, so
-        # the learner must stop before it solves again.
+        # the decision must stop before it solves again.  Sizes up to
+        # enumeration.LIMIT never reach SAT in learn_minimal, so this and
+        # the next test call the SAT decisions directly.
         s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
+        deadline = time.monotonic() + 60
         real_clock = time.monotonic
         offset = [0.0]
         real_loss = learner.weighted_loss
@@ -103,25 +108,23 @@ class TestLearnMinimal:
         monkeypatch.setattr(time, "monotonic",
                             lambda: real_clock() + offset[0])
         monkeypatch.setattr(learner, "weighted_loss", late_loss)
-        r = learn_minimal(s, LearnConfig(timeout=60))
-        assert r.status == TIMED_OUT
-        assert r.formula is None
-        assert [(it["size"], it["status"], it["rounds"])
-                for it in r.iterations] == [(1, "timeout", 1)]
+        record = {"size": 1, "status": "timeout"}
+        with pytest.raises(SolveTimeout):
+            sat_decision(s, omega_uniform(s), default_pool(s.alphabet),
+                         Fraction(0), 1, deadline=deadline, record=record)
+        assert (record["size"], record["status"], record["rounds"]) \
+            == (1, "timeout", 1)
 
-    def test_iterations_record_ascending_sizes(self, caplog):
+    def test_iterations_record_ascending_sizes(self):
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
         for kappa in (Fraction(0), Fraction(1, 10)):
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="ltlfmine.learner"):
-                r = learn_minimal(s, LearnConfig(kappa=kappa))
-            sizes = [it["size"] for it in r.iterations]
-            assert sizes == list(range(1, len(sizes) + 1))
-            assert all(it["status"] == "infeasible"
-                       for it in r.iterations[:-1])
-            assert r.iterations[-1]["status"] == "feasible"
-            encoded = [it["traces_encoded"] for it in r.iterations]
-            rounds = [it["rounds"] for it in r.iterations]
+            size, _, _, records = sat_minimal(s, omega_uniform(s), kappa, 40)
+            sizes = [it["size"] for it in records]
+            assert sizes == list(range(1, size + 1))
+            assert all(it["status"] == "infeasible" for it in records[:-1])
+            assert records[-1]["status"] == "feasible"
+            encoded = [it["traces_encoded"] for it in records]
+            rounds = [it["rounds"] for it in records]
             if kappa == 0:
                 # T only grows, by one trace per extra round.
                 assert encoded == sorted(encoded)
@@ -131,10 +134,70 @@ class TestLearnMinimal:
             else:
                 assert encoded == [s.size] * len(sizes)
                 assert rounds == [1] * len(sizes)
+
+    def test_timeout_during_enumeration(self, monkeypatch):
+        # The clock jumps past the deadline after the first candidate's
+        # loss; the next deadline check stops the size-1 pass.
+        s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
+        real_clock = time.monotonic
+        offset = [0.0]
+        real_loss = enumeration.Enumerator.loss
+
+        def late_loss(*args):
+            offset[0] = 3600.0
+            return real_loss(*args)
+
+        monkeypatch.setattr(time, "monotonic",
+                            lambda: real_clock() + offset[0])
+        monkeypatch.setattr(enumeration.Enumerator, "loss", late_loss)
+        monkeypatch.setattr(enumeration, "CHECK_EVERY", 1)
+        r = learn_minimal(s, LearnConfig(timeout=60))
+        assert r.status == TIMED_OUT
+        assert r.formula is None
+        assert [(it["size"], it["status"], it["candidates"])
+                for it in r.iterations] == [(1, "timeout", 1)]
+
+    def test_records_name_the_decision(self, caplog):
+        # Sizes up to enumeration.LIMIT are enumerated: candidates counted,
+        # no trace encoded.
+        s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
+        for kappa in (Fraction(0), Fraction(1, 10)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="ltlfmine.learner"):
+                r = learn_minimal(s, LearnConfig(kappa=kappa))
+            assert r.status == SOLVED
+            assert r.size <= enumeration.LIMIT
+            assert all(it["candidates"] > 0 and it["traces_encoded"] == 0
+                       and it["rounds"] == 0 for it in r.iterations)
             logged = [rec for rec in caplog.records
                       if rec.name == "ltlfmine.learner"]
-            assert len(logged) == len(sizes)
-            assert all(rec.levelno == logging.DEBUG for rec in logged)
+            assert len(logged) == len(r.iterations)
+            assert all(rec.levelno == logging.DEBUG
+                       and "(enumerated)" in rec.getMessage()
+                       for rec in logged)
+
+    def test_size_five_is_handed_to_sat(self, caplog):
+        s = size_five_sample()
+        for kappa in (Fraction(0), Fraction(1, 20)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="ltlfmine.learner"):
+                r = learn_minimal(s, LearnConfig(kappa=kappa))
+            assert r.status == SOLVED
+            assert r.size == 5
+            assert r.achieved_loss <= kappa
+            assert weighted_loss(s, r.formula, omega_uniform(s)) \
+                == r.achieved_loss
+            assert [it["size"] for it in r.iterations] == [1, 2, 3, 4, 5]
+            enumerated, last = r.iterations[:4], r.iterations[4]
+            assert all(it["status"] == "infeasible" and it["candidates"] > 0
+                       for it in enumerated)
+            assert last["status"] == "feasible"
+            assert last["candidates"] == 0
+            assert last["traces_encoded"] > 0 and last["rounds"] >= 1
+            logged = [rec.getMessage() for rec in caplog.records
+                      if rec.name == "ltlfmine.learner"]
+            assert ["(sat)" in line for line in logged] \
+                == [False] * 4 + [True]
 
     @pytest.mark.parametrize("weights, kappa", [
         ("uniform", Fraction(0)), ("rebalanced", Fraction(0)),
@@ -181,9 +244,18 @@ def random_weights(rng, sample):
     return {u: Fraction(k, total) for u, k in raw.items()}
 
 
+def size_five_sample():
+    # Labelled by G (p0 -> X p1); no formula of size <= 4 separates it.
+    return parse_sample("alphabet: p0,p1\n"
+                        "0,1\n0,1;1,0;1,1;0,1\n---\n"
+                        "1,1;1,0\n0,0;0,1;1,0;0,0\n0,1;1,1;1,0;0,1\n")
+
+
 class TestExactPath:
     """kappa = 0 encodes a growing subset T of the traces into one SAT
-    solver per size; its answers must match the full MaxSAT instance."""
+    solver per size; its answers must match the full MaxSAT instance.
+    Sizes up to `enumeration.LIMIT` never reach SAT in `learn_minimal`,
+    so these tests call the per-size decisions directly."""
 
     @pytest.mark.parametrize("weights", ["uniform", "rebalanced", "explicit"])
     def test_matches_first_feasible_full_instance(self, weights):
@@ -200,25 +272,26 @@ class TestExactPath:
                 if result.status == maxsat.FEASIBLE:
                     expected = n
                     break
-            r = learn_minimal(s, LearnConfig(weights=w, max_size=4))
+            size, formula, achieved, records = sat_minimal(
+                s, omega, Fraction(0), 4)
             if expected is None:
-                assert r.status == SIZE_CAP
-                assert len(r.iterations) == 4
+                assert size is None
+                assert len(records) == 4
             else:
-                assert r.status == SOLVED
-                assert r.size == expected
-                assert r.achieved_loss == 0
-                assert weighted_loss(s, r.formula, omega) == 0
+                assert size == expected
+                assert formula.size == expected
+                assert achieved == 0
+                assert weighted_loss(s, formula, omega) == 0
 
     def test_counterexample_outside_subset_adds_a_round(self):
         # F p1 needs two nodes; at size 2 the first candidate over the
         # traces carried from size 1 misclassifies another trace.
         s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
-        r = learn_minimal(s)
-        assert r.status == SOLVED
-        assert r.size == 2
-        assert loss(s, r.formula) == 0
-        first, last = r.iterations
+        size, formula, _, records = sat_minimal(s, omega_uniform(s),
+                                                Fraction(0), 4)
+        assert size == 2
+        assert loss(s, formula) == 0
+        first, last = records
         assert last["rounds"] > 1
         assert last["traces_encoded"] > first["traces_encoded"]
         assert last["traces_encoded"] < s.size

@@ -230,6 +230,28 @@ class TestWcnfFormat:
         with pytest.raises(ValueError, match="malformed p-line"):
             parse_wcnf("p wcnf 2 1\n1 2 0\n")
 
+    def test_parse_rejects_literal_beyond_nvars(self):
+        with pytest.raises(ValueError, match="outside variables 1..2"):
+            parse_wcnf("p wcnf 2 2 3\n3 9 0\n1 1 0\n")
+        with pytest.raises(ValueError, match="literal -3 outside"):
+            parse_wcnf("p wcnf 2 1 3\n3 1 -3 0\n")
+        with pytest.raises(ValueError, match="literal 0 outside"):
+            parse_wcnf("p wcnf 2 1 3\n3 1 0 2 0\n")
+
+    def test_parse_rejects_clause_count_other_than_declared(self):
+        with pytest.raises(ValueError, match="2 clauses, but the p-line "
+                                             "declares 5"):
+            parse_wcnf("p wcnf 2 5 3\n3 2 0\n1 1 0\n")
+        with pytest.raises(ValueError, match="declares 1"):
+            parse_wcnf("p wcnf 2 1 3\n3 2 0\n1 1 0\n")
+
+    def test_parse_accepts_declared_counts(self):
+        wcnf = parse_wcnf("c weight-scale 2\np wcnf 2 3 3\n3 -1 2 0\n"
+                          "3 0\n1 1 0\n")
+        assert wcnf.nvars == 2
+        assert wcnf.hard == [(-1, 2), ()]
+        assert wcnf.soft == [([1], Fraction(1, 2))]
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             WeightedCnf(1).add_soft([1], Fraction(0))
