@@ -10,9 +10,9 @@ from .sample import (LabeledSample, SampleError, Trace, WeightFn,
                      weighted_loss)
 from .encoding import (EncodingError, EncodingInstance, OperatorPool,
                        default_pool)
-from .maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, OPTIMAL,
-                     MaxSatSolution, WeightedCnf, export_wcnf, import_model,
-                     parse_wcnf, solve_decision, solve_optimal)
+from .maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, MaxSatSolution,
+                     WeightedCnf, export_wcnf, import_model, parse_wcnf,
+                     solve_decision)
 from .sat import SolveTimeout
 from .learner import (LearnConfig, LearnResult, SIZE_CAP, SOLVED, TIMED_OUT,
                       learn_minimal)
@@ -30,9 +30,9 @@ __all__ = [
     "load_sample", "loss", "make_sample", "omega_rebalanced", "omega_uniform",
     "parse_sample", "weighted_loss",
     "EncodingError", "EncodingInstance", "OperatorPool", "default_pool",
-    "FEASIBLE", "HARD_UNSAT", "INFEASIBLE", "OPTIMAL", "MaxSatSolution",
+    "FEASIBLE", "HARD_UNSAT", "INFEASIBLE", "MaxSatSolution",
     "WeightedCnf", "export_wcnf", "import_model", "parse_wcnf",
-    "solve_decision", "solve_optimal", "SolveTimeout",
+    "solve_decision", "SolveTimeout",
     "LearnConfig", "LearnResult", "SIZE_CAP", "SOLVED", "TIMED_OUT",
     "learn_minimal",
     "DecisionTree", "DtConfig", "Inner", "Leaf", "TreeResult",

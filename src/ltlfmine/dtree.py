@@ -20,7 +20,6 @@ from .learner import (SOLVED, LearnConfig, LearnResult, TIMED_OUT,
 from .encoding import OperatorPool
 from .sample import (LabeledSample, invert_labels, loss, omega_rebalanced,
                      weighted_loss)
-from .sat import SolveTimeout
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +162,7 @@ def learn_tree(sample: LabeledSample, config: DtConfig) -> TreeResult:
 
     try:
         tree = build(sample, 0)
-    except (SplitTimeout, SolveTimeout):
+    except SplitTimeout:
         return TreeResult(Leaf(1), "timed-out", state["expanded"])
     status = "depth-capped" if state["capped"] else "solved"
     return TreeResult(tree, status, state["expanded"])
@@ -184,24 +183,20 @@ def tree_loss(sample: LabeledSample, tree: DecisionTree) -> Fraction:
 
 
 def _copy_into(builder: FormulaBuilder, f: Formula) -> int:
-    memo: dict[int, int] = {}
-
-    def cp(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        node = f.node(i)
+    """Add `f`'s nodes to `builder` in node order; the id of its root."""
+    ids: list[int] = []
+    for node in f.nodes:
         if node.op == PROP:
             out = builder.prop(node.name)
         elif node.op in CONSTANTS:
             out = builder.const(node.op == "true")
         elif arity(node.op) == 1:
-            out = builder.unary(node.op, cp(node.left))
+            out = builder.unary(node.op, ids[node.left - 1])
         else:
-            out = builder.binary(node.op, cp(node.left), cp(node.right))
-        memo[i] = out
-        return out
-
-    return cp(f.root)
+            out = builder.binary(node.op, ids[node.left - 1],
+                                 ids[node.right - 1])
+        ids.append(out)
+    return ids[-1]
 
 
 def tree_to_formula(tree: DecisionTree) -> Formula:

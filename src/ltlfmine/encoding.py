@@ -23,10 +23,11 @@ Models of the hard clauses decode to LTLf formulas; the satisfied soft
 weight of a model equals one minus the weighted loss of the decoded
 formula.
 
-`EncodingInstance` builds all of this as a `WeightedCnf`.
 `IncrementalInstance` streams the structural clauses into a SAT solver
-and adds one trace's variables and clauses at a time, for the exact
-learner; both state a trace's semantics with the same emitters.
+and adds traces to it in batches: the learner decides every size >= 5
+on it, and the solver it fills is the only copy of the clauses.
+`EncodingInstance` builds the same clauses, numbered alike, as a
+`WeightedCnf` with the soft clauses, for WCNF export.
 """
 
 from __future__ import annotations
@@ -84,9 +85,11 @@ class _Skeleton:
     clauses, decoding, and the per-trace emitters.
 
     Clauses, tuples of ints, go to the sink `self._add`, set by the
-    subclass before it emits anything; the per-trace emitters write one trace's valuation,
-    channel and semantic clauses, so the full instance and the
-    incremental one state every trace's semantics with the same code.
+    subclass before it emits anything, and `_reserve(nvars)` is told the
+    variable count once `add_traces` has allocated a batch, before their
+    clauses.  The full instance and the incremental one both encode
+    traces with `add_traces`, so they number variables and order clauses
+    alike.
     """
 
     def __init__(self, n: int, sample: LabeledSample,
@@ -127,16 +130,24 @@ class _Skeleton:
             for j in range(1, i):
                 self.r[(i, j)] = self._fresh()
 
-    def _allocate_valuations(self, t: int) -> None:
-        for i in range(1, self.n + 1):
-            for tau in range(len(self.traces[t])):
-                self.y[(t, i, tau)] = self._fresh()
-
-    def _allocate_channels(self, t: int) -> None:
-        for i in range(2, self.n + 1):
-            for tau in range(len(self.traces[t])):
-                self.left[(t, i, tau)] = self._fresh()
-                self.right[(t, i, tau)] = self._fresh()
+    def add_traces(self, ts) -> None:
+        """Encode the sample traces `ts`: valuation variables for every
+        trace in `ts`, then channel variables for every trace in `ts`,
+        then each trace's semantic clauses in turn."""
+        ts = list(ts)
+        n = self.n
+        for t in ts:
+            for i in range(1, n + 1):
+                for tau in range(len(self.traces[t])):
+                    self.y[(t, i, tau)] = self._fresh()
+        for t in ts:
+            for i in range(2, n + 1):
+                for tau in range(len(self.traces[t])):
+                    self.left[(t, i, tau)] = self._fresh()
+                    self.right[(t, i, tau)] = self._fresh()
+        self._reserve(self._next - 1)
+        for t in ts:
+            self._emit_semantic(t)
 
     # -- structural clauses ------------------------------------------------
 
@@ -346,24 +357,22 @@ class _Skeleton:
 
 
 class EncodingInstance(_Skeleton):
-    """Variables and clauses of the size-n search instance."""
+    """The size-n search instance as a `WeightedCnf`, for WCNF export."""
 
     def __init__(self, n: int, sample: LabeledSample, omega: WeightFn,
                  pool: Optional[OperatorPool] = None,
                  var_comments: bool = False):
         super().__init__(n, sample, pool)
-        for t in range(len(self.traces)):
-            self._allocate_valuations(t)
-        for t in range(len(self.traces)):
-            self._allocate_channels(t)
         self.wcnf = WeightedCnf(self._next - 1)
         self._add = self.wcnf.hard.append
+        self._emit_structural()
+        self.add_traces(range(len(self.traces)))
         if var_comments:
             self.wcnf.comments.extend(self._var_map_comments())
-        self._emit_structural()
-        for t in range(len(self.traces)):
-            self._emit_semantic(t)
         self._emit_satisfaction(omega)
+
+    def _reserve(self, nvars: int) -> None:
+        self.wcnf.nvars = nvars
 
     def _var_map_comments(self) -> list[str]:
         lines = []
@@ -390,23 +399,19 @@ class EncodingInstance(_Skeleton):
 
 
 class IncrementalInstance(_Skeleton):
-    """The size-n structure in a SAT solver, with traces added one at a
-    time: a trace's variables and hard clauses go straight into `solver`,
-    and its root literal is for the caller to assume.  Clauses are only
-    ever added, so clauses the solver learned stay valid."""
+    """The size-n structure in a SAT solver, with traces added in
+    batches: their variables and hard clauses go straight into `solver`,
+    and their root literals are for the caller to assume or weigh.
+    Clauses are only ever added, so clauses the solver learned stay
+    valid."""
 
     def __init__(self, n: int, sample: LabeledSample,
                  pool: Optional[OperatorPool] = None):
         super().__init__(n, sample, pool)
         self.solver = SatSolver()
-        self.solver.ensure_var(self._next - 1)
+        self._reserve(self._next - 1)
         self._add = self.solver.add_clause
         self._emit_structural()
 
-    def add_trace(self, t: int) -> int:
-        """Encode sample trace t; return its root literal."""
-        self._allocate_valuations(t)
-        self._allocate_channels(t)
-        self.solver.ensure_var(self._next - 1)
-        self._emit_semantic(t)
-        return self.root_literal(t)
+    def _reserve(self, nvars: int) -> None:
+        self.solver.ensure_var(nvars)

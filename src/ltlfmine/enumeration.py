@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .formula import CONSTANTS, PROP, TRUE, Formula, FormulaBuilder, Layout
-from .sample import LabeledSample, WeightFn
+from .sample import LabeledSample, WeightFn, scaled_weights
 
 LIMIT = 4          # sizes up to LIMIT are decided by enumeration
 CHECK_EVERY = 4096  # candidates between two calls of the deadline check
@@ -41,11 +41,10 @@ class Enumerator:
         starts = layout.offsets
         self.positives = layout.bits(
             starts[t] for t, (_, b) in enumerate(sample.entries) if b)
-        self.denominator = math.lcm(*(omega[u].denominator for u in traces))
+        self.denominator, weights = scaled_weights(sample, omega)
         groups: dict[int, list[int]] = {}
-        for t, u in enumerate(traces):
-            groups.setdefault(int(omega[u] * self.denominator),
-                              []).append(starts[t])
+        for t, w in enumerate(weights):
+            groups.setdefault(w, []).append(starts[t])
         self.groups = [(w, layout.bits(ones))
                        for w, ones in sorted(groups.items())]
         # Stored formulas, by id: key, signature and subformula ids.  A key

@@ -175,21 +175,24 @@ class Formula:
     # -- printing ----------------------------------------------------------
 
     def to_text(self) -> str:
-        """Fully parenthesized canonical form; parse_formula round-trips."""
+        """Fully parenthesized canonical form; parse_formula round-trips.
+        Node texts are built in node order, children first, so deep
+        formulas need no deep recursion."""
         if self._text is None:
-            self._text = self.subformula_text(self.root)
+            texts: list[str] = []
+            for node in self.nodes:
+                if node.op == PROP:
+                    text = node.name
+                elif node.op in CONSTANTS:
+                    text = node.op
+                elif arity(node.op) == 1:
+                    text = f"({node.op} {texts[node.left - 1]})"
+                else:
+                    text = (f"({texts[node.left - 1]} {node.op} "
+                            f"{texts[node.right - 1]})")
+                texts.append(text)
+            self._text = texts[-1]
         return self._text
-
-    def subformula_text(self, i: int) -> str:
-        node = self.node(i)
-        if node.op == PROP:
-            return node.name
-        if node.op in CONSTANTS:
-            return node.op
-        if arity(node.op) == 1:
-            return f"({node.op} {self.subformula_text(node.left)})"
-        return (f"({self.subformula_text(node.left)} {node.op} "
-                f"{self.subformula_text(node.right)})")
 
     # -- semantics ---------------------------------------------------------
 
@@ -375,67 +378,69 @@ class _Tokenizer:
         return tok
 
 
+# binary operator -> (precedence, right-associative); prefix operators
+# bind tighter than any of them
+_BINARY = {IMPLIES: (1, True), OR: (2, False), AND: (3, False),
+           UNTIL: (4, True)}
+_PREFIX = (NOT, NEXT, EVENTUALLY, GLOBALLY)
+
+
 class _Parser:
-    """Recursive descent with precedence ->  <  |  <  &  <  U  <  unary."""
+    """Operator precedence with  ->  <  |  <  &  <  U  <  unary, over an
+    explicit stack of pending operators and parentheses, so nesting depth
+    is not bounded by the recursion limit."""
 
     def __init__(self, text: str, alphabet: Optional[Iterable[str]],
                  builder: FormulaBuilder):
         self.toks = _Tokenizer(text)
         self.alphabet = None if alphabet is None else set(alphabet)
         self.b = builder
+        self.operands: list[int] = []
+        self.pending: list[str] = []    # operators and "(" not yet applied
 
     def parse(self) -> int:
-        root = self._implies()
-        tok, pos = self.toks.peek()
-        if tok != "<end>":
-            raise LtlSyntaxError(f"unexpected token {tok!r}", pos)
-        return root
+        pending = self.pending
+        while True:
+            # an operand: prefix operators and "(" up to an atom
+            tok, pos = self.toks.next()
+            while tok in _PREFIX or tok == "(":
+                pending.append(tok)
+                tok, pos = self.toks.next()
+            self.operands.append(self._atom(tok, pos))
+            # then ")"s, up to a binary operator or the end
+            while True:
+                tok, pos = self.toks.next()
+                if tok in _BINARY:
+                    self._reduce(*_BINARY[tok])
+                    pending.append(tok)
+                    break
+                self._reduce(0, False)
+                if tok == ")" and pending:
+                    pending.pop()
+                elif tok == "<end>" and not pending:
+                    return self.operands[-1]
+                elif pending:
+                    raise LtlSyntaxError("expected ')'", pos)
+                else:
+                    raise LtlSyntaxError(f"unexpected token {tok!r}", pos)
 
-    def _implies(self) -> int:
-        left = self._or()
-        if self.toks.peek()[0] == "->":
-            self.toks.next()
-            right = self._implies()  # right-associative
-            return self.b.binary(IMPLIES, left, right)
-        return left
+    def _reduce(self, precedence: int, right_assoc: bool) -> None:
+        """Apply the pending operators, back to the innermost "(", that
+        bind tighter than a binary operator of `precedence`."""
+        pending, operands = self.pending, self.operands
+        while pending and pending[-1] != "(":
+            op = pending[-1]
+            if op in _BINARY:
+                prec = _BINARY[op][0]
+                if prec < precedence or (prec == precedence and right_assoc):
+                    return
+                right = operands.pop()
+                operands[-1] = self.b.binary(op, operands[-1], right)
+            else:
+                operands[-1] = self.b.unary(op, operands[-1])
+            pending.pop()
 
-    def _or(self) -> int:
-        node = self._and()
-        while self.toks.peek()[0] == "|":
-            self.toks.next()
-            node = self.b.binary(OR, node, self._and())
-        return node
-
-    def _and(self) -> int:
-        node = self._until()
-        while self.toks.peek()[0] == "&":
-            self.toks.next()
-            node = self.b.binary(AND, node, self._until())
-        return node
-
-    def _until(self) -> int:
-        left = self._unary()
-        if self.toks.peek()[0] == "U":
-            self.toks.next()
-            right = self._until()  # right-associative
-            return self.b.binary(UNTIL, left, right)
-        return left
-
-    def _unary(self) -> int:
-        tok, pos = self.toks.peek()
-        if tok in (NOT, NEXT, EVENTUALLY, GLOBALLY):
-            self.toks.next()
-            return self.b.unary(tok, self._unary())
-        return self._atom()
-
-    def _atom(self) -> int:
-        tok, pos = self.toks.next()
-        if tok == "(":
-            node = self._implies()
-            close, cpos = self.toks.next()
-            if close != ")":
-                raise LtlSyntaxError("expected ')'", cpos)
-            return node
+    def _atom(self, tok: str, pos: int) -> int:
         if tok == TRUE:
             return self.b.const(True)
         if tok == FALSE:

@@ -10,8 +10,11 @@ path, chosen by the size, then by kappa:
   pool is enumerated with its bitset signature on the whole sample, and
   the first whose weighted loss is <= kappa is taken (`enumeration`).
   No instance is built, and `candidates` counts the formulas tried.
-* larger n, kappa > 0: one MaxSAT decision on the full size-n instance,
-  every trace encoded, with a totalizer over the soft clauses.
+* larger n, kappa > 0: one MaxSAT decision (`maxsat.solve_decision`)
+  on the size-n instance with every trace encoded into one SAT solver;
+  the root literals, weighted by the trace weights scaled to integers
+  by their common denominator D, are the soft literals, and the target
+  is ceil((1 - kappa) * D).
 * larger n, kappa = 0: trace weights are positive, so every trace must
   be classified correctly and the question is plain SAT.  The learner
   keeps a subset T of the sample, empty at first.  Per size, one SAT
@@ -33,18 +36,18 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import maxsat
-from .encoding import (EncodingInstance, IncrementalInstance, OperatorPool,
-                       default_pool)
+from .encoding import IncrementalInstance, OperatorPool, default_pool
 from .enumeration import LIMIT, Enumerator
-from .formula import Formula, FormulaBuilder
+from .formula import Formula
 from .sample import (LabeledSample, WeightFn, omega_rebalanced, omega_uniform,
-                     weighted_loss)
+                     scaled_weights, weighted_loss)
 from .sat import SolveTimeout
 
 SOLVED = "solved"
@@ -102,14 +105,23 @@ def _remaining(deadline: Optional[float]) -> Optional[float]:
     return left
 
 
-def _decide_relaxed(sample, omega, pool, target, n, deadline, record):
-    """One MaxSAT decision on the full size-n instance: a formula with
-    satisfied soft weight >= target and its loss, or None."""
-    instance = EncodingInstance(n, sample, omega, pool)
+def _decide_relaxed(sample, omega, pool, kappa, n, deadline, record):
+    """One MaxSAT decision on the size-n instance with every trace
+    encoded, over the trace weights scaled to integers by their common
+    denominator D: a formula with weighted loss <= kappa and its loss, or
+    None."""
+    denominator, weights = scaled_weights(sample, omega)
+    instance = IncrementalInstance(n, sample, pool)
+    instance.add_traces(range(sample.size))
     record["traces_encoded"] = sample.size
     record["rounds"] = 1
-    result = maxsat.solve_decision(instance.wcnf, target,
-                                   timeout=_remaining(deadline))
+    softs = [(instance.root_literal(t), w) for t, w in enumerate(weights)]
+    # the complement of `Enumerator.bound`: loss <= kappa is satisfied
+    # weight >= ceil((1 - kappa) * D)
+    target = math.ceil((1 - kappa) * denominator)
+    _remaining(deadline)
+    result = maxsat.solve_decision(instance.solver, softs, target,
+                                   deadline=deadline)
     record["status"] = result.status
     if result.status == maxsat.HARD_UNSAT:
         raise RuntimeError(
@@ -117,11 +129,11 @@ def _decide_relaxed(sample, omega, pool, target, n, deadline, record):
     if result.status != maxsat.FEASIBLE:
         return None
     formula = instance.decode_model(result.assignment)
-    achieved = 1 - result.satisfied_soft_weight
+    achieved = 1 - Fraction(result.weight, denominator)
     recomputed = weighted_loss(sample, formula, omega)
-    if recomputed != achieved:
-        raise RuntimeError(
-            f"decoded loss {recomputed} != 1 - soft weight {achieved}")
+    if recomputed != achieved or achieved > kappa:
+        raise RuntimeError(f"decoded loss {recomputed}, 1 - soft weight "
+                           f"{achieved}, not equal and within {kappa}")
     return formula, achieved
 
 
@@ -132,7 +144,9 @@ def _decide_exact(sample, omega, pool, encoded, n, deadline, record):
     None."""
     instance = IncrementalInstance(n, sample, pool)
     solver = instance.solver
-    roots = [instance.add_trace(t) for t in encoded]
+    for t in encoded:
+        instance.add_traces([t])
+    roots = [instance.root_literal(t) for t in encoded]
     entries = sample.entries
     record["traces_encoded"] = len(encoded)
     while True:
@@ -157,7 +171,8 @@ def _decide_exact(sample, omega, pool, encoded, n, deadline, record):
         t = next(t for t, (u, b) in enumerate(entries)
                  if formula.satisfies(u) != b)
         encoded.append(t)
-        roots.append(instance.add_trace(t))
+        instance.add_traces([t])
+        roots.append(instance.root_literal(t))
         record["traces_encoded"] = len(encoded)
 
 
@@ -199,7 +214,7 @@ def learn_minimal(sample: LabeledSample,
         solved = functools.partial(_decide_exact, sample, omega, pool, [])
     else:
         solved = functools.partial(_decide_relaxed, sample, omega, pool,
-                                   1 - config.kappa)
+                                   config.kappa)
     deadline = (None if config.timeout is None
                 else time.monotonic() + config.timeout)
     iterations = []
@@ -229,51 +244,3 @@ def learn_minimal(sample: LabeledSample,
                                iterations)
     return LearnResult(SIZE_CAP, iterations=iterations)
 
-
-def trivial_perfect_formula(sample: LabeledSample) -> Formula:
-    """A (large) formula with loss exactly 0, built from per-pair
-    discriminators under chains of next-operators.
-
-    Used as a termination witness and as a test oracle; the learner never
-    returns it.
-    """
-    builder = FormulaBuilder()
-    positives = sample.positives()
-    negatives = sample.negatives()
-    if not negatives:
-        return builder.finish(builder.const(True))
-    if not positives:
-        return builder.finish(builder.const(False))
-
-    def discriminator(u, v) -> int:
-        # A formula true on u and false on v.
-        for k in range(min(len(u), len(v))):
-            if u[k] != v[k]:
-                p = sorted(u[k] ^ v[k])[0]
-                node = builder.prop(p)
-                if p not in u[k]:
-                    node = builder.unary("!", node)
-                for _ in range(k):
-                    node = builder.unary("X", node)
-                return node
-        # Same symbols on the common prefix; lengths must differ.
-        shorter = min(len(u), len(v))
-        node = builder.const(True)
-        for _ in range(shorter):
-            node = builder.unary("X", node)
-        # node now means "length > shorter".
-        if len(u) > len(v):
-            return node
-        return builder.unary("!", node)
-
-    disjuncts = []
-    for u in positives:
-        conjuncts = [discriminator(u, v) for v in negatives]
-        acc = conjuncts[0]
-        for c in conjuncts[1:]:
-            acc = builder.binary("&", acc, c)
-        disjuncts.append(acc)
-    acc = disjuncts[0]
-    for d in disjuncts[1:]:
-        acc = builder.binary("|", acc, d)
-    return builder.finish(acc)

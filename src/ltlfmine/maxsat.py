@@ -1,12 +1,16 @@
-"""Exact partial weighted MaxSAT on top of the CDCL core.
+"""Partial weighted MaxSAT decisions on top of the CDCL core, and the
+DIMACS WCNF format.
 
-Soft weights are scaled to integers by their common denominator, every
-soft clause is reduced to a literal, and one generalized totalizer over
-those literals yields an output o_s per achievable weight sum s; assuming
-o_s forces satisfied weight >= s.  A decision call makes one
-unconstrained solve and, if its model falls short of the target, at most
-one more solve under the single assumption o_s for the smallest s that
-meets the target.  Optimization binary-searches the sums.
+A decision takes a `SatSolver` that already holds the hard clauses and
+soft literals with positive integer weights.  One generalized totalizer
+over those literals, emitted into the same solver, yields an output o_s
+per achievable weight sum s; assuming o_s forces satisfied weight >= s.
+A decision makes one unconstrained solve and, if its model falls short
+of the target, at most one more solve under the single assumption o_s
+for the smallest s that meets the target.
+
+`WeightedCnf` holds an instance as clause tuples with rational soft
+weights, for WCNF export and import only.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import bisect
 import io
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -24,12 +27,10 @@ from .sat import SatSolver, SolveTimeout
 
 __all__ = [
     "WeightedCnf", "MaxSatSolution", "SolveTimeout",
-    "OPTIMAL", "FEASIBLE", "INFEASIBLE", "HARD_UNSAT",
-    "solve_optimal", "solve_decision",
+    "FEASIBLE", "INFEASIBLE", "HARD_UNSAT", "solve_decision",
     "export_wcnf", "parse_wcnf", "import_model",
 ]
 
-OPTIMAL = "optimal"
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 HARD_UNSAT = "hard-unsat"
@@ -58,15 +59,12 @@ class WeightedCnf:
             raise ValueError("soft weights must be positive")
         self.soft.append((list(clause), Fraction(weight)))
 
-    def soft_total(self) -> Fraction:
-        return sum((w for _, w in self.soft), Fraction(0))
-
 
 @dataclass
 class MaxSatSolution:
     status: str
-    assignment: dict = field(default_factory=dict)  # var -> bool
-    satisfied_soft_weight: Fraction = Fraction(0)
+    assignment: dict = field(default_factory=dict)  # var -> bool, all solver vars
+    weight: int = 0                                 # satisfied soft weight
 
 
 def clause_satisfied(clause: Sequence[int], assignment: dict) -> bool:
@@ -103,100 +101,43 @@ def scaled_soft(wcnf: WeightedCnf) -> tuple[int, list[tuple[list, int]]]:
     return denom, scaled
 
 
-class _Engine:
-    """One totalizer over the soft literals, shared by decision and
-    optimization calls on one instance."""
+def solve_decision(solver: SatSolver, softs: Sequence[tuple[int, int]],
+                   target: int,
+                   deadline: Optional[float] = None) -> MaxSatSolution:
+    """A model of the clauses in `solver` whose true soft literals weigh
+    at least `target`.
 
-    def __init__(self, wcnf: WeightedCnf):
-        self.wcnf = wcnf
-        self.solver = SatSolver()
-        self.solver.ensure_var(wcnf.nvars)
-        for clause in wcnf.hard:
-            self.solver.add_clause(clause)
-        # Reduce every soft clause to a literal: unit softs are used as-is,
-        # larger ones get a relaxation variable s with s -> clause.
-        self.scale, scaled = scaled_soft(wcnf)
-        leaves = []
-        for clause, weight in scaled:
-            if len(clause) == 1:
-                lit = clause[0]
-            else:
-                lit = self.solver.new_var()
-                self.solver.add_clause(list(clause) + [-lit])
-            leaves.append((lit, weight))
-            # Bias the polarity toward satisfying the soft literal.
-            self.solver.saved_phase[abs(lit)] = 1 if lit > 0 else 0
-        outs = totalizer(leaves, self.solver.new_var, self.solver.add_clause)
-        self.sums = [0] + [s for s, _ in outs]
-        self.outputs = [None] + [o for _, o in outs]
-
-    def _solution(self, status: str) -> MaxSatSolution:
-        model = self.solver.model()
-        assignment = {v: model[v] for v in range(1, self.wcnf.nvars + 1)}
-        return MaxSatSolution(status, assignment,
-                              recompute_soft_weight(self.wcnf, assignment))
-
-    def _bounded(self, status: str, scaled_sum: int) -> MaxSatSolution:
-        """The model found under the assumption of the output for
-        `scaled_sum`, which must weigh at least that much."""
-        solution = self._solution(status)
-        if solution.satisfied_soft_weight * self.scale < scaled_sum:
-            raise RuntimeError("totalizer output did not bound the soft "
-                               "weight (encoder bug)")
-        return solution
-
-    def _index(self, solution: MaxSatSolution) -> int:
-        return self.sums.index(solution.satisfied_soft_weight * self.scale)
-
-    def decision(self, target: Fraction,
-                 deadline: Optional[float] = None) -> MaxSatSolution:
-        # An unconstrained solve is cheap and, with phases biased toward
-        # the soft literals, often meets the target outright; it also
-        # detects hard unsatisfiability.
-        if not self.solver.solve((), deadline=deadline):
-            return MaxSatSolution(HARD_UNSAT)
-        candidate = self._solution(FEASIBLE)
-        if candidate.satisfied_soft_weight >= target:
-            return candidate
-        k = bisect.bisect_left(self.sums, math.ceil(target * self.scale))
-        if k < len(self.sums) and self.solver.solve([self.outputs[k]],
-                                                    deadline=deadline):
-            return self._bounded(FEASIBLE, self.sums[k])
+    `softs` are `(literal, positive int weight)` pairs over the solver's
+    variables.  The totalizer over them goes into `solver` itself, after
+    each soft literal's saved phase is set to satisfy it.  The status is
+    FEASIBLE (with the model and its soft weight), INFEASIBLE, or
+    HARD_UNSAT when the clauses alone are unsatisfiable; past `deadline`
+    the solver raises `SolveTimeout`."""
+    for lit, _ in softs:
+        solver.saved_phase[abs(lit)] = 1 if lit > 0 else 0
+    outs = totalizer(softs, solver.new_var, solver.add_clause)
+    # An unconstrained solve is cheap and, with phases biased toward the
+    # soft literals, often meets the target outright; it also detects
+    # hard unsatisfiability.
+    if not solver.solve((), deadline=deadline):
+        return MaxSatSolution(HARD_UNSAT)
+    found = _weighed(solver, softs)
+    if found.weight >= target:
+        return found
+    k = bisect.bisect_left(outs, target, key=lambda out: out[0])
+    if k == len(outs) or not solver.solve([outs[k][1]], deadline=deadline):
         return MaxSatSolution(INFEASIBLE)
-
-    def optimal(self, deadline: Optional[float] = None) -> MaxSatSolution:
-        if not self.solver.solve((), deadline=deadline):
-            return MaxSatSolution(HARD_UNSAT)
-        best = self._solution(OPTIMAL)
-        # Binary search the largest feasible sum; feasibility of
-        # "satisfied weight >= s" is monotone in s.
-        lo, hi = self._index(best), len(self.sums) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.solver.solve([self.outputs[mid]], deadline=deadline):
-                best = self._bounded(OPTIMAL, self.sums[mid])
-                lo = self._index(best)
-            else:
-                hi = mid - 1
-        return best
+    found = _weighed(solver, softs)
+    if found.weight < outs[k][0]:
+        raise RuntimeError("totalizer output did not bound the soft weight "
+                           "(encoder bug)")
+    return found
 
 
-def _deadline(timeout: Optional[float]) -> Optional[float]:
-    return None if timeout is None else time.monotonic() + timeout
-
-
-def solve_optimal(wcnf: WeightedCnf,
-                  timeout: Optional[float] = None) -> MaxSatSolution:
-    """Exact optimum of the partial weighted MaxSAT instance."""
-    return _Engine(wcnf).optimal(deadline=_deadline(timeout))
-
-
-def solve_decision(wcnf: WeightedCnf, target: Fraction,
-                   timeout: Optional[float] = None) -> MaxSatSolution:
-    """Find any hard-satisfying assignment with soft weight >= target."""
-    if target > wcnf.soft_total():
-        return MaxSatSolution(INFEASIBLE)
-    return _Engine(wcnf).decision(Fraction(target), deadline=_deadline(timeout))
+def _weighed(solver: SatSolver, softs) -> MaxSatSolution:
+    model = solver.model()
+    return MaxSatSolution(FEASIBLE, model, sum(
+        w for lit, w in softs if model[abs(lit)] == (lit > 0)))
 
 
 # -- DIMACS WCNF interchange ------------------------------------------------

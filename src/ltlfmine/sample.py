@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -180,6 +181,15 @@ def weighted_loss(sample: LabeledSample, formula: Formula,
             total += omega[u]
     return total
 
+
+
+def scaled_weights(sample: LabeledSample,
+                   omega: WeightFn) -> tuple[int, list[int]]:
+    """The common denominator D of the trace weights and each trace's
+    weight times D, in sample order."""
+    traces = sample.traces()
+    denominator = math.lcm(*(omega[u].denominator for u in traces))
+    return denominator, [int(omega[u] * denominator) for u in traces]
 
 def omega_uniform(sample: LabeledSample) -> WeightFn:
     w = Fraction(1, sample.size)

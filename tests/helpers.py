@@ -1,16 +1,23 @@
 """Shared test oracles: exhaustive formula enumeration and brute-force
-weighted MaxSAT, both independent of the code under test's search logic."""
+weighted MaxSAT, both independent of the code under test's search logic,
+and a loader that puts a `WeightedCnf` in front of
+`maxsat.solve_decision`."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from ltlfmine.formula import (BINARY_OPS, CONSTANTS, EVENTUALLY, FALSE,
                               GLOBALLY, IMPLIES, NEXT, NOT, OR, AND, PROP,
                               TRUE, UNARY_OPS, UNTIL, Formula, FormulaBuilder)
-from ltlfmine.maxsat import WeightedCnf, clause_satisfied
+from ltlfmine import maxsat
+from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, WeightedCnf,
+                             check_hard, clause_satisfied,
+                             recompute_soft_weight)
+from ltlfmine.sat import SatSolver
 from ltlfmine.sample import LabeledSample, Trace, make_sample
 
 
@@ -104,6 +111,73 @@ def reference_evaluate(f: Formula, trace, position: int) -> int:
     return value(f.root, position)
 
 
+def load_decision(wcnf: WeightedCnf):
+    """`wcnf` in a fresh SAT solver: (solver, softs, D) for
+    `maxsat.solve_decision`, with every hard clause added and the soft
+    weights scaled to integers by their denominator D.  A unit soft
+    clause is its own soft literal; a longer one gets a fresh variable s
+    and the hard clause s -> clause."""
+    denom, scaled = maxsat.scaled_soft(wcnf)
+    solver = SatSolver()
+    solver.ensure_var(wcnf.nvars)
+    for clause in wcnf.hard:
+        solver.add_clause(clause)
+    softs = []
+    for clause, weight in scaled:
+        if len(clause) == 1:
+            lit = clause[0]
+        else:
+            lit = solver.new_var()
+            solver.add_clause(list(clause) + [-lit])
+        softs.append((lit, weight))
+    return solver, softs, denom
+
+
+def decide(wcnf: WeightedCnf, target: Fraction):
+    """`maxsat.solve_decision` on a fresh load of `wcnf` for satisfied soft
+    weight >= `target`."""
+    solver, softs, denom = load_decision(wcnf)
+    return maxsat.solve_decision(solver, softs, math.ceil(target * denom))
+
+
+def achievable_sums(wcnf: WeightedCnf) -> list[Fraction]:
+    """Every sum of a subset of the soft weights, ascending."""
+    sums = {Fraction(0)}
+    for _, w in wcnf.soft:
+        sums |= {s + w for s in sums}
+    return sorted(sums)
+
+
+def pin_optimum(wcnf: WeightedCnf, optimum: Fraction) -> dict:
+    """Assert that `optimum` is the largest satisfiable soft weight: the
+    decision at it is FEASIBLE, with a model that satisfies every hard
+    clause and weighs at least that much, and the decision at the next
+    achievable sum above it is INFEASIBLE.  Returns the model."""
+    result = decide(wcnf, optimum)
+    assert result.status == FEASIBLE
+    assert check_hard(wcnf, result.assignment)
+    assert recompute_soft_weight(wcnf, result.assignment) >= optimum
+    above = [s for s in achievable_sums(wcnf) if s > optimum]
+    if above:
+        assert decide(wcnf, above[0]).status == INFEASIBLE
+    return result.assignment
+
+
+def find_optimum(wcnf: WeightedCnf):
+    """(largest satisfiable soft weight, a model reaching it) by decisions
+    at the achievable sums from the top down, or None when the hard
+    clauses are unsatisfiable."""
+    for s in reversed(achievable_sums(wcnf)):
+        result = decide(wcnf, s)
+        if result.status == HARD_UNSAT:
+            return None
+        if result.status == FEASIBLE:
+            assert check_hard(wcnf, result.assignment)
+            assert recompute_soft_weight(wcnf, result.assignment) == s
+            return s, result.assignment
+    raise AssertionError("the decision at weight 0 must be feasible")
+
+
 def sat_decision(sample, omega, pool, kappa, n, encoded=None, deadline=None,
                  record=None):
     """The learner's SAT-side decision of size n, called directly:
@@ -118,8 +192,8 @@ def sat_decision(sample, omega, pool, kappa, n, encoded=None, deadline=None,
         return learner._decide_exact(
             sample, omega, pool, [] if encoded is None else encoded, n,
             deadline, record)
-    return learner._decide_relaxed(sample, omega, pool, 1 - kappa, n,
-                                   deadline, record)
+    return learner._decide_relaxed(sample, omega, pool, kappa, n, deadline,
+                                   record)
 
 
 def sat_minimal(sample, omega, kappa, max_size, pool=None):

@@ -18,14 +18,14 @@ from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree, learn_tree,
 from ltlfmine.encoding import EncodingInstance
 from ltlfmine.formula import parse_formula
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, learn_minimal)
-from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, OPTIMAL, check_hard,
+from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, WeightedCnf, check_hard,
                              export_wcnf, import_model, parse_wcnf,
-                             recompute_soft_weight, solve_decision,
-                             solve_optimal)
+                             recompute_soft_weight)
 from ltlfmine.sample import (loss, make_sample, omega_uniform, parse_sample,
                              weighted_loss)
 from ltlfmine.sat import SatSolver
-from helpers import (brute_maxsat, brute_minimal_size, enumerate_formulas,
+from helpers import (brute_maxsat, brute_minimal_size, decide,
+                     enumerate_formulas, find_optimum, pin_optimum,
                      random_formula, random_sample, random_trace, sat_minimal)
 
 
@@ -81,18 +81,16 @@ def test_criterion_02_soft_weight_equals_one_minus_loss():
         omega = omega_uniform(sample)
         n = rng.randint(1, 3)
         inst = EncodingInstance(n, sample, omega)
-        result = solve_optimal(inst.wcnf)
-        assert result.status == OPTIMAL  # structural clauses always sat
-        assert check_hard(inst.wcnf, result.assignment)
-        f = inst.decode_model(result.assignment)
-        assert result.satisfied_soft_weight \
-            == 1 - weighted_loss(sample, f, omega)
+        optimum, model = find_optimum(inst.wcnf)
+        f = inst.decode_model(model)
+        assert optimum == 1 - weighted_loss(sample, f, omega)
         target = Fraction(rng.randint(0, 4), 4)
-        decision = solve_decision(inst.wcnf, target)
+        decision = decide(inst.wcnf, target)
         if decision.status == FEASIBLE:
             g = inst.decode_model(decision.assignment)
             assert check_hard(inst.wcnf, decision.assignment)
-            assert decision.satisfied_soft_weight \
+            assert recompute_soft_weight(inst.wcnf, decision.assignment) \
+                == Fraction(decision.weight, sample.size) \
                 == 1 - weighted_loss(sample, g, omega)
         solved += 1
 
@@ -151,7 +149,6 @@ def test_criterion_04_maxsat_exactness_brute_force():
     started = time.monotonic()
     for _ in range(100):
         nvars = rng.randint(1, 14)
-        from ltlfmine.maxsat import WeightedCnf
         wcnf = WeightedCnf(nvars)
         for _ in range(rng.randint(0, 18)):
             wcnf.add_hard([rng.choice([-1, 1]) * rng.randint(1, nvars)
@@ -161,12 +158,10 @@ def test_criterion_04_maxsat_exactness_brute_force():
                            for _ in range(rng.randint(1, 2))],
                           Fraction(rng.randint(1, 7), rng.randint(1, 9)))
         expected = brute_maxsat(wcnf)
-        result = solve_optimal(wcnf)
         if expected is None:
-            assert result.status == HARD_UNSAT
+            assert decide(wcnf, Fraction(0)).status == HARD_UNSAT
         else:
-            assert result.status == OPTIMAL
-            assert result.satisfied_soft_weight == expected[0]
+            pin_optimum(wcnf, expected[0])
     assert time.monotonic() - started < 120
 
 
@@ -275,24 +270,24 @@ def test_criterion_09_format_fidelity():
         sample = random_sample(rng, ("p0", "p1"), max_traces=6, max_len=4)
         n = rng.randint(1, 3)
         inst = EncodingInstance(n, sample, omega_uniform(sample))
-        direct = solve_optimal(inst.wcnf)
-        assert direct.status == OPTIMAL
+        direct, direct_model = find_optimum(inst.wcnf)
         # export, re-parse, solve the parsed copy as an "external" solver
         # would, and feed its model back through the import path
         buf = io.StringIO()
         export_wcnf(inst.wcnf, buf)
-        external = solve_optimal(parse_wcnf(buf.getvalue()))
-        lits = [v if external.assignment[v] else -v
-                for v in sorted(external.assignment)]
+        parsed = parse_wcnf(buf.getvalue())
+        external, external_model = find_optimum(parsed)
+        assert external == direct
+        lits = [v if external_model[v] else -v
+                for v in range(1, parsed.nvars + 1)]
         model = import_model(io.StringIO("v " + " ".join(map(str, lits))),
                              inst.wcnf)
         imported_f = inst.decode_model(model)
-        direct_f = inst.decode_model(direct.assignment)
+        direct_f = inst.decode_model(direct_model)
         omega = omega_uniform(sample)
         assert weighted_loss(sample, imported_f, omega) \
             == weighted_loss(sample, direct_f, omega)
-        assert recompute_soft_weight(inst.wcnf, model) \
-            == direct.satisfied_soft_weight
+        assert recompute_soft_weight(inst.wcnf, model) == direct
         # canonical sample text is a fixed point of parse -> serialize
         text = sample.to_text()
         assert parse_sample(text).to_text() == text

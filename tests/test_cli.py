@@ -162,17 +162,22 @@ class TestExportWcnf:
         assert "c var 1 x 1 p0" in out
 
     def test_import_model_round_trip(self, sample_file, tmp_path, capsys):
-        # Solve externally (here: reuse the built-in solver's output
-        # format) and decode through the import path.
+        # Solve externally (here: the built-in decision at full weight,
+        # its model cut to the instance's variables) and decode through
+        # the import path.
+        from fractions import Fraction
+
         from ltlfmine.encoding import EncodingInstance
         from ltlfmine.learner import resolve_omega
-        from ltlfmine.maxsat import solve_optimal
+        from ltlfmine.maxsat import FEASIBLE
+        from helpers import decide
 
         sample = load_sample(sample_file)
         inst = EncodingInstance(2, sample, resolve_omega(sample, "uniform"))
-        result = solve_optimal(inst.wcnf)
+        result = decide(inst.wcnf, Fraction(1))
+        assert result.status == FEASIBLE
         lits = [v if result.assignment[v] else -v
-                for v in sorted(result.assignment)]
+                for v in range(1, inst.wcnf.nvars + 1)]
         model_path = tmp_path / "model.txt"
         model_path.write_text("v " + " ".join(map(str, lits)) + " 0\n")
         code, out, err = run(

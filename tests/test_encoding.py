@@ -7,10 +7,10 @@ from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine.encoding import (EncodingError, EncodingInstance, OperatorPool,
                                default_pool)
 from ltlfmine.formula import FormulaBuilder, parse_formula
-from ltlfmine.maxsat import HARD_UNSAT, OPTIMAL, solve_optimal
+from ltlfmine.maxsat import FEASIBLE
 from ltlfmine.sample import (omega_uniform, parse_sample, weighted_loss)
 from ltlfmine.sat import SatSolver
-from helpers import random_sample
+from helpers import decide, find_optimum, random_sample
 from test_acceptance import random_structure_assumptions
 
 BASIC = "1,0;1,1\n0,1\n---\n0,0\n1,0\n"
@@ -144,18 +144,16 @@ class TestOptimalAgainstEnumeration:
             omega = omega_uniform(sample)
             for n in (1, 2):
                 inst = EncodingInstance(n, sample, omega)
-                result = solve_optimal(inst.wcnf)
-                assert result.status == OPTIMAL
-                f = inst.decode_model(result.assignment)
-                assert weighted_loss(sample, f, omega) \
-                    == 1 - result.satisfied_soft_weight
+                optimum, model = find_optimum(inst.wcnf)
+                f = inst.decode_model(model)
+                assert weighted_loss(sample, f, omega) == 1 - optimum
 
     def test_constants_in_pool_allow_trivial_formulas(self):
         sample = parse_sample("1\n0\n---\n")  # all positive
         pool = OperatorPool(sample.alphabet, constants=("true", "false"))
         inst = EncodingInstance(1, sample, omega_uniform(sample), pool)
-        result = solve_optimal(inst.wcnf)
-        assert result.satisfied_soft_weight == 1
+        result = decide(inst.wcnf, Fraction(1))
+        assert result.status == FEASIBLE
         assert inst.decode_model(result.assignment).to_text() in (
             "true", "p0")
 

@@ -132,6 +132,22 @@ class TestParser:
         f = from_tree(("U", ("prop", "p"), ("G", ("prop", "q"))))
         assert f.to_text() == "(p U (G q))"
 
+    def test_deep_chain_prints_parses_and_converts(self):
+        # 1500 nested X are far past the interpreter's recursion limit.
+        from ltlfmine.dtree import Inner, Leaf, tree_to_formula
+
+        depth = 1500
+        builder = FormulaBuilder()
+        node = builder.prop("p")
+        for _ in range(depth):
+            node = builder.unary("X", node)
+        chain = builder.finish(node)
+        text = chain.to_text()
+        assert text == "(X " * depth + "p" + ")" * depth
+        assert parse_formula(text) == chain
+        assert parse_formula("X " * depth + "p") == chain
+        assert tree_to_formula(Inner(chain, Leaf(1), Leaf(0))) == chain
+
 
 class TestSemantics:
     def sym(self, *props):

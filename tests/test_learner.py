@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from ltlfmine import enumeration, learner, maxsat
+from ltlfmine import encoding, enumeration, learner, maxsat
 from ltlfmine.encoding import EncodingInstance, OperatorPool, default_pool
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
-                              learn_minimal, resolve_omega,
-                              trivial_perfect_formula)
+                              learn_minimal, resolve_omega)
 from ltlfmine.sample import (loss, omega_rebalanced, omega_uniform,
                              parse_sample, weighted_loss)
 from ltlfmine.sat import SolveTimeout
-from helpers import (brute_minimal_size, enumerate_formulas, random_sample,
-                     sat_decision, sat_minimal)
+from ltlfmine.sat import SatSolver
+from helpers import (brute_minimal_size, decide, enumerate_formulas,
+                     random_sample, sat_decision, sat_minimal)
 
 
 class TestLearnMinimal:
@@ -78,11 +78,10 @@ class TestLearnMinimal:
                              ids=["exact", "relaxed"])
     def test_timeout_checked_before_encoding(self, monkeypatch, kappa):
         built = []
-        for name in ("EncodingInstance", "IncrementalInstance"):
-            real = getattr(learner, name)
-            monkeypatch.setattr(
-                learner, name,
-                lambda *args, real=real: built.append(args) or real(*args))
+        real = learner.IncrementalInstance
+        monkeypatch.setattr(
+            learner, "IncrementalInstance",
+            lambda *args: built.append(args) or real(*args))
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
         r = learn_minimal(s, LearnConfig(kappa=kappa, timeout=0))
         assert r.status == TIMED_OUT
@@ -199,6 +198,28 @@ class TestLearnMinimal:
             assert ["(sat)" in line for line in logged] \
                 == [False] * 4 + [True]
 
+    def test_relaxed_size_five_decides_on_the_learners_solver(
+            self, monkeypatch):
+        # kappa > 0 from size 5 on: one maxsat.solve_decision over the
+        # solver the trace clauses went into; no WCNF instance is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the learner built an EncodingInstance")
+
+        monkeypatch.setattr(encoding.EncodingInstance, "__init__", refuse)
+        calls = []
+        real = maxsat.solve_decision
+        monkeypatch.setattr(maxsat, "solve_decision",
+                            lambda *args, **kwargs: calls.append(args)
+                            or real(*args, **kwargs))
+        r = learn_minimal(size_five_sample(),
+                          LearnConfig(kappa=Fraction(1, 20)))
+        assert (r.status, r.size, r.achieved_loss) == (SOLVED, 5, 0)
+        assert len(calls) == 1
+        solver, softs, target = calls[0]
+        assert isinstance(solver, SatSolver)
+        # five traces of weight 1/5: D = 5, ceil((1 - 1/20) * 5) = 5
+        assert [w for _, w in softs] == [1] * 5 and target == 5
+
     @pytest.mark.parametrize("weights, kappa", [
         ("uniform", Fraction(0)), ("rebalanced", Fraction(0)),
         ("rebalanced", Fraction(1, 4))],
@@ -268,8 +289,7 @@ class TestExactPath:
             expected = None
             for n in range(1, 5):
                 inst = EncodingInstance(n, s, omega)
-                result = maxsat.solve_decision(inst.wcnf, Fraction(1))
-                if result.status == maxsat.FEASIBLE:
+                if decide(inst.wcnf, Fraction(1)).status == maxsat.FEASIBLE:
                     expected = n
                     break
             size, formula, achieved, records = sat_minimal(
@@ -304,22 +324,3 @@ class TestExactPath:
                                                   v: Fraction(1, 2),
                                                   w: Fraction(0)}))
 
-
-class TestTrivialPerfectFormula:
-    def test_always_zero_loss(self):
-        rng = random.Random(16)
-        for _ in range(100):
-            s = random_sample(rng, ("p0", "p1"), max_traces=8, max_len=5)
-            assert loss(s, trivial_perfect_formula(s)) == 0
-
-    def test_single_class_samples(self):
-        assert trivial_perfect_formula(
-            parse_sample("1\n---\n")).to_text() == "true"
-        assert trivial_perfect_formula(
-            parse_sample("---\n0\n")).to_text() == "false"
-
-    def test_prefix_length_discrimination(self):
-        # Same symbols, different lengths: only the length separates them.
-        s = parse_sample("1;1\n---\n1\n")
-        f = trivial_perfect_formula(s)
-        assert loss(s, f) == 0

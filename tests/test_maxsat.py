@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from ltlfmine import maxsat
-from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, OPTIMAL,
-                             WeightedCnf, check_hard, export_wcnf,
-                             import_model, parse_wcnf, recompute_soft_weight,
-                             solve_decision, solve_optimal)
-from helpers import brute_maxsat
+from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, WeightedCnf,
+                             check_hard, export_wcnf, import_model,
+                             parse_wcnf, recompute_soft_weight,
+                             solve_decision)
+from helpers import brute_maxsat, decide, load_decision, pin_optimum
 
 
 def random_wcnf(rng, max_vars=8, max_hard=12, max_soft=6):
@@ -29,37 +29,34 @@ def random_wcnf(rng, max_vars=8, max_hard=12, max_soft=6):
 
 
 class TestSolveOptimal:
+    """The optimum, pinned by a FEASIBLE decision at it and an INFEASIBLE
+    one at the next achievable sum above it."""
+
     def test_trivial_all_satisfiable(self):
         wcnf = WeightedCnf(2)
         wcnf.add_soft([1], Fraction(1, 2))
         wcnf.add_soft([2], Fraction(1, 2))
-        result = solve_optimal(wcnf)
-        assert result.status == OPTIMAL
-        assert result.satisfied_soft_weight == 1
+        pin_optimum(wcnf, Fraction(1))
 
     def test_conflicting_units(self):
         wcnf = WeightedCnf(1)
         wcnf.add_soft([1], Fraction(2, 3))
         wcnf.add_soft([-1], Fraction(1, 3))
-        result = solve_optimal(wcnf)
-        assert result.satisfied_soft_weight == Fraction(2, 3)
-        assert result.assignment[1] is True
+        assert pin_optimum(wcnf, Fraction(2, 3))[1] is True
 
     def test_hard_unsat(self):
         wcnf = WeightedCnf(1)
         wcnf.add_hard([1])
         wcnf.add_hard([-1])
         wcnf.add_soft([1], Fraction(1))
-        assert solve_optimal(wcnf).status == HARD_UNSAT
+        assert decide(wcnf, Fraction(0)).status == HARD_UNSAT
 
     def test_hard_constraints_respected(self):
         wcnf = WeightedCnf(2)
         wcnf.add_hard([-1, -2])
         wcnf.add_soft([1], Fraction(1, 2))
         wcnf.add_soft([2], Fraction(1, 2))
-        result = solve_optimal(wcnf)
-        assert result.satisfied_soft_weight == Fraction(1, 2)
-        assert check_hard(wcnf, result.assignment)
+        assert check_hard(wcnf, pin_optimum(wcnf, Fraction(1, 2)))
 
     def test_non_unit_soft_clauses(self):
         wcnf = WeightedCnf(3)
@@ -67,25 +64,19 @@ class TestSolveOptimal:
         wcnf.add_soft([1, 2], Fraction(1, 4))
         wcnf.add_soft([1, 3], Fraction(1, 4))
         wcnf.add_soft([-2, -3], Fraction(1, 2))
-        result = solve_optimal(wcnf)
         # With 1 forced false, at most one of the first two softs can be
         # satisfied alongside the third: optimum 1/4 + 1/2.
-        assert result.satisfied_soft_weight == Fraction(3, 4)
+        pin_optimum(wcnf, Fraction(3, 4))
 
     def test_matches_brute_force_randomized(self):
         rng = random.Random(9)
         for _ in range(150):
             wcnf = random_wcnf(rng)
             expected = brute_maxsat(wcnf)
-            result = solve_optimal(wcnf)
             if expected is None:
-                assert result.status == HARD_UNSAT
+                assert decide(wcnf, Fraction(0)).status == HARD_UNSAT
             else:
-                assert result.status == OPTIMAL
-                assert result.satisfied_soft_weight == expected[0]
-                assert check_hard(wcnf, result.assignment)
-                assert recompute_soft_weight(wcnf, result.assignment) \
-                    == result.satisfied_soft_weight
+                pin_optimum(wcnf, expected[0])
 
 
 class TestSolveDecision:
@@ -93,48 +84,53 @@ class TestSolveDecision:
         wcnf = WeightedCnf(1)
         wcnf.add_soft([1], Fraction(2, 3))
         wcnf.add_soft([-1], Fraction(1, 3))
-        result = solve_decision(wcnf, Fraction(1, 2))
+        result = decide(wcnf, Fraction(1, 2))
         assert result.status == FEASIBLE
-        assert result.satisfied_soft_weight >= Fraction(1, 2)
+        assert result.weight == 2  # 2/3 at denominator 3
+        assert recompute_soft_weight(wcnf, result.assignment) \
+            >= Fraction(1, 2)
 
     def test_infeasible_target(self):
         wcnf = WeightedCnf(1)
         wcnf.add_soft([1], Fraction(2, 3))
         wcnf.add_soft([-1], Fraction(1, 3))
-        assert solve_decision(wcnf, Fraction(9, 10)).status == INFEASIBLE
+        assert decide(wcnf, Fraction(9, 10)).status == INFEASIBLE
 
     def test_target_above_total_weight(self):
         wcnf = WeightedCnf(1)
         wcnf.add_soft([1], Fraction(1, 2))
-        assert solve_decision(wcnf, Fraction(2)).status == INFEASIBLE
+        assert decide(wcnf, Fraction(2)).status == INFEASIBLE
 
     def test_zero_target_reduces_to_hard_sat(self):
         wcnf = WeightedCnf(1)
         wcnf.add_hard([1])
         wcnf.add_soft([-1], Fraction(1))
-        result = solve_decision(wcnf, Fraction(0))
+        result = decide(wcnf, Fraction(0))
         assert result.status == FEASIBLE
-        assert result.satisfied_soft_weight == 0
+        assert result.weight == 0
 
     def test_hard_unsat_distinguished_from_infeasible(self):
         wcnf = WeightedCnf(1)
         wcnf.add_hard([1])
         wcnf.add_hard([-1])
         wcnf.add_soft([1], Fraction(1))
-        assert solve_decision(wcnf, Fraction(1, 2)).status == HARD_UNSAT
+        assert decide(wcnf, Fraction(1, 2)).status == HARD_UNSAT
 
     def test_agrees_with_optimum_randomized(self):
         rng = random.Random(10)
         for _ in range(100):
             wcnf = random_wcnf(rng)
             expected = brute_maxsat(wcnf)
-            target = Fraction(rng.randint(0, 4), 4) * wcnf.soft_total()
-            result = solve_decision(wcnf, target)
+            target = Fraction(rng.randint(0, 4), 4) * sum(
+                w for _, w in wcnf.soft)
+            result = decide(wcnf, target)
             if expected is None:
                 assert result.status == HARD_UNSAT
             elif expected[0] >= target:
                 assert result.status == FEASIBLE
-                assert result.satisfied_soft_weight >= target
+                assert check_hard(wcnf, result.assignment)
+                assert recompute_soft_weight(wcnf, result.assignment) \
+                    >= target
             else:
                 assert result.status == INFEASIBLE
 
@@ -146,8 +142,21 @@ class TestSolveDecision:
             wcnf.add_soft([v], Fraction(2 ** (v - 1), 2 ** 30 - 1))
         started = time.monotonic()
         with pytest.raises(ValueError, match="distinct"):
-            solve_decision(wcnf, Fraction(1, 2))
+            decide(wcnf, Fraction(1, 2))
         assert time.monotonic() - started < 30
+
+    def test_decides_in_the_callers_solver(self):
+        # The totalizer goes into the solver that holds the hard clauses.
+        wcnf = WeightedCnf(2)
+        wcnf.add_hard([-1, -2])
+        wcnf.add_soft([1], Fraction(2, 3))
+        wcnf.add_soft([-2], Fraction(1, 3))
+        solver, softs, denom = load_decision(wcnf)
+        nvars, nclauses = solver.nvars, len(solver.clauses)
+        result = solve_decision(solver, softs, 3)
+        assert (denom, result.status, result.weight) == (3, FEASIBLE, 3)
+        assert solver.nvars > nvars and len(solver.clauses) > nclauses
+        assert result.assignment[1] and not result.assignment[2]
 
 
 class TestWcnfFormat:
@@ -184,11 +193,12 @@ class TestWcnfFormat:
             buf = io.StringIO()
             export_wcnf(wcnf, buf)
             back = parse_wcnf(buf.getvalue())
-            a = solve_optimal(wcnf)
-            b = solve_optimal(back)
-            assert a.status == b.status
-            if a.status == OPTIMAL:
-                assert a.satisfied_soft_weight == b.satisfied_soft_weight
+            expected = brute_maxsat(wcnf)
+            for instance in (wcnf, back):
+                if expected is None:
+                    assert decide(instance, Fraction(0)).status == HARD_UNSAT
+                else:
+                    pin_optimum(instance, expected[0])
 
     def test_import_model_v_lines(self):
         wcnf = self.build()
