@@ -40,7 +40,7 @@ from . import formula as F
 from .formula import Formula, FormulaBuilder
 from .maxsat import WeightedCnf
 from .sat import SatSolver
-from .sample import LabeledSample, Trace, WeightFn
+from .sample import LabeledSample, Trace, WeightFn, _check_domain
 
 
 class EncodingError(RuntimeError):
@@ -391,8 +391,7 @@ class EncodingInstance(_Skeleton):
         return lines
 
     def _emit_satisfaction(self, omega: WeightFn) -> None:
-        if set(omega) != set(self.traces):
-            raise ValueError("weight function domain does not match sample")
+        _check_domain(self.sample, omega)
         for t, trace in enumerate(self.traces):
             self.wcnf.add_soft([self.root_literal(t)],
                                Fraction(omega[trace]))

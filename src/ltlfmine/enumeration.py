@@ -41,9 +41,9 @@ class Enumerator:
         starts = layout.offsets
         self.positives = layout.bits(
             starts[t] for t, (_, b) in enumerate(sample.entries) if b)
-        self.denominator, weights = scaled_weights(sample, omega)
+        self.denominator, self.weights = scaled_weights(sample, omega)
         groups: dict[int, list[int]] = {}
-        for t, w in enumerate(weights):
+        for t, w in enumerate(self.weights):
             groups.setdefault(w, []).append(starts[t])
         self.groups = [(w, layout.bits(ones))
                        for w, ones in sorted(groups.items())]

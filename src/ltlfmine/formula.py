@@ -59,9 +59,6 @@ class Node:
     left: int = 0               # child node ids, 0 = absent
     right: int = 0
 
-    def key(self):
-        return (self.op, self.name, self.left, self.right)
-
 
 class FormulaBuilder:
     """Hash-consing constructor for syntax DAGs.
@@ -308,20 +305,31 @@ def _trace_layout(length: int) -> Layout:
 # -- construction helpers ---------------------------------------------------
 
 def from_tree(tree, builder: Optional[FormulaBuilder] = None) -> Formula:
-    """Build a formula from a nested-tuple tree like ("U", ("prop","p"), ...)."""
-    builder = builder or FormulaBuilder()
+    """Build a formula from a nested-tuple tree like ("U", ("prop","p"), ...).
 
-    def build(t) -> int:
+    Subtrees are built children first, left before right, over an
+    explicit stack, so nesting depth is not bounded by the recursion
+    limit."""
+    builder = builder or FormulaBuilder()
+    built: list[int] = []               # ids of the finished subtrees
+    stack = [(tree, False)]             # (subtree, children built)
+    while stack:
+        t, expanded = stack.pop()
         op = t[0]
         if op == PROP:
-            return builder.prop(t[1])
-        if op in CONSTANTS:
-            return builder.const(op == TRUE)
-        if arity(op) == 1:
-            return builder.unary(op, build(t[1]))
-        return builder.binary(op, build(t[1]), build(t[2]))
-
-    return builder.finish(build(tree))
+            built.append(builder.prop(t[1]))
+        elif op in CONSTANTS:
+            built.append(builder.const(op == TRUE))
+        elif not expanded:
+            stack.append((t, True))
+            children = t[1:2] if arity(op) == 1 else t[1:3]
+            stack.extend((child, False) for child in reversed(children))
+        elif arity(op) == 1:
+            built.append(builder.unary(op, built.pop()))
+        else:
+            right = built.pop()
+            built.append(builder.binary(op, built.pop(), right))
+    return builder.finish(built.pop())
 
 
 def formula_size(f: Formula) -> int:
@@ -367,9 +375,6 @@ class _Tokenizer:
             else:
                 raise LtlSyntaxError(f"unexpected character {c!r}", i)
         self.tokens.append(("<end>", len(text)))
-
-    def peek(self) -> tuple[str, int]:
-        return self.tokens[self.index]
 
     def next(self) -> tuple[str, int]:
         tok = self.tokens[self.index]

@@ -1,32 +1,34 @@
 """Minimal-size formula learning by iterative deepening.
 
 For each candidate size n the learner only needs the decision question
-"is there a size-n formula with weighted loss <= kappa", i.e. satisfied
-soft weight >= 1 - kappa; it stops at the first n where the answer is
-yes, which makes the returned size minimal.  Each size has one decision
-path, chosen by the size, then by kappa:
+"is there a size-n formula with weighted loss <= kappa"; it stops at the
+first n where the answer is yes, which makes the returned size minimal.
+The trace weights are scaled to integers w_t by their common denominator
+D, so the question reads "misclassified weight <= B" with the loss
+budget B = floor(kappa * D).  Each size has one decision path:
 
 * n <= enumeration.LIMIT (4): every formula of size n over the operator
   pool is enumerated with its bitset signature on the whole sample, and
   the first whose weighted loss is <= kappa is taken (`enumeration`).
   No instance is built, and `candidates` counts the formulas tried.
-* larger n, kappa > 0: one MaxSAT decision (`maxsat.solve_decision`)
-  on the size-n instance with every trace encoded into one SAT solver;
-  the root literals, weighted by the trace weights scaled to integers
-  by their common denominator D, are the soft literals, and the target
-  is ceil((1 - kappa) * D).
-* larger n, kappa = 0: trace weights are positive, so every trace must
-  be classified correctly and the question is plain SAT.  The learner
-  keeps a subset T of the sample, empty at first.  Per size, one SAT
-  solver holds the structural clauses and the clauses of the traces in
-  T, whose root literals are assumed.  UNSAT means no size-n formula
-  classifies T correctly, so none classifies the whole sample S
-  correctly either: the size is infeasible, and T carries over to n + 1.
-  A model decodes to a formula that is checked on S with the exact loss;
-  loss 0 ends the search, and otherwise the first misclassified trace
-  joins T and the same solver solves again.  Clauses are only ever
-  added, so its learned clauses stay valid.  Each round adds a trace, so
-  a size takes at most |S| + 1 rounds.
+* larger n: SAT decisions (`maxsat.solve_decision`) on one solver per
+  size that holds the structural clauses and the clauses of the encoded
+  traces.  The budget decides what the solver is told about the traces:
+  - B >= the smallest w_t: some trace may be misclassified.  Every trace
+    is encoded, its root literal is a soft literal of weight w_t, and
+    the target is sum(w_t) - B.  One decision answers the size.
+  - B < every w_t (kappa = 0 included): no trace may be misclassified,
+    so nothing is counted, the target is 0, and the learner keeps a
+    subset T of the sample, empty at first, whose traces are encoded and
+    whose root literals are the assumptions.  INFEASIBLE means no size-n
+    formula classifies T correctly, so none classifies the whole sample
+    correctly either: the size is infeasible, and T carries over to
+    n + 1.  A model decodes to a formula that is checked on the whole
+    sample with the exact loss; loss <= kappa ends the search, and
+    otherwise the first misclassified trace joins T and the same solver
+    decides again.  Clauses are only ever added, so its learned clauses
+    stay valid.  Each round adds a trace, so a size takes at most
+    |S| + 1 rounds.
 
 Every path recomputes the exact weighted loss of the formula it accepts;
 the enumerated one also checks the formula's size.
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,8 +47,8 @@ from . import maxsat
 from .encoding import IncrementalInstance, OperatorPool, default_pool
 from .enumeration import LIMIT, Enumerator
 from .formula import Formula
-from .sample import (LabeledSample, WeightFn, omega_rebalanced, omega_uniform,
-                     scaled_weights, weighted_loss)
+from .sample import (LabeledSample, WeightFn, _check_domain, omega_rebalanced,
+                     omega_uniform, weighted_loss)
 from .sat import SolveTimeout
 
 SOLVED = "solved"
@@ -87,6 +88,7 @@ def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
         return omega_uniform(sample)
     if weights == "rebalanced":
         return omega_rebalanced(sample)
+    _check_domain(sample, weights)
     total = sum(weights.values(), Fraction(0))
     if total != 1:
         raise ValueError("explicit trace weights must sum to exactly 1")
@@ -105,75 +107,63 @@ def _remaining(deadline: Optional[float]) -> Optional[float]:
     return left
 
 
-def _decide_relaxed(sample, omega, pool, kappa, n, deadline, record):
-    """One MaxSAT decision on the size-n instance with every trace
-    encoded, over the trace weights scaled to integers by their common
-    denominator D: a formula with weighted loss <= kappa and its loss, or
-    None."""
-    denominator, weights = scaled_weights(sample, omega)
+def _decide_sat(sample, omega, pool, enumerator, kappa, encoded, n,
+                deadline, record):
+    """SAT decisions on one size-n solver, with the trace weights scaled
+    by `enumerator`: every trace counted when the loss budget allows a
+    misclassified trace, else the traces of `encoded` (T) assumed
+    correctly classified, with T grown by counterexamples and carried
+    over to the next size.  A formula with weighted loss <= kappa and its
+    loss, or None."""
+    bound = enumerator.bound(kappa)
+    weights = enumerator.weights
     instance = IncrementalInstance(n, sample, pool)
-    instance.add_traces(range(sample.size))
-    record["traces_encoded"] = sample.size
-    record["rounds"] = 1
-    softs = [(instance.root_literal(t), w) for t, w in enumerate(weights)]
-    # the complement of `Enumerator.bound`: loss <= kappa is satisfied
-    # weight >= ceil((1 - kappa) * D)
-    target = math.ceil((1 - kappa) * denominator)
-    _remaining(deadline)
-    result = maxsat.solve_decision(instance.solver, softs, target,
-                                   deadline=deadline)
-    record["status"] = result.status
-    if result.status == maxsat.HARD_UNSAT:
-        raise RuntimeError(
-            "hard constraints unsatisfiable; this indicates an encoder bug")
-    if result.status != maxsat.FEASIBLE:
-        return None
-    formula = instance.decode_model(result.assignment)
-    achieved = 1 - Fraction(result.weight, denominator)
-    recomputed = weighted_loss(sample, formula, omega)
-    if recomputed != achieved or achieved > kappa:
-        raise RuntimeError(f"decoded loss {recomputed}, 1 - soft weight "
-                           f"{achieved}, not equal and within {kappa}")
-    return formula, achieved
-
-
-def _decide_exact(sample, omega, pool, encoded, n, deadline, record):
-    """Size n with every trace of `encoded` (T) assumed correctly
-    classified; T grows by counterexamples and carries over to the next
-    size.  A formula with loss 0 on the whole sample and its loss, or
-    None."""
-    instance = IncrementalInstance(n, sample, pool)
-    solver = instance.solver
-    for t in encoded:
-        instance.add_traces([t])
+    if bound >= min(weights):
+        instance.add_traces(range(sample.size))
+        softs = [(instance.root_literal(t), w) for t, w in enumerate(weights)]
+        target = sum(weights) - bound
+    else:
+        for t in encoded:
+            instance.add_traces([t])
+        softs, target = [], 0
     roots = [instance.root_literal(t) for t in encoded]
     entries = sample.entries
-    record["traces_encoded"] = len(encoded)
     while True:
+        record["traces_encoded"] = sample.size if softs else len(encoded)
         _remaining(deadline)
         record["rounds"] += 1
-        if not solver.solve(roots, deadline=deadline):
-            if solver.unsat:
-                raise RuntimeError("hard constraints unsatisfiable; "
-                                   "this indicates an encoder bug")
-            record["status"] = maxsat.INFEASIBLE
+        result = maxsat.solve_decision(instance.solver, softs, target,
+                                       deadline=deadline, assumptions=roots)
+        if result.status == maxsat.HARD_UNSAT:
+            raise RuntimeError("hard constraints unsatisfiable; "
+                               "this indicates an encoder bug")
+        if result.status != maxsat.FEASIBLE:
+            record["status"] = result.status
             return None
-        formula = instance.decode_model(solver.model())
+        formula = instance.decode_model(result.assignment)
         if any(formula.satisfies(entries[t][0]) != entries[t][1]
                for t in encoded):
             raise RuntimeError("decoded formula misclassifies an encoded "
                                "trace; this indicates an encoder bug")
         achieved = weighted_loss(sample, formula, omega)
-        if achieved == 0:
+        if softs:
+            # Every trace is counted: the loss is the unsatisfied weight.
+            unsatisfied = Fraction(sum(weights) - result.weight,
+                                   enumerator.denominator)
+            if achieved != unsatisfied or achieved > kappa:
+                raise RuntimeError(f"decoded loss {achieved}, unsatisfied "
+                                   f"soft weight {unsatisfied}, not equal "
+                                   f"and within {kappa}")
+        if achieved <= kappa:
             record["status"] = maxsat.FEASIBLE
             return formula, achieved
-        # Weights are positive, so some trace outside T is misclassified.
+        # Every trace outweighs the budget, so some trace outside T is
+        # misclassified.
         t = next(t for t, (u, b) in enumerate(entries)
                  if formula.satisfies(u) != b)
         encoded.append(t)
         instance.add_traces([t])
         roots.append(instance.root_literal(t))
-        record["traces_encoded"] = len(encoded)
 
 
 def _decide_enumerated(sample, omega, enumerator, kappa, n, deadline,
@@ -207,14 +197,11 @@ def learn_minimal(sample: LabeledSample,
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
     pool = config.pool or default_pool(sample.alphabet)
+    enumerator = Enumerator(sample, omega, pool)
     enumerated = functools.partial(_decide_enumerated, sample, omega,
-                                   Enumerator(sample, omega, pool),
-                                   config.kappa)
-    if config.kappa == 0:
-        solved = functools.partial(_decide_exact, sample, omega, pool, [])
-    else:
-        solved = functools.partial(_decide_relaxed, sample, omega, pool,
-                                   config.kappa)
+                                   enumerator, config.kappa)
+    solved = functools.partial(_decide_sat, sample, omega, pool, enumerator,
+                               config.kappa, [])
     deadline = (None if config.timeout is None
                 else time.monotonic() + config.timeout)
     iterations = []

@@ -1,13 +1,15 @@
 """Partial weighted MaxSAT decisions on top of the CDCL core, and the
 DIMACS WCNF format.
 
-A decision takes a `SatSolver` that already holds the hard clauses and
-soft literals with positive integer weights.  One generalized totalizer
-over those literals, emitted into the same solver, yields an output o_s
-per achievable weight sum s; assuming o_s forces satisfied weight >= s.
-A decision makes one unconstrained solve and, if its model falls short
-of the target, at most one more solve under the single assumption o_s
-for the smallest s that meets the target.
+A decision takes a `SatSolver` that already holds the hard clauses,
+soft literals with positive integer weights, and optional assumptions.
+One generalized totalizer over the soft literals, emitted into the same
+solver, yields an output o_s per achievable weight sum s; assuming o_s
+forces satisfied weight >= s.  A decision makes one solve under the
+assumptions and, if its model falls short of the target, at most one
+more solve under the assumptions plus o_s for the smallest s that meets
+the target.  With no soft literals and target 0 it is one plain SAT call
+under the assumptions.
 
 `WeightedCnf` holds an instance as clause tuples with rational soft
 weights, for WCNF export and import only.
@@ -102,30 +104,31 @@ def scaled_soft(wcnf: WeightedCnf) -> tuple[int, list[tuple[list, int]]]:
 
 
 def solve_decision(solver: SatSolver, softs: Sequence[tuple[int, int]],
-                   target: int,
-                   deadline: Optional[float] = None) -> MaxSatSolution:
-    """A model of the clauses in `solver` whose true soft literals weigh
-    at least `target`.
+                   target: int, deadline: Optional[float] = None,
+                   assumptions: Sequence[int] = ()) -> MaxSatSolution:
+    """A model of the clauses in `solver` and the `assumptions` whose true
+    soft literals weigh at least `target`.
 
     `softs` are `(literal, positive int weight)` pairs over the solver's
     variables.  The totalizer over them goes into `solver` itself, after
     each soft literal's saved phase is set to satisfy it.  The status is
-    FEASIBLE (with the model and its soft weight), INFEASIBLE, or
-    HARD_UNSAT when the clauses alone are unsatisfiable; past `deadline`
-    the solver raises `SolveTimeout`."""
+    FEASIBLE (with the model and its soft weight), INFEASIBLE (the
+    assumptions refuted included), or HARD_UNSAT when the clauses alone
+    are unsatisfiable; past `deadline` the solver raises `SolveTimeout`."""
     for lit, _ in softs:
         solver.saved_phase[abs(lit)] = 1 if lit > 0 else 0
     outs = totalizer(softs, solver.new_var, solver.add_clause)
-    # An unconstrained solve is cheap and, with phases biased toward the
-    # soft literals, often meets the target outright; it also detects
-    # hard unsatisfiability.
-    if not solver.solve((), deadline=deadline):
-        return MaxSatSolution(HARD_UNSAT)
+    # A solve under the assumptions alone is cheap and, with phases biased
+    # toward the soft literals, often meets the target outright; it also
+    # detects hard unsatisfiability.
+    if not solver.solve(assumptions, deadline=deadline):
+        return MaxSatSolution(HARD_UNSAT if solver.unsat else INFEASIBLE)
     found = _weighed(solver, softs)
     if found.weight >= target:
         return found
     k = bisect.bisect_left(outs, target, key=lambda out: out[0])
-    if k == len(outs) or not solver.solve([outs[k][1]], deadline=deadline):
+    if k == len(outs) or not solver.solve([*assumptions, outs[k][1]],
+                                          deadline=deadline):
         return MaxSatSolution(INFEASIBLE)
     found = _weighed(solver, softs)
     if found.weight < outs[k][0]:

@@ -180,26 +180,24 @@ def find_optimum(wcnf: WeightedCnf):
 
 def sat_decision(sample, omega, pool, kappa, n, encoded=None, deadline=None,
                  record=None):
-    """The learner's SAT-side decision of size n, called directly:
-    `_decide_exact` over the trace subset `encoded` at kappa 0,
-    `_decide_relaxed` above.  A formula and its loss, or None."""
+    """The learner's SAT-side decision of size n, `_decide_sat`, called
+    directly, with T the trace subset `encoded`.  A formula and its loss,
+    or None."""
     from ltlfmine import learner
+    from ltlfmine.enumeration import Enumerator
 
     record = {} if record is None else record
     record.setdefault("traces_encoded", 0)
     record.setdefault("rounds", 0)
-    if kappa == 0:
-        return learner._decide_exact(
-            sample, omega, pool, [] if encoded is None else encoded, n,
-            deadline, record)
-    return learner._decide_relaxed(sample, omega, pool, kappa, n, deadline,
-                                   record)
+    return learner._decide_sat(
+        sample, omega, pool, Enumerator(sample, omega, pool), kappa,
+        [] if encoded is None else encoded, n, deadline, record)
 
 
 def sat_minimal(sample, omega, kappa, max_size, pool=None):
     """The learner's loop over sizes 1..max_size with every size decided
-    by `sat_decision`, T carried across sizes at kappa 0: (size, formula,
-    loss, per-size records), size None when no size up to max_size is
+    by `sat_decision`, T carried across sizes: (size, formula, loss,
+    per-size records), size None when no size up to max_size is
     feasible."""
     from ltlfmine.encoding import default_pool
 

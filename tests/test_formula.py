@@ -132,6 +132,22 @@ class TestParser:
         f = from_tree(("U", ("prop", "p"), ("G", ("prop", "q"))))
         assert f.to_text() == "(p U (G q))"
 
+    def test_from_tree_keeps_operand_order_and_sharing(self):
+        xq = ("X", ("prop", "q"))
+        f = from_tree(("&", ("U", ("prop", "p"), xq), ("->", xq, ("prop", "p"))))
+        assert f == parse_formula("(p U X q) & (X q -> p)")
+        assert f.size == 6
+
+    def test_from_tree_deep_chain(self):
+        # 1500 nested X are far past the interpreter's recursion limit.
+        depth = 1500
+        tree = ("prop", "p")
+        for _ in range(depth):
+            tree = ("X", tree)
+        f = from_tree(tree)
+        assert f.size == depth + 1
+        assert f.to_text() == "(X " * depth + "p" + ")" * depth
+
     def test_deep_chain_prints_parses_and_converts(self):
         # 1500 nested X are far past the interpreter's recursion limit.
         from ltlfmine.dtree import Inner, Leaf, tree_to_formula

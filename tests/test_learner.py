@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ltlfmine import encoding, enumeration, learner, maxsat
+from ltlfmine.bench import GenSpec, generate_sample, inject_noise
 from ltlfmine.encoding import EncodingInstance, OperatorPool, default_pool
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega)
@@ -116,7 +117,7 @@ class TestLearnMinimal:
 
     def test_iterations_record_ascending_sizes(self):
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
-        for kappa in (Fraction(0), Fraction(1, 10)):
+        for kappa in (Fraction(0), Fraction(1, 10), Fraction(1, 4)):
             size, _, _, records = sat_minimal(s, omega_uniform(s), kappa, 40)
             sizes = [it["size"] for it in records]
             assert sizes == list(range(1, size + 1))
@@ -124,7 +125,9 @@ class TestLearnMinimal:
             assert records[-1]["status"] == "feasible"
             encoded = [it["traces_encoded"] for it in records]
             rounds = [it["rounds"] for it in records]
-            if kappa == 0:
+            # Uniform weights scale to 1 each, over D = 4: the loss budget
+            # floor(kappa * 4) is below every weight at kappa 0 and 1/10.
+            if kappa * s.size < 1:
                 # T only grows, by one trace per extra round.
                 assert encoded == sorted(encoded)
                 assert encoded[-1] <= s.size
@@ -200,25 +203,62 @@ class TestLearnMinimal:
 
     def test_relaxed_size_five_decides_on_the_learners_solver(
             self, monkeypatch):
-        # kappa > 0 from size 5 on: one maxsat.solve_decision over the
-        # solver the trace clauses went into; no WCNF instance is built.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the learner built an EncodingInstance")
-
+        # kappa 1/20 on five traces of weight 1/5: D = 5 and the loss
+        # budget floor(5 / 20) = 0 is below every weight, so no trace may
+        # be misclassified.  Each round is one maxsat.solve_decision with
+        # nothing counted, target 0 and the root literals of T, in the
+        # order its traces joined, assumed; no WCNF instance is built.
         monkeypatch.setattr(encoding.EncodingInstance, "__init__", refuse)
-        calls = []
-        real = maxsat.solve_decision
-        monkeypatch.setattr(maxsat, "solve_decision",
-                            lambda *args, **kwargs: calls.append(args)
-                            or real(*args, **kwargs))
+        instances, added = [], []
+
+        class Recording(learner.IncrementalInstance):
+            def __init__(self, *args):
+                super().__init__(*args)
+                instances.append(self)
+
+            def add_traces(self, ts):
+                ts = list(ts)
+                added.extend(ts)
+                super().add_traces(ts)
+
+        monkeypatch.setattr(learner, "IncrementalInstance", Recording)
+        calls = record_decisions(monkeypatch)
         r = learn_minimal(size_five_sample(),
                           LearnConfig(kappa=Fraction(1, 20)))
         assert (r.status, r.size, r.achieved_loss) == (SOLVED, 5, 0)
+        last = r.iterations[-1]
+        assert last["rounds"] == len(calls) == len(added) + 1
+        assert last["traces_encoded"] == len(added)
+        # sizes 1-4 are enumerated: one instance, of size 5
+        [instance] = instances
+        for k, (solver, softs, target, assumptions) in enumerate(calls):
+            assert solver is instance.solver
+            assert (softs, target) == ([], 0)
+            assert assumptions == [instance.root_literal(t)
+                                   for t in added[:k]]
+
+    def test_counted_size_five_is_one_decision(self, monkeypatch):
+        # 20 traces of weight 1/20 at kappa 1/20: D = 20 and the loss
+        # budget 1 allows one misclassified trace, so every trace is
+        # counted with weight 1 and the target is 20 - 1 = 19.
+        s = generate_sample(GenSpec("universality2", num_traces=20,
+                                    max_trace_length=8, seed=0,
+                                    noise_rate=0.05))
+        s, _ = inject_noise(s, 0.05, 0)
+        assert s.size == 20
+        monkeypatch.setattr(encoding.EncodingInstance, "__init__", refuse)
+        calls = record_decisions(monkeypatch)
+        r = learn_minimal(s, LearnConfig(kappa=Fraction(1, 20)))
+        assert (r.status, r.size) == (SOLVED, 5)
+        assert r.achieved_loss <= Fraction(1, 20)
+        assert weighted_loss(s, r.formula, omega_uniform(s)) \
+            == r.achieved_loss
         assert len(calls) == 1
-        solver, softs, target = calls[0]
+        solver, softs, target, assumptions = calls[0]
         assert isinstance(solver, SatSolver)
-        # five traces of weight 1/5: D = 5, ceil((1 - 1/20) * 5) = 5
-        assert [w for _, w in softs] == [1] * 5 and target == 5
+        assert [w for _, w in softs] == [1] * 20 and target == 19
+        assert assumptions == []
+        assert r.iterations[-1]["traces_encoded"] == 20
 
     @pytest.mark.parametrize("weights, kappa", [
         ("uniform", Fraction(0)), ("rebalanced", Fraction(0)),
@@ -241,6 +281,17 @@ class TestLearnMinimal:
                 assert r.size == expected
                 assert r.achieved_loss <= kappa
 
+    def test_explicit_weights_must_cover_the_sample(self):
+        s = parse_sample("1\n---\n0\n")
+        u, v = s.traces()
+        for weights in ({u: Fraction(1)},
+                        {u: Fraction(1, 2), v: Fraction(1, 4),
+                         (frozenset(), frozenset()): Fraction(1, 4)}):
+            with pytest.raises(ValueError, match="domain"):
+                resolve_omega(s, weights)
+            with pytest.raises(ValueError, match="domain"):
+                learn_minimal(s, LearnConfig(weights=weights))
+
     def test_explicit_weights_must_sum_to_one(self):
         s = parse_sample("1\n---\n0\n")
         with pytest.raises(ValueError, match="sum"):
@@ -257,6 +308,26 @@ class TestLearnMinimal:
         assert r.status == SOLVED
         assert r.size == 1
         assert loss(s, r.formula) == 0
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the learner built an EncodingInstance")
+
+
+def record_decisions(monkeypatch):
+    """Wrap `maxsat.solve_decision`, where the learner looks it up; the
+    returned list gets (solver, softs, target, assumptions) per call,
+    copied when the call is made."""
+    calls = []
+    real = maxsat.solve_decision
+
+    def decide(solver, softs, target, deadline=None, assumptions=()):
+        calls.append((solver, list(softs), target, list(assumptions)))
+        return real(solver, softs, target, deadline=deadline,
+                    assumptions=assumptions)
+
+    monkeypatch.setattr(maxsat, "solve_decision", decide)
+    return calls
 
 
 def random_weights(rng, sample):
@@ -302,6 +373,36 @@ class TestExactPath:
                 assert formula.size == expected
                 assert achieved == 0
                 assert weighted_loss(s, formula, omega) == 0
+
+    @pytest.mark.parametrize("weights", ["uniform", "rebalanced", "explicit"])
+    def test_budget_below_every_weight_matches_full_instance(self, weights):
+        # At a kappa just below the smallest trace weight no trace may be
+        # misclassified, so kappa > 0 takes the T-growing decisions; each
+        # size must be decided as the full MaxSAT instance decides it,
+        # and learn_minimal must return the kappa-0 size and loss.
+        rng = random.Random(17)
+        for _ in range(20):
+            s = random_sample(rng, ("p0", "p1"), max_traces=6, max_len=4,
+                              require_both_classes=weights == "rebalanced")
+            w = random_weights(rng, s) if weights == "explicit" else weights
+            omega = resolve_omega(s, w)
+            kappa = min(omega.values()) * Fraction(999, 1000)
+            pool = default_pool(s.alphabet)
+            encoded = []
+            for n in range(1, 5):
+                inst = EncodingInstance(n, s, omega)
+                expected = decide(inst.wcnf, 1 - kappa).status
+                found = sat_decision(s, omega, pool, kappa, n, encoded)
+                assert (found is not None) == (expected == maxsat.FEASIBLE)
+                if found is not None:
+                    formula, achieved = found
+                    assert achieved == 0
+                    assert weighted_loss(s, formula, omega) == 0
+            exact = learn_minimal(s, LearnConfig(weights=w, max_size=6))
+            relaxed = learn_minimal(s, LearnConfig(kappa=kappa, weights=w,
+                                                   max_size=6))
+            assert (relaxed.status, relaxed.size, relaxed.achieved_loss) \
+                == (exact.status, exact.size, exact.achieved_loss)
 
     def test_counterexample_outside_subset_adds_a_round(self):
         # F p1 needs two nodes; at size 2 the first candidate over the

@@ -158,6 +158,36 @@ class TestSolveDecision:
         assert solver.nvars > nvars and len(solver.clauses) > nclauses
         assert result.assignment[1] and not result.assignment[2]
 
+    def test_assumptions_hold_in_both_solves(self):
+        # Under -2 only x1 (weight 1 of 3) can hold, so the first solve
+        # falls short of 2 and the solve under the totalizer output must
+        # keep the assumption.
+        wcnf = WeightedCnf(2)
+        wcnf.add_hard([-1, -2])
+        wcnf.add_soft([1], Fraction(1, 3))
+        wcnf.add_soft([2], Fraction(2, 3))
+
+        def decide_under(target, assumptions):
+            solver, softs, _ = load_decision(wcnf)
+            return solve_decision(solver, softs, target,
+                                  assumptions=assumptions)
+
+        assert decide_under(2, []).status == FEASIBLE
+        assert decide_under(2, [-2]).status == INFEASIBLE
+        result = decide_under(1, [-2])
+        assert (result.status, result.weight) == (FEASIBLE, 1)
+        assert result.assignment[1] and not result.assignment[2]
+
+    def test_refuted_assumptions_are_infeasible_not_hard_unsat(self):
+        wcnf = WeightedCnf(1)
+        wcnf.add_hard([1])
+        solver, softs, _ = load_decision(wcnf)
+        assert softs == []
+        assert solve_decision(solver, softs, 0,
+                              assumptions=[-1]).status == INFEASIBLE
+        result = solve_decision(solver, softs, 0)
+        assert (result.status, result.assignment[1]) == (FEASIBLE, True)
+
 
 class TestWcnfFormat:
     def build(self):
