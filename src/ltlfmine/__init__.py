@@ -2,8 +2,7 @@
 labeled finite traces via exact partial weighted MaxSAT."""
 
 from .formula import (Formula, FormulaBuilder, LtlSyntaxError,
-                      UnknownPropositionError, format_formula, formula_size,
-                      from_tree, parse_formula)
+                      UnknownPropositionError, from_tree, parse_formula)
 from .sample import (LabeledSample, SampleError, Trace, WeightFn,
                      invert_labels, load_sample, loss, make_sample,
                      omega_rebalanced, omega_uniform, parse_sample,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Formula", "FormulaBuilder", "LtlSyntaxError", "UnknownPropositionError",
-    "format_formula", "formula_size", "from_tree", "parse_formula",
+    "from_tree", "parse_formula",
     "LabeledSample", "SampleError", "Trace", "WeightFn", "invert_labels",
     "load_sample", "loss", "make_sample", "omega_rebalanced", "omega_uniform",
     "parse_sample", "weighted_loss",

@@ -24,7 +24,8 @@ from typing import Optional
 
 from . import bench as benchmod
 from . import maxsat
-from .dtree import DtConfig, learn_tree, serialize_tree, tree_loss
+from .dtree import (DEPTH_CAPPED, DtConfig, learn_tree, serialize_tree,
+                    tree_loss)
 from .encoding import EncodingInstance, OperatorPool, default_pool
 from .formula import LtlSyntaxError, UnknownPropositionError
 from .learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT, learn_minimal,
@@ -161,13 +162,13 @@ def cmd_learn_dt(args) -> int:
                       pool=_pool(sample, args), max_size=args.max_size,
                       max_depth=args.max_depth, node_timeout=args.timeout)
     result = learn_tree(sample, config)
-    if result.status == "timed-out":
+    if result.status == TIMED_OUT:
         print("timed out", file=sys.stderr)
         return EXIT_TIMEOUT
     print(serialize_tree(result.tree))
     print(f"inner nodes: {result.nodes_expanded}", file=sys.stderr)
     print(f"loss: {tree_loss(sample, result.tree)}", file=sys.stderr)
-    if result.status == "depth-capped":
+    if result.status == DEPTH_CAPPED:
         print("warning: depth cap hit, tree may misclassify more than kappa",
               file=sys.stderr)
     return EXIT_OK

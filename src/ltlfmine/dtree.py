@@ -23,6 +23,8 @@ from .sample import (LabeledSample, invert_labels, loss, omega_rebalanced,
 
 log = logging.getLogger(__name__)
 
+DEPTH_CAPPED = "depth-capped"
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -61,7 +63,7 @@ class DtConfig:
 @dataclass
 class TreeResult:
     tree: DecisionTree
-    status: str  # "solved" | "depth-capped" | "timed-out"
+    status: str  # SOLVED | DEPTH_CAPPED | TIMED_OUT
     nodes_expanded: int = 0
 
 
@@ -163,8 +165,8 @@ def learn_tree(sample: LabeledSample, config: DtConfig) -> TreeResult:
     try:
         tree = build(sample, 0)
     except SplitTimeout:
-        return TreeResult(Leaf(1), "timed-out", state["expanded"])
-    status = "depth-capped" if state["capped"] else "solved"
+        return TreeResult(Leaf(1), TIMED_OUT, state["expanded"])
+    status = DEPTH_CAPPED if state["capped"] else SOLVED
     return TreeResult(tree, status, state["expanded"])
 
 

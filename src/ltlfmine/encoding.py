@@ -11,7 +11,9 @@ For a target DAG size n and a labeled sample, the instance contains:
   variable y of every node from L and R, stated once per node and
   operator and guarded by the operator's label variable alone (temporal
   operators use the one-step suffix recurrences, so the clause count
-  stays linear in the trace length);
+  stays linear in the trace length); each operator's clauses are one
+  loop over the trace positions, plus, for X, F, G and U, the clauses
+  of the last position, where the recurrence has no successor;
 * one unit soft clause per trace asserting correct classification at the
   root, weighted by the trace weight function.
 
@@ -61,6 +63,14 @@ class OperatorPool:
         clash = reserved & set(self.alphabet)
         if clash:
             raise ValueError(f"proposition names clash with operators: {clash}")
+        for kind, ops, known in (("unary", self.unary, F.UNARY_OPS),
+                                 ("binary", self.binary, F.BINARY_OPS),
+                                 ("constant", self.constants, F.CONSTANTS)):
+            unknown = [op for op in ops if op not in known]
+            if unknown:
+                raise ValueError(f"unsupported {kind} operators: {unknown}")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("operator pool lists a label twice")
         if not self.nullary:
             raise ValueError("operator pool needs at least one nullary operator")
 
@@ -217,77 +227,62 @@ class _Skeleton:
     def _unary_semantics(self, op, g, own, left) -> None:
         """Clauses, guarded by the literal g, giving own = op(left)."""
         add = self._add
-        m = len(own)
-        for tau in range(m):
-            yi = own[tau]
-            a = left[tau]
-            last = tau == m - 1
-            if op == F.NOT:
+        if op == F.NOT:
+            for yi, a in zip(own, left):
                 add((g, -yi, -a))
                 add((g, yi, a))
-            elif op == F.NEXT:
-                if last:
-                    add((g, -yi))
-                else:
-                    an = left[tau + 1]
-                    add((g, -yi, an))
-                    add((g, yi, -an))
-            elif op == F.EVENTUALLY:
-                # y_i(tau) <-> L(tau) or y_i(tau+1)
-                if last:
-                    add((g, -yi, a))
-                    add((g, yi, -a))
-                else:
-                    yin = own[tau + 1]
-                    add((g, -yi, a, yin))
-                    add((g, yi, -a))
-                    add((g, yi, -yin))
-            elif op == F.GLOBALLY:
-                # y_i(tau) <-> L(tau) and y_i(tau+1)
-                if last:
-                    add((g, -yi, a))
-                    add((g, yi, -a))
-                else:
-                    yin = own[tau + 1]
-                    add((g, yi, -a, -yin))
-                    add((g, -yi, a))
-                    add((g, -yi, yin))
-            else:
-                raise ValueError(f"unsupported unary operator {op!r}")
+            return
+        if op == F.NEXT:
+            # y_i(tau) <-> L(tau+1), and false at the last position
+            for yi, an in zip(own, left[1:]):
+                add((g, -yi, an))
+                add((g, yi, -an))
+            add((g, -own[-1]))
+            return
+        if op == F.EVENTUALLY:
+            # y_i(tau) <-> L(tau) or y_i(tau+1)
+            for yi, a, yin in zip(own, left, own[1:]):
+                add((g, -yi, a, yin))
+                add((g, yi, -a))
+                add((g, yi, -yin))
+        else:
+            # G: y_i(tau) <-> L(tau) and y_i(tau+1)
+            for yi, a, yin in zip(own, left, own[1:]):
+                add((g, yi, -a, -yin))
+                add((g, -yi, a))
+                add((g, -yi, yin))
+        # F and G at the last position: y_i <-> L
+        add((g, -own[-1], left[-1]))
+        add((g, own[-1], -left[-1]))
 
     def _binary_semantics(self, op, g, own, left, right) -> None:
         """Clauses, guarded by the literal g, giving own = left op right."""
         add = self._add
-        m = len(own)
-        for tau in range(m):
-            yi = own[tau]
-            a = left[tau]
-            b = right[tau]
-            if op == F.OR:
+        if op == F.OR:
+            for yi, a, b in zip(own, left, right):
                 add((g, -yi, a, b))
                 add((g, yi, -a))
                 add((g, yi, -b))
-            elif op == F.AND:
+        elif op == F.AND:
+            for yi, a, b in zip(own, left, right):
                 add((g, yi, -a, -b))
                 add((g, -yi, a))
                 add((g, -yi, b))
-            elif op == F.IMPLIES:
+        elif op == F.IMPLIES:
+            for yi, a, b in zip(own, left, right):
                 add((g, -yi, -a, b))
                 add((g, yi, a))
                 add((g, yi, -b))
-            elif op == F.UNTIL:
-                # y_i(tau) <-> R(tau) or (L(tau) and y_i(tau+1))
-                if tau == m - 1:
-                    add((g, -yi, b))
-                    add((g, yi, -b))
-                else:
-                    yin = own[tau + 1]
-                    add((g, -yi, b, a))
-                    add((g, -yi, b, yin))
-                    add((g, yi, -b))
-                    add((g, yi, -a, -yin))
-            else:
-                raise ValueError(f"unsupported binary operator {op!r}")
+        else:
+            # U: y_i(tau) <-> R(tau) or (L(tau) and y_i(tau+1)), and
+            # y_i <-> R at the last position
+            for yi, a, b, yin in zip(own, left, right, own[1:]):
+                add((g, -yi, b, a))
+                add((g, -yi, b, yin))
+                add((g, yi, -b))
+                add((g, yi, -a, -yin))
+            add((g, -own[-1], right[-1]))
+            add((g, own[-1], -right[-1]))
 
     def root_literal(self, t: int) -> int:
         """The literal stating that the root classifies trace t correctly."""
@@ -312,28 +307,25 @@ class _Skeleton:
         return hits[0]
 
     def decode_model(self, assignment: dict) -> Formula:
+        """The formula a model encodes.  Nodes are decoded in id order, so
+        every child is built before its parent; `finish` keeps only what
+        the root reaches."""
         builder = FormulaBuilder()
-        memo: dict[int, int] = {}
-
-        def build(i: int) -> int:
-            if i in memo:
-                return memo[i]
+        built = [0]  # built[i]: the builder id of node i
+        for i in range(1, self.n + 1):
             label = self.node_label(assignment, i)
-            if self.pool.is_nullary(label):
-                if label in F.CONSTANTS:
-                    out = builder.const(label == F.TRUE)
-                else:
-                    out = builder.prop(label)
+            if label in F.CONSTANTS:
+                built.append(builder.const(label == F.TRUE))
+            elif self.pool.is_nullary(label):
+                built.append(builder.prop(label))
             elif label in self.pool.unary:
-                out = builder.unary(label, build(self._child(assignment, self.l, i)))
+                built.append(builder.unary(
+                    label, built[self._child(assignment, self.l, i)]))
             else:
-                left = build(self._child(assignment, self.l, i))
-                right = build(self._child(assignment, self.r, i))
-                out = builder.binary(label, left, right)
-            memo[i] = out
-            return out
-
-        return builder.finish(build(self.n))
+                built.append(builder.binary(
+                    label, built[self._child(assignment, self.l, i)],
+                    built[self._child(assignment, self.r, i)]))
+        return builder.finish(built[self.n])
 
     # -- helpers for tests and external tooling ----------------------------
 
@@ -375,20 +367,11 @@ class EncodingInstance(_Skeleton):
         self.wcnf.nvars = nvars
 
     def _var_map_comments(self) -> list[str]:
-        lines = []
-        for (i, label), v in self.x.items():
-            lines.append(f"c var {v} x {i} {label}")
-        for (i, j), v in self.l.items():
-            lines.append(f"c var {v} l {i} {j}")
-        for (i, j), v in self.r.items():
-            lines.append(f"c var {v} r {i} {j}")
-        for (t, i, tau), v in self.y.items():
-            lines.append(f"c var {v} y {t} {i} {tau}")
-        for (t, i, tau), v in self.left.items():
-            lines.append(f"c var {v} L {t} {i} {tau}")
-        for (t, i, tau), v in self.right.items():
-            lines.append(f"c var {v} R {t} {i} {tau}")
-        return lines
+        return [f"c var {v} {tag} {' '.join(map(str, key))}"
+                for tag, table in (("x", self.x), ("l", self.l),
+                                   ("r", self.r), ("y", self.y),
+                                   ("L", self.left), ("R", self.right))
+                for key, v in table.items()]
 
     def _emit_satisfaction(self, omega: WeightFn) -> None:
         _check_domain(self.sample, omega)

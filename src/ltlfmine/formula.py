@@ -332,14 +332,6 @@ def from_tree(tree, builder: Optional[FormulaBuilder] = None) -> Formula:
     return builder.finish(built.pop())
 
 
-def formula_size(f: Formula) -> int:
-    return f.size
-
-
-def format_formula(f: Formula) -> str:
-    return f.to_text()
-
-
 # -- parser -----------------------------------------------------------------
 
 _TOKEN_OPS = ("->", "(", ")", "!", "|", "&")

@@ -109,10 +109,6 @@ class SatSolver:
     def _code(lit: int) -> int:
         return 2 * lit if lit > 0 else -2 * lit + 1
 
-    @staticmethod
-    def _decode(code: int) -> int:
-        return -(code >> 1) if code & 1 else (code >> 1)
-
     # -- trail -------------------------------------------------------------
 
     def _enqueue(self, code: int, reason: Optional[list[int]]) -> bool:

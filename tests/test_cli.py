@@ -128,6 +128,21 @@ class TestBench:
         assert content.count("pattern,") == 1  # header written once
         assert len(list(csv.DictReader(io.StringIO(content)))) == 2
 
+    def test_process_pool_rows_match_serial_rows(self, tmp_path, capsys):
+        rows = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"bench{jobs}.csv"
+            code, _, _ = run([
+                "bench", "--patterns", "existence1", "universality1",
+                "--sizes", "8", "--jobs", jobs, "-o", str(out)], capsys)
+            assert code == cli.EXIT_OK
+            with open(out) as handle:
+                rows[jobs] = [{k: v for k, v in row.items()
+                               if k != "runtime_s"}
+                              for row in csv.DictReader(handle)]
+        assert len(rows["1"]) == 2
+        assert rows["2"] == rows["1"]
+
     def test_unknown_pattern(self, tmp_path, capsys):
         code, _, err = run(["bench", "--patterns", "nope",
                             "-o", str(tmp_path / "x.csv")], capsys)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ltlfmine import cnf
 from ltlfmine.cnf import totalizer
 from ltlfmine.sat import SatSolver
 
@@ -70,6 +71,15 @@ class TestTotalizer:
     def test_empty_input(self):
         solver = SatSolver()
         assert totalizer([], solver.new_var, solver.add_clause) == []
+
+    def test_node_pair_cap_enforced(self, monkeypatch):
+        # Two leaves of weights 1 and 2 merge into a node of (1+1)*(1+1)
+        # pairs of child sums, over a cap of 3.
+        monkeypatch.setattr(cnf, "MAX_NODE_PAIRS", 3)
+        solver = SatSolver()
+        solver.ensure_var(2)
+        with pytest.raises(ValueError, match="too many"):
+            totalizer([(1, 1), (2, 2)], solver.new_var, solver.add_clause)
 
     def test_nonpositive_weight_rejected(self):
         solver = SatSolver()

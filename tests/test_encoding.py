@@ -35,6 +35,16 @@ class TestOperatorPool:
         with pytest.raises(ValueError, match="clash"):
             OperatorPool(("X",))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"unary": ("Q",)}, {"unary": ("U",)}, {"binary": ("W",)},
+        {"binary": ("!",)}, {"constants": ("maybe",)},
+        {"unary": ("X", "X")}, {"constants": ("true", "true")}],
+        ids=["unary-Q", "unary-U", "binary-W", "binary-not", "constant-maybe",
+             "unary-twice", "constant-twice"])
+    def test_unknown_or_repeated_operators_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            OperatorPool(("p0",), **kwargs)
+
 
 class TestStructuralClauses:
     def test_label_clause_count_n3_ten_labels(self):
@@ -111,6 +121,25 @@ class TestModels:
                 for tau in range(len(trace)):
                     assert model[inst.y[(t, inst.n, tau)]] \
                         == bool(f.evaluate(trace, tau))
+
+    def test_decode_drops_unreachable_nodes(self):
+        # Node 2 is a well-formed node the root does not reach.
+        inst = instance_for(BASIC, 3)
+        solver = hard_solver(inst)
+        assert solver.solve([inst.x[(1, "p1")], inst.x[(2, "!")],
+                             inst.x[(3, "F")], inst.l[(3, 1)]])
+        assert inst.decode_model(solver.model()) == \
+            parse_formula("F p1", ("p0", "p1"))
+
+    def test_decode_rejects_broken_unreachable_node(self):
+        inst = instance_for(BASIC, 3)
+        solver = hard_solver(inst)
+        assert solver.solve([inst.x[(1, "p1")], inst.x[(3, "F")],
+                             inst.l[(3, 1)]])
+        model = solver.model()
+        model[inst.x[(2, "p0")]] = model[inst.x[(2, "p1")]] = True
+        with pytest.raises(EncodingError, match="node 2"):
+            inst.decode_model(model)
 
     def test_decode_rejects_ambiguous_assignment(self):
         inst = instance_for(BASIC, 1)
