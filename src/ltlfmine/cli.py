@@ -27,15 +27,22 @@ from . import maxsat
 from .dtree import (DEPTH_CAPPED, DtConfig, learn_tree, serialize_tree,
                     tree_loss)
 from .encoding import EncodingInstance, OperatorPool, default_pool
-from .formula import LtlSyntaxError, UnknownPropositionError
 from .learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT, learn_minimal,
                       resolve_omega)
-from .sample import SampleError, load_sample
+from .sample import load_sample
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
 EXIT_TIMEOUT = 2
 EXIT_USAGE = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a bad argument, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _fraction(text: str) -> Fraction:
@@ -66,7 +73,7 @@ def _add_learn_opts(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ltlfmine",
         description="Learn minimal LTLf formulas and decision trees over "
                     "formulas from labeled finite traces.")
@@ -307,11 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SampleError, LtlSyntaxError, UnknownPropositionError,
-            benchmod.GenerationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (benchmod.GenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

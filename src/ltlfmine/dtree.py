@@ -18,8 +18,9 @@ from .formula import CONSTANTS, Formula, FormulaBuilder, PROP, arity
 from .learner import (SOLVED, LearnConfig, LearnResult, TIMED_OUT,
                       learn_minimal)
 from .encoding import OperatorPool
-from .sample import (LabeledSample, invert_labels, loss, omega_rebalanced,
+from .sample import (LabeledSample, invert_labels, omega_rebalanced,
                      weighted_loss)
+from .sat import SolveTimeout
 
 log = logging.getLogger(__name__)
 
@@ -67,35 +68,24 @@ class TreeResult:
     nodes_expanded: int = 0
 
 
-class SplitTimeout(Exception):
-    """A per-node learner invocation exceeded its time budget."""
-
-
 # -- stopping criterion ------------------------------------------------------
 
 def positive_fraction(sample: LabeledSample) -> Fraction:
     return Fraction(len(sample.positives()), sample.size)
 
 
-def stop(sample: LabeledSample, kappa: Fraction) -> bool:
-    p1 = positive_fraction(sample)
-    return p1 <= kappa or 1 - p1 <= kappa
-
-
-def leaf_label(sample: LabeledSample, kappa: Fraction) -> int:
+def pure_label(sample: LabeledSample, kappa: Fraction) -> Optional[int]:
+    """0 when at most a kappa fraction of `sample` is positive, 1 when at
+    most that much is negative, else None: the sample must be split."""
     p1 = positive_fraction(sample)
     if p1 <= kappa:
         return 0
     if 1 - p1 <= kappa:
         return 1
-    raise ValueError("leaf label requested although stop() is false")
+    return None
 
 
 # -- scores ------------------------------------------------------------------
-
-def score_l(sample: LabeledSample, formula: Formula) -> Fraction:
-    return 1 - loss(sample, formula)
-
 
 def score_r(sample: LabeledSample, formula: Formula) -> Fraction:
     wl = weighted_loss(sample, formula, omega_rebalanced(sample))
@@ -132,7 +122,7 @@ def infer_split_formula(sample: LabeledSample, config: DtConfig) -> Formula:
     second = run(invert_labels(sample))
     for result in (first, second):
         if result.status == TIMED_OUT:
-            raise SplitTimeout()
+            raise SolveTimeout()
         if result.status != SOLVED:
             raise RuntimeError(f"split search failed: {result.status}")
     s1 = score_r(sample, first.formula)
@@ -149,25 +139,28 @@ def infer_split_formula(sample: LabeledSample, config: DtConfig) -> Formula:
 def learn_tree(sample: LabeledSample, config: DtConfig) -> TreeResult:
     """Top-down induction: stop on class-purity, else split on an inferred
     formula and recurse on both parts."""
-    state = {"expanded": 0, "capped": False}
+    expanded = 0
+    capped = False
 
     def build(s: LabeledSample, depth: int) -> DecisionTree:
-        if stop(s, config.kappa):
-            return Leaf(leaf_label(s, config.kappa))
+        nonlocal expanded, capped
+        label = pure_label(s, config.kappa)
+        if label is not None:
+            return Leaf(label)
         if depth >= config.max_depth:
-            state["capped"] = True
+            capped = True
             return Leaf(1 if positive_fraction(s) >= Fraction(1, 2) else 0)
         formula = infer_split_formula(s, config)
-        state["expanded"] += 1
+        expanded += 1
         s1, s2 = split(s, formula)
         return Inner(formula, build(s1, depth + 1), build(s2, depth + 1))
 
     try:
         tree = build(sample, 0)
-    except SplitTimeout:
-        return TreeResult(Leaf(1), TIMED_OUT, state["expanded"])
-    status = DEPTH_CAPPED if state["capped"] else SOLVED
-    return TreeResult(tree, status, state["expanded"])
+    except SolveTimeout:
+        return TreeResult(Leaf(1), TIMED_OUT, expanded)
+    status = DEPTH_CAPPED if capped else SOLVED
+    return TreeResult(tree, status, expanded)
 
 
 # -- evaluation and conversion ----------------------------------------------
@@ -276,6 +269,8 @@ def parse_tree(text: str, alphabet=None) -> DecisionTree:
         kind = word()
         if kind == "leaf":
             label = word()
+            if label not in ("true", "false"):
+                raise ValueError(f"leaf label {label!r} is not true or false")
             expect(")")
             return Leaf(1 if label == "true" else 0)
         if kind != "node":

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
 from .formula import CONSTANTS, PROP, TRUE, Formula, FormulaBuilder, Layout
 from .sample import LabeledSample, WeightFn, scaled_weights
+from .sat import check_deadline
 
 LIMIT = 4          # sizes up to LIMIT are decided by enumeration
 CHECK_EVERY = 4096  # candidates between two calls of the deadline check
@@ -73,18 +75,18 @@ class Enumerator:
         """The largest scaled loss that is at most kappa."""
         return math.floor(kappa * self.denominator)
 
-    def search(self, n: int, bound: int, tick):
+    def search(self, n: int, bound: int, deadline: Optional[float]):
         """The key and scaled loss of the first formula of size n whose
         scaled loss is at most `bound`, or None.  `self.candidates` counts
-        the formulas whose loss was computed; `tick` is called before the
-        first and after every CHECK_EVERY of them, and may raise to stop
-        the search."""
+        the formulas whose loss was computed; the deadline is checked
+        before the first and after every CHECK_EVERY of them, and
+        `SolveTimeout` stops the search."""
         loss, every = self.loss, CHECK_EVERY
         count = 0
         for key, sig in self.level(n):
             if count % every == 0:
                 self.candidates = count
-                tick()
+                check_deadline(deadline)
             count += 1
             value = loss(sig)
             if value <= bound:

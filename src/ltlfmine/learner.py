@@ -49,7 +49,7 @@ from .enumeration import LIMIT, Enumerator
 from .formula import Formula
 from .sample import (LabeledSample, WeightFn, _check_domain, omega_rebalanced,
                      omega_uniform, weighted_loss)
-from .sat import SolveTimeout
+from .sat import SolveTimeout, check_deadline
 
 SOLVED = "solved"
 SIZE_CAP = "size-cap"
@@ -97,16 +97,6 @@ def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
     return weights
 
 
-def _remaining(deadline: Optional[float]) -> Optional[float]:
-    """Seconds left before `deadline`; raises SolveTimeout when none are."""
-    if deadline is None:
-        return None
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise SolveTimeout()
-    return left
-
-
 def _decide_sat(sample, omega, pool, enumerator, kappa, encoded, n,
                 deadline, record):
     """SAT decisions on one size-n solver, with the trace weights scaled
@@ -130,7 +120,7 @@ def _decide_sat(sample, omega, pool, enumerator, kappa, encoded, n,
     entries = sample.entries
     while True:
         record["traces_encoded"] = sample.size if softs else len(encoded)
-        _remaining(deadline)
+        check_deadline(deadline)
         record["rounds"] += 1
         result = maxsat.solve_decision(instance.solver, softs, target,
                                        deadline=deadline, assumptions=roots)
@@ -171,8 +161,7 @@ def _decide_enumerated(sample, omega, enumerator, kappa, n, deadline,
     """Every formula of size n, in turn: the first with weighted loss <=
     kappa and its loss, or None."""
     try:
-        found = enumerator.search(n, enumerator.bound(kappa),
-                                  lambda: _remaining(deadline))
+        found = enumerator.search(n, enumerator.bound(kappa), deadline)
     finally:
         record["candidates"] = enumerator.candidates
     if found is None:
@@ -205,29 +194,30 @@ def learn_minimal(sample: LabeledSample,
     deadline = (None if config.timeout is None
                 else time.monotonic() + config.timeout)
     iterations = []
-    for n in range(1, config.max_size + 1):
-        started = time.monotonic()
-        if deadline is not None and started >= deadline:
-            return LearnResult(TIMED_OUT, iterations=iterations)
-        record = {"size": n, "status": "timeout", "seconds": 0.0,
-                  "traces_encoded": 0, "rounds": 0, "candidates": 0}
-        decision = "enumerated" if n <= LIMIT else "sat"
-        decide = enumerated if n <= LIMIT else solved
-        try:
-            found = decide(n, deadline, record)
-        except SolveTimeout:
-            found = None
-        record["seconds"] = time.monotonic() - started
-        iterations.append(record)
-        log.debug("size %d (%s): %s, %d candidates, %d traces encoded, "
-                  "%d rounds, %.3f s", n, decision, record["status"],
-                  record["candidates"], record["traces_encoded"],
-                  record["rounds"], record["seconds"])
-        if record["status"] == "timeout":
-            return LearnResult(TIMED_OUT, iterations=iterations)
-        if found is not None:
-            formula, achieved = found
-            return LearnResult(SOLVED, formula, formula.size, achieved,
-                               iterations)
+    try:
+        for n in range(1, config.max_size + 1):
+            check_deadline(deadline)
+            started = time.monotonic()
+            # A size the deadline stops keeps its "timeout" status.
+            record = {"size": n, "status": "timeout", "seconds": 0.0,
+                      "traces_encoded": 0, "rounds": 0, "candidates": 0}
+            iterations.append(record)
+            decision = "enumerated" if n <= LIMIT else "sat"
+            decide = enumerated if n <= LIMIT else solved
+            try:
+                found = decide(n, deadline, record)
+            finally:
+                record["seconds"] = time.monotonic() - started
+                log.debug("size %d (%s): %s, %d candidates, %d traces "
+                          "encoded, %d rounds, %.3f s", n, decision,
+                          record["status"], record["candidates"],
+                          record["traces_encoded"], record["rounds"],
+                          record["seconds"])
+            if found is not None:
+                formula, achieved = found
+                return LearnResult(SOLVED, formula, formula.size, achieved,
+                                   iterations)
+    except SolveTimeout:
+        return LearnResult(TIMED_OUT, iterations=iterations)
     return LearnResult(SIZE_CAP, iterations=iterations)
 

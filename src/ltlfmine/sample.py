@@ -167,8 +167,7 @@ def load_sample(path) -> LabeledSample:
 
 def loss(sample: LabeledSample, formula: Formula) -> Fraction:
     """Fraction of sample traces the formula misclassifies."""
-    wrong = sum(1 for u, b in sample.entries if formula.satisfies(u) != b)
-    return Fraction(wrong, sample.size)
+    return weighted_loss(sample, formula, omega_uniform(sample))
 
 
 def weighted_loss(sample: LabeledSample, formula: Formula,

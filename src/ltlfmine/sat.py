@@ -1,9 +1,10 @@
 """A small CDCL SAT solver with watched literals and assumptions.
 
 Deterministic by construction: decisions follow activity with index
-tie-breaks, and there is no randomized state.  Timeouts are cooperative,
-checked at conflict boundaries, and raised as `SolveTimeout` so callers
-can distinguish them from unsatisfiability.
+tie-breaks, and there is no randomized state.  Timeouts are cooperative:
+`check_deadline`, the one clock test, raises `SolveTimeout` (so callers
+can tell it from unsatisfiability); the solver calls it at each
+conflict, the enumerator and the learner between their steps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from typing import Iterable, Optional, Sequence
 
 
 class SolveTimeout(Exception):
-    """Wall-clock deadline reached inside the solver."""
+    """Wall-clock deadline reached."""
+
+
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise `SolveTimeout` once `time.monotonic()` reaches `deadline`."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise SolveTimeout()
 
 
 def _luby(i: int) -> int:
@@ -341,8 +348,7 @@ class SatSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SolveTimeout()
+                check_deadline(deadline)
                 if self._decision_level() == 0:
                     self.unsat = True
                     return False

@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -67,9 +71,11 @@ class TestLearn:
         assert code == cli.EXIT_USAGE
 
     def test_bad_kappa_rejected(self, sample_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["learn", sample_file, "--kappa", "2"])
-        assert exc.value.code == 2
+        # Argument errors are usage errors, not argparse's 2 (a timeout).
+        for bad in (["--kappa", "2"], ["--bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["learn", sample_file, *bad])
+            assert exc.value.code == cli.EXIT_USAGE
         capsys.readouterr()
 
 
@@ -101,6 +107,16 @@ class TestGen:
         code, out, _ = run(["gen", "absence1", "--traces", "6"], capsys)
         assert code == cli.EXIT_OK
         assert out.startswith("# pattern: absence1")
+
+    def test_runs_as_module(self):
+        # `python -m ltlfmine` from a source checkout, with no install.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "ltlfmine", "gen", "absence1",
+             "--traces", "6"], env=env, capture_output=True, text=True)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert done.stdout.startswith("# pattern: absence1")
 
 
 class TestBench:

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
-                            infer_split_formula, leaf_label, learn_tree,
-                            parse_tree, positive_fraction, score_l, score_r,
-                            serialize_tree, split, stop, tree_loss,
+                            infer_split_formula, learn_tree, parse_tree,
+                            positive_fraction, pure_label, score_r,
+                            serialize_tree, split, tree_loss,
                             tree_to_formula)
 from ltlfmine.formula import parse_formula
 from ltlfmine.sample import loss, make_sample, parse_sample
@@ -20,28 +20,24 @@ def sym(*props):
 class TestStopping:
     def test_stop_when_nearly_pure(self):
         s = parse_sample("1\n---\n")
-        assert stop(s, Fraction(0))
-        assert leaf_label(s, Fraction(0)) == 1
+        assert pure_label(s, Fraction(0)) == 1
 
     def test_stop_respects_kappa(self):
         # 1 positive, 19 negatives: p1 = 1/20 <= kappa
         rows = "1\n---\n" + "\n".join("0;" + "0;" * i + "0" for i in range(19))
         s = parse_sample(rows + "\n")
-        assert not stop(s, Fraction(1, 100))
-        assert stop(s, Fraction(1, 20))
-        assert leaf_label(s, Fraction(1, 20)) == 0
+        assert pure_label(s, Fraction(1, 100)) is None
+        assert pure_label(s, Fraction(1, 20)) == 0
 
-    def test_leaf_label_requires_stop(self):
+    def test_mixed_sample_has_no_label(self):
         s = parse_sample("1\n---\n0\n")
-        with pytest.raises(ValueError):
-            leaf_label(s, Fraction(0))
+        assert pure_label(s, Fraction(0)) is None
 
 
 class TestScores:
-    def test_score_l_is_accuracy(self):
+    def test_score_r_of_perfect_formula(self):
         s = parse_sample("1,0\n---\n0,0\n0,1\n")
         f = parse_formula("p0", s.alphabet)
-        assert score_l(s, f) == 1
         assert score_r(s, f) == 1
 
     def test_score_r_of_false_on_imbalanced_sample(self):
@@ -52,7 +48,6 @@ class TestScores:
         alphabet = ("p0",) + tuple(f"x{i}" for i in range(99))
         s = make_sample(alphabet, entries)
         f = parse_formula("false")
-        assert score_l(s, f) == Fraction(99, 100)
         assert score_r(s, f) == Fraction(1, 2)
 
     def test_score_r_symmetric_under_negation(self):
@@ -185,3 +180,7 @@ class TestSerialization:
             parse_tree("(branch)")
         with pytest.raises(ValueError):
             parse_tree("(leaf true) extra")
+        for text in ("(leaf maybe)", "(leaf)", "(leaf 1)",
+                     '(node "p0" (leaf yes) (leaf true))'):
+            with pytest.raises(ValueError):
+                parse_tree(text)

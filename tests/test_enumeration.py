@@ -122,8 +122,7 @@ def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
             for m in range(1, n):
                 for _ in enumerator.level(m):
                     pass
-            found = enumerator.search(n, enumerator.bound(kappa),
-                                      lambda: None)
+            found = enumerator.search(n, enumerator.bound(kappa), None)
             by_enumeration = found is not None
             by_sat = sat_decision(sample, omega, pool, kappa, n) is not None
             by_brute_force = any(weighted_loss(sample, f, omega) <= kappa
@@ -140,10 +139,10 @@ def test_search_counts_candidates_and_stops_at_first_hit():
     sample = random_sample(random.Random(5), PROPS, 6, 4)
     enumerator = Enumerator(sample, omega_uniform(sample),
                             default_pool(PROPS))
-    assert enumerator.search(1, -1, lambda: None) is None
+    assert enumerator.search(1, -1, None) is None
     assert enumerator.candidates == len(PROPS)
     # Everything is within kappa 1: the first size-2 formula is taken.
-    found = enumerator.search(2, enumerator.bound(Fraction(1)), lambda: None)
+    found = enumerator.search(2, enumerator.bound(Fraction(1)), None)
     assert found is not None
     assert enumerator.candidates == 1
 

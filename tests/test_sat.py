@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ltlfmine.sat import SatSolver, SolveTimeout, _luby
+from ltlfmine.sat import SatSolver, SolveTimeout, _luby, check_deadline
 
 
 def test_luby_sequence():
@@ -197,6 +197,13 @@ class TestAssumptions:
         satisfiable = brute_sat(nvars, clauses)
         assert solver.solve() == satisfiable
         assert solver.unsat == (not satisfiable)
+
+
+def test_check_deadline():
+    check_deadline(None)
+    with pytest.raises(SolveTimeout):
+        check_deadline(time.monotonic())
+    check_deadline(time.monotonic() + 60)
 
 
 def test_deadline_raises_timeout():
