@@ -55,6 +55,16 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError("value must be at least 1")
+    return value
+
+
 def _pool(sample, args) -> OperatorPool:
     if getattr(args, "with_constants", False):
         return OperatorPool(tuple(sample.alphabet), constants=("true", "false"))
@@ -104,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="benchmark the learner over the catalog")
-    p.add_argument("--patterns", nargs="*", default=sorted(benchmod.PATTERNS))
+    p.add_argument("--patterns", nargs="*", choices=sorted(benchmod.PATTERNS),
+                   default=sorted(benchmod.PATTERNS))
     p.add_argument("--sizes", nargs="*", type=int, default=[20, 50])
     p.add_argument("--max-length", type=int, default=10)
     p.add_argument("--seeds", nargs="*", type=int, default=[0])
@@ -121,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-wcnf",
                        help="export the MaxSAT instance for one target size")
     p.add_argument("sample")
-    p.add_argument("size", type=int, help="target formula size n")
+    p.add_argument("size", type=_positive_int, help="target formula size n")
     p.add_argument("--weights", choices=("uniform", "rebalanced"),
                    default="uniform")
     p.add_argument("--with-constants", action="store_true")
@@ -230,10 +241,6 @@ _CSV_FIELDS = ["pattern", "num_traces", "seed", "noise_flips", "status",
 
 
 def cmd_bench(args) -> int:
-    unknown = set(args.patterns) - set(benchmod.PATTERNS)
-    if unknown:
-        print(f"unknown patterns: {sorted(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
     args_dict = {"max_length": args.max_length, "noise": args.noise,
                  "kappa": args.kappa, "max_size": args.max_size,
                  "timeout": args.timeout}
@@ -288,9 +295,6 @@ def _print_bench_summary(rows, timeout: float) -> None:
 
 def cmd_export_wcnf(args) -> int:
     sample = load_sample(args.sample)
-    if args.size < 1:
-        print("size must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     omega = resolve_omega(sample, args.weights)
     instance = EncodingInstance(args.size, sample, omega,
                                 _pool(sample, args),

@@ -334,8 +334,6 @@ def from_tree(tree, builder: Optional[FormulaBuilder] = None) -> Formula:
 
 # -- parser -----------------------------------------------------------------
 
-_TOKEN_OPS = ("->", "(", ")", "!", "|", "&")
-
 
 class _Tokenizer:
     def __init__(self, text: str):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -150,10 +151,12 @@ def export_wcnf(wcnf: WeightedCnf, target) -> None:
     denominator (recorded as `c weight-scale <D>`), hard weight = top.
 
     The header goes out first, then the hard clauses in slices of
-    WRITE_SLICE, so the whole file is never held as one string.  Each hard
-    clause, a tuple of ints, is formatted by one `%` with a format string
-    per clause length.  The bytes are unchanged from joining one line per
-    clause, `<weight> <lits> 0`, the empty clause's `<top>  0` included."""
+    WRITE_SLICE, so the whole file is never held as one string.  Each
+    slice is formatted by one `%`: its format string joins, one line per
+    clause, the template for that clause's length, and its arguments are
+    the slice's literals in order.  The bytes are unchanged from joining
+    one line per clause, `<weight> <lits> 0`, the empty clause's
+    `<top>  0` included."""
     if hasattr(target, "write"):
         _write_wcnf(wcnf, target)
     else:
@@ -173,8 +176,9 @@ def _write_wcnf(wcnf: WeightedCnf, handle) -> None:
     formats = [f"{top} " + " ".join(["%d"] * k) + " 0"
                for k in range(max(map(len, hard), default=0) + 1)]
     for start in range(0, len(hard), WRITE_SLICE):
-        handle.write("\n".join([formats[len(clause)] % tuple(clause)
-                                for clause in hard[start:start + WRITE_SLICE]]))
+        chunk = hard[start:start + WRITE_SLICE]
+        template = "\n".join(map(formats.__getitem__, map(len, chunk)))
+        handle.write(template % tuple(itertools.chain.from_iterable(chunk)))
         handle.write("\n")
     handle.write("".join(f"{sw} " + " ".join(map(str, clause)) + " 0\n"
                          for clause, sw in scaled))

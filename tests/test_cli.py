@@ -160,9 +160,12 @@ class TestBench:
         assert rows["2"] == rows["1"]
 
     def test_unknown_pattern(self, tmp_path, capsys):
-        code, _, err = run(["bench", "--patterns", "nope",
-                            "-o", str(tmp_path / "x.csv")], capsys)
-        assert code == cli.EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--patterns", "nope",
+                      "-o", str(tmp_path / "x.csv")])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "nope" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_timed_out_rows_charged_full_budget(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -220,8 +223,11 @@ class TestExportWcnf:
         assert "loss: 0" in err
 
     def test_invalid_size(self, sample_file, capsys):
-        code, _, _ = run(["export-wcnf", sample_file, "0"], capsys)
-        assert code == cli.EXIT_USAGE
+        for bad in ("0", "-2", "three"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["export-wcnf", sample_file, bad])
+            assert exc.value.code == cli.EXIT_USAGE
+        capsys.readouterr()
 
     def test_import_model_rejects_unknown_variable(self, sample_file,
                                                    tmp_path, capsys):

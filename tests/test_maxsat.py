@@ -392,6 +392,17 @@ class TestExportBytes:
         export_wcnf(inst.wcnf, path)
         assert path.read_text(encoding="utf-8") == expected
 
+    def test_encoding_instance_across_slices(self, monkeypatch):
+        from ltlfmine.encoding import EncodingInstance, OperatorPool
+        from ltlfmine.sample import omega_uniform, parse_sample
+        sample = parse_sample("1,0;1,1\n0,1\n---\n0,0\n1,0\n")
+        pool = OperatorPool(tuple(sample.alphabet),
+                            constants=("true", "false"))
+        inst = EncodingInstance(3, sample, omega_uniform(sample), pool)
+        monkeypatch.setattr(maxsat, "WRITE_SLICE", 7)
+        assert len(inst.wcnf.hard) % 7  # the last slice is a short one
+        assert export_text(inst.wcnf) == reference_export(inst.wcnf)
+
     def test_parse_back_gives_tuples(self):
         rng = random.Random(34)
         for _ in range(50):
