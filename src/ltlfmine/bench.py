@@ -136,6 +136,16 @@ def inject_noise(sample: LabeledSample, rate: float,
     return make_sample(sample.alphabet, entries), k
 
 
+def spec_sample(spec: GenSpec) -> tuple[LabeledSample, Optional[int]]:
+    """The sample `spec` describes: `generate_sample`, then, for a positive
+    noise rate, `inject_noise` at the spec's seed.  Returns the sample and
+    the number of flipped labels, None without noise."""
+    sample = generate_sample(spec)
+    if spec.noise_rate > 0:
+        return inject_noise(sample, spec.noise_rate, spec.seed)
+    return sample, None
+
+
 def render_sample_file(sample: LabeledSample, spec: GenSpec,
                        flip_count: Optional[int] = None) -> str:
     """Sample file text with header comments recording provenance."""

@@ -20,7 +20,6 @@ import csv
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
 from . import bench as benchmod
 from . import maxsat
@@ -66,18 +65,19 @@ def _positive_int(text: str) -> int:
 
 
 def _pool(sample, args) -> OperatorPool:
-    if getattr(args, "with_constants", False):
+    if args.with_constants:
         return OperatorPool(tuple(sample.alphabet), constants=("true", "false"))
     return default_pool(sample.alphabet)
 
 
-def _add_learn_opts(parser: argparse.ArgumentParser) -> None:
+def _add_learn_opts(parser: argparse.ArgumentParser,
+                    timeout_help: str) -> None:
     parser.add_argument("sample", help="sample file path")
     parser.add_argument("--kappa", type=_fraction, default=Fraction(0),
                         help="misclassification threshold (rational, default 0)")
-    parser.add_argument("--max-size", type=int, default=40)
+    parser.add_argument("--max-size", type=_positive_int, default=40)
     parser.add_argument("--timeout", type=float, default=None,
-                        help="wall-clock budget in seconds")
+                        help=timeout_help)
     parser.add_argument("--with-constants", action="store_true",
                         help="allow true/false as leaves")
 
@@ -90,13 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", help="learn a minimal formula")
-    _add_learn_opts(p)
+    _add_learn_opts(p, "wall-clock budget in seconds")
     p.add_argument("--weights", choices=("uniform", "rebalanced"),
                    default="uniform")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("learn-dt", help="learn a decision tree over formulas")
-    _add_learn_opts(p)
+    _add_learn_opts(p, "wall-clock budget in seconds for each learner "
+                       "call (two per split), not for the whole tree")
     p.add_argument("--min-score", type=_fraction, default=Fraction(4, 5),
                    help="minimum rebalanced split score (default 4/5)")
     p.add_argument("--max-depth", type=int, default=20)
@@ -114,17 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="benchmark the learner over the catalog")
-    p.add_argument("--patterns", nargs="*", choices=sorted(benchmod.PATTERNS),
+    p.add_argument("--patterns", nargs="+", choices=sorted(benchmod.PATTERNS),
                    default=sorted(benchmod.PATTERNS))
-    p.add_argument("--sizes", nargs="*", type=int, default=[20, 50])
+    p.add_argument("--sizes", nargs="+", type=int, default=[20, 50])
     p.add_argument("--max-length", type=int, default=10)
-    p.add_argument("--seeds", nargs="*", type=int, default=[0])
+    p.add_argument("--seeds", nargs="+", type=int, default=[0])
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--kappa", type=_fraction, default=Fraction(0))
-    p.add_argument("--max-size", type=int, default=40)
+    p.add_argument("--max-size", type=_positive_int, default=40)
     p.add_argument("--timeout", type=float, default=900.0,
                    help="per-sample budget in seconds (default 900)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="run this many samples concurrently")
     p.add_argument("-o", "--output", default="bench.csv")
     p.set_defaults(func=cmd_bench)
@@ -196,42 +197,31 @@ def cmd_gen(args) -> int:
     spec = benchmod.GenSpec(pattern=args.pattern, num_traces=args.traces,
                             max_trace_length=args.max_length, seed=args.seed,
                             noise_rate=args.noise)
-    sample = benchmod.generate_sample(spec)
-    flips: Optional[int] = None
-    if args.noise > 0:
-        sample, flips = benchmod.inject_noise(sample, args.noise, args.seed)
+    sample, flips = benchmod.spec_sample(spec)
     _write(args.output, benchmod.render_sample_file(sample, spec, flips))
     return EXIT_OK
 
 
 def _bench_one(task) -> dict:
-    pattern, size, seed, args_dict = task
-    spec = benchmod.GenSpec(pattern=pattern, num_traces=size,
-                            max_trace_length=args_dict["max_length"],
-                            seed=seed, noise_rate=args_dict["noise"])
-    sample = benchmod.generate_sample(spec)
-    flips = 0
-    if args_dict["noise"] > 0:
-        sample, flips = benchmod.inject_noise(sample, args_dict["noise"], seed)
-    config = LearnConfig(kappa=args_dict["kappa"],
-                         max_size=args_dict["max_size"],
-                         timeout=args_dict["timeout"])
+    spec, args = task
+    sample, flips = benchmod.spec_sample(spec)
+    config = LearnConfig(kappa=args.kappa, max_size=args.max_size,
+                         timeout=args.timeout)
     started = time.monotonic()
     result = learn_minimal(sample, config)
     elapsed = time.monotonic() - started
     timed_out = result.status == TIMED_OUT
     return {
-        "pattern": pattern,
-        "num_traces": size,
-        "seed": seed,
-        "noise_flips": flips,
+        "pattern": spec.pattern,
+        "num_traces": spec.num_traces,
+        "seed": spec.seed,
+        "noise_flips": flips or 0,
         "status": result.status,
         "formula": result.formula.to_text() if result.formula else "",
         "size": result.size if result.size is not None else "",
         "loss": str(result.achieved_loss) if result.achieved_loss is not None else "",
         # Timed-out runs are charged the full budget.
-        "runtime_s": str(args_dict["timeout"]) if timed_out
-                     else f"{elapsed:.3f}",
+        "runtime_s": str(args.timeout) if timed_out else f"{elapsed:.3f}",
         "timed_out": int(timed_out),
     }
 
@@ -241,10 +231,10 @@ _CSV_FIELDS = ["pattern", "num_traces", "seed", "noise_flips", "status",
 
 
 def cmd_bench(args) -> int:
-    args_dict = {"max_length": args.max_length, "noise": args.noise,
-                 "kappa": args.kappa, "max_size": args.max_size,
-                 "timeout": args.timeout}
-    tasks = [(pattern, size, seed, args_dict)
+    # Specs are checked here, before the CSV is opened.
+    tasks = [(benchmod.GenSpec(pattern=pattern, num_traces=size,
+                               max_trace_length=args.max_length,
+                               seed=seed, noise_rate=args.noise), args)
              for pattern in args.patterns
              for size in args.sizes
              for seed in args.seeds]
@@ -254,21 +244,15 @@ def cmd_bench(args) -> int:
         if handle.tell() == 0:
             writer.writeheader()
             handle.flush()
-
-        def emit(row):
-            rows.append(row)
-            writer.writerow(row)
-            handle.flush()
-            print(f"{row['pattern']} n={row['num_traces']} seed={row['seed']}: "
-                  f"{row['status']} ({row['runtime_s']}s)", file=sys.stderr)
-
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-                for row in pool.map(_bench_one, tasks):
-                    emit(row)
-        else:
-            for task in tasks:
-                emit(_bench_one(task))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs) as pool:
+            for row in pool.map(_bench_one, tasks):
+                rows.append(row)
+                writer.writerow(row)
+                handle.flush()
+                print(f"{row['pattern']} n={row['num_traces']} "
+                      f"seed={row['seed']}: {row['status']} "
+                      f"({row['runtime_s']}s)", file=sys.stderr)
     _print_bench_summary(rows, args.timeout)
     return EXIT_OK
 
@@ -277,8 +261,6 @@ def _print_bench_summary(rows, timeout: float) -> None:
     """Aggregate runtimes two ways: over all runs with timeouts charged the
     full budget, and over solved runs only.  Both are printed because
     neither convention dominates; pick one when comparing tools."""
-    if not rows:
-        return
     total = len(rows)
     solved = [r for r in rows if r["status"] == SOLVED]
     runtimes_all = [float(r["runtime_s"]) for r in rows]

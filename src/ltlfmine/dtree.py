@@ -56,6 +56,10 @@ class DtConfig:
         self.min_score = Fraction(self.min_score)
         if not Fraction(1, 2) < self.min_score <= 1:
             raise ValueError("min_score must lie in (0.5, 1]")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be at least 0")
+        if self.max_size < 1:
+            raise ValueError("max_size must be at least 1")
         if self.min_score >= 1 - self.kappa:
             log.warning("min_score %s >= 1 - kappa %s: splits may not beat "
                         "the stopping criterion", self.min_score, self.kappa)
@@ -104,11 +108,14 @@ def split(sample: LabeledSample,
 
 
 def infer_split_formula(sample: LabeledSample, config: DtConfig) -> Formula:
-    """Smallest formula with rebalanced score >= min_score.
+    """The higher-scoring of two minimal formulas, one per label polarity.
 
-    Runs the learner on the sample and on its label inversion (both under
-    their own rebalanced weights) and keeps the higher-scoring result,
-    preferring the non-inverted one on ties.
+    Runs the learner on the sample and on its label inversion, each under
+    its own rebalanced weights with loss threshold 1 - min_score, and
+    keeps the result with the higher rebalanced score on the sample,
+    preferring the non-inverted one on ties.  That formula need not be
+    the smallest one with score >= min_score: the other polarity's
+    formula may be smaller and score lower.
     """
     threshold = 1 - config.min_score
 

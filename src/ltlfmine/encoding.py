@@ -91,9 +91,6 @@ class OperatorPool:
     def labels(self) -> tuple[str, ...]:
         return self.nullary + self.unary + self.binary
 
-    def is_nullary(self, label: str) -> bool:
-        return label in self.alphabet or label in self.constants
-
 
 def default_pool(alphabet) -> OperatorPool:
     return OperatorPool(tuple(alphabet))
@@ -102,6 +99,16 @@ def default_pool(alphabet) -> OperatorPool:
 def _signal(lits: list[int]) -> tuple[list[int], list[int]]:
     """A signal along a trace: its literals and their negations."""
     return lits, [-v for v in lits]
+
+
+def _exactly_one(assignment: dict, choices, i: int, kind: str):
+    """The one choice, of (item, variable) pairs, whose variable
+    `assignment` sets true: node i's label or child."""
+    hits = [item for item, v in choices if assignment.get(v, False)]
+    if len(hits) != 1:
+        raise EncodingError(
+            f"node {i} has {len(hits)} {kind} set; encoder invariant broken")
+    return hits[0]
 
 
 class _Skeleton:
@@ -313,19 +320,14 @@ class _Skeleton:
     # -- decoding ----------------------------------------------------------
 
     def node_label(self, assignment: dict, i: int) -> str:
-        hits = [lab for lab in self.pool.labels
-                if assignment.get(self.x[(i, lab)], False)]
-        if len(hits) != 1:
-            raise EncodingError(
-                f"node {i} has {len(hits)} labels set; encoder invariant broken")
-        return hits[0]
+        return _exactly_one(assignment, [(lab, self.x[(i, lab)])
+                                         for lab in self.pool.labels],
+                            i, "labels")
 
     def _child(self, assignment: dict, table, i: int) -> int:
-        hits = [j for j in range(1, i) if assignment.get(table[(i, j)], False)]
-        if len(hits) != 1:
-            raise EncodingError(
-                f"node {i} has {len(hits)} children set; encoder invariant broken")
-        return hits[0]
+        return _exactly_one(assignment, [(j, table[(i, j)])
+                                         for j in range(1, i)],
+                            i, "children")
 
     def decode_model(self, assignment: dict) -> Formula:
         """The formula a model encodes.  Nodes are decoded in id order, so
@@ -337,7 +339,7 @@ class _Skeleton:
             label = self.node_label(assignment, i)
             if label in F.CONSTANTS:
                 built.append(builder.const(label == F.TRUE))
-            elif self.pool.is_nullary(label):
+            elif label in self.pool.alphabet:
                 built.append(builder.prop(label))
             elif label in self.pool.unary:
                 built.append(builder.unary(

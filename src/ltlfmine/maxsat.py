@@ -83,18 +83,12 @@ def check_hard(wcnf: WeightedCnf, assignment: dict) -> bool:
     return all(clause_satisfied(c, assignment) for c in wcnf.hard)
 
 
-def weight_denominator(wcnf: WeightedCnf) -> int:
-    if wcnf.weight_scale is not None:
-        return wcnf.weight_scale
-    denom = 1
-    for _, w in wcnf.soft:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    return denom
-
-
 def scaled_soft(wcnf: WeightedCnf) -> tuple[int, list[tuple[list, int]]]:
-    """The weight denominator D and the soft clauses with weights times D."""
-    denom = weight_denominator(wcnf)
+    """The weight scale D, `weight_scale` or else the lcm of the soft
+    weights' denominators, and the soft clauses with weights times D."""
+    denom = wcnf.weight_scale
+    if denom is None:
+        denom = math.lcm(*(w.denominator for _, w in wcnf.soft))
     scaled = []
     for clause, w in wcnf.soft:
         sw = w * denom

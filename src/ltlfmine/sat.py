@@ -312,13 +312,13 @@ class SatSolver:
     # -- search ------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
+        """The unassigned variable of highest activity, or 0 when every
+        variable is assigned: every unassigned variable has an `order`
+        entry keyed by its current activity."""
         while self.order:
             key, var = heapq.heappop(self.order)
             if -key == self.activity[var]:
                 self.queued[var] = False
-            if self.value[2 * var] == -1:
-                return var
-        for var in range(1, self.nvars + 1):
             if self.value[2 * var] == -1:
                 return var
         return 0

@@ -6,7 +6,8 @@ import pytest
 
 from ltlfmine.bench import (GenSpec, GenerationError, PATTERNS,
                             generate_sample, inject_noise, pattern_alphabet,
-                            pattern_formula, render_sample_file)
+                            pattern_formula, render_sample_file,
+                            spec_sample)
 from ltlfmine.formula import parse_formula
 from ltlfmine.sample import loss, parse_sample
 
@@ -120,6 +121,13 @@ class TestNoise:
         sample = generate_sample(GenSpec("existence1", num_traces=10, seed=0))
         with pytest.raises(ValueError):
             inject_noise(sample, -0.1, 0)
+
+    def test_spec_sample_noise_from_the_spec(self):
+        clean = GenSpec("existence2", num_traces=20, seed=3)
+        assert spec_sample(clean) == (generate_sample(clean), None)
+        noisy = GenSpec("existence2", num_traces=20, seed=3, noise_rate=0.1)
+        assert spec_sample(noisy) == inject_noise(generate_sample(clean),
+                                                  0.1, 3)
 
 
 class TestRenderedFile:

@@ -53,6 +53,12 @@ class TestLearn:
         assert code == cli.EXIT_NO_RESULT
         assert "no formula" in err
 
+    def test_max_size_zero_rejected(self, sample_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["learn", sample_file, "--max-size", "0"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "at least 1" in capsys.readouterr().err
+
     def test_timeout_exit_code(self, tmp_path, capsys):
         path = tmp_path / "s.txt"
         path.write_text("1,0\n0,1\n---\n1,1\n0,0\n")
@@ -86,6 +92,27 @@ class TestLearnDt:
         sample = parse_sample(BASIC)
         tree = parse_tree(out.strip(), sample.alphabet)
         assert tree_loss(sample, tree) == 0
+
+    def test_negative_max_depth_rejected(self, sample_file, capsys):
+        code, out, err = run(["learn-dt", sample_file, "--max-depth", "-1"],
+                             capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "max_depth" in err
+
+    def test_max_size_zero_rejected_on_one_class_sample(self, tmp_path,
+                                                       capsys):
+        # One class: no split runs the learner, the parser still refuses.
+        path = tmp_path / "s.txt"
+        path.write_text("1,0\n0,1\n---\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["learn-dt", str(path), "--max-size", "0"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_timeout_help_names_each_learner_call(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["learn-dt", "--help"])
+        assert "each learner call" in capsys.readouterr().out
 
 
 class TestGen:
@@ -166,6 +193,38 @@ class TestBench:
         assert exc.value.code == cli.EXIT_USAGE
         assert "nope" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--patterns"], ["--sizes", "--patterns", "absence1"],
+        ["--patterns", "absence1", "--seeds"]])
+    def test_empty_list_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", *args, "-o", str(out)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert not out.exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("args", [
+        ["--jobs", "0"], ["--max-size", "0"], ["--jobs", "-2"]])
+    def test_counts_below_one_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--patterns", "existence1", "--sizes", "8",
+                      *args, "-o", str(out)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--sizes", "1"], ["--noise", "1.5"], ["--max-length", "0"]])
+    def test_bad_spec_writes_no_csv(self, tmp_path, capsys, args):
+        out = tmp_path / "b.csv"
+        code, _, err = run(["bench", "--patterns", "absence1", "--sizes", "8",
+                            *args, "-o", str(out)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error: ")
+        assert not out.exists()
 
     def test_timed_out_rows_charged_full_budget(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -124,6 +124,18 @@ class TestLearnTree:
         r = learn_tree(s, DtConfig(node_timeout=0.0))
         assert r.status == "timed-out"
 
+    @pytest.mark.parametrize("bad", [{"max_depth": -1}, {"max_size": 0},
+                                     {"max_size": -3}])
+    def test_config_rejects_bad_counts(self, bad):
+        with pytest.raises(ValueError):
+            DtConfig(**bad)
+
+    def test_config_accepts_the_least_counts(self):
+        # Depth 0 is a single leaf; size 1 allows one proposition.
+        s = parse_sample("1\n0\n---\n")
+        r = learn_tree(s, DtConfig(max_depth=0, max_size=1))
+        assert r.tree == Leaf(1) and r.status == "solved"
+
 
 class TestTreeFormulaAgreement:
     def fig_tree(self):

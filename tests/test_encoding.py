@@ -27,7 +27,7 @@ class TestOperatorPool:
     def test_default_pool_labels(self):
         pool = default_pool(("p", "q"))
         assert pool.labels == ("p", "q", "!", "X", "F", "G", "|", "&", "->", "U")
-        assert pool.is_nullary("p") and not pool.is_nullary("U")
+        assert "p" in pool.nullary and "U" not in pool.nullary
 
     def test_constants_optional(self):
         pool = OperatorPool(("p",), constants=("true", "false"))
@@ -204,7 +204,7 @@ def node_formulas(inst, model):
         label = inst.node_label(model, i)
         if label in inst.pool.constants:
             ids[i] = builder.const(label == "true")
-        elif inst.pool.is_nullary(label):
+        elif label in inst.pool.nullary:
             ids[i] = builder.prop(label)
         elif label in inst.pool.unary:
             ids[i] = builder.unary(label, ids[chosen_child(model, inst.l, i)])

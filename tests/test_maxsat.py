@@ -363,7 +363,7 @@ class TestExportBytes:
     def test_fixed_weight_scale(self):
         wcnf = mixed_wcnf(random.Random(8), 10)
         wcnf.add_soft([1], Fraction(1, 3))
-        wcnf.weight_scale = 3 * maxsat.weight_denominator(wcnf)
+        wcnf.weight_scale = 3 * maxsat.scaled_soft(wcnf)[0]
         assert export_text(wcnf) == reference_export(wcnf)
 
     def test_slice_boundaries(self, monkeypatch):

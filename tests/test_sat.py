@@ -199,6 +199,51 @@ class TestAssumptions:
         assert solver.unsat == (not satisfiable)
 
 
+class _OrderChecked(SatSolver):
+    """A solver that checks, after every backtrack, that each unassigned
+    variable has an `order` entry keyed by its current activity, so that
+    an empty heap in `_pick_branch_var` means every variable is assigned."""
+
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def _backtrack(self, target_level):
+        super()._backtrack(target_level)
+        entries = set(self.order)
+        for v in range(1, self.nvars + 1):
+            if self.value[2 * v] == -1:
+                assert (-self.activity[v], v) in entries, v
+        self.checks += 1
+
+
+class TestBranchOrder:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("var_inc", [1.0, 1e100])
+    def test_unassigned_variables_keep_a_current_entry(self, seed, var_inc):
+        # Random 3-SAT near the threshold, grown between solves (new
+        # variables included) as in the learner.  Near 1e100 the first
+        # bumps rescale every activity and rebuild the heap.
+        rng = random.Random(seed)
+        solver = _OrderChecked()
+        solver.var_inc = var_inc
+        clauses = []
+        for nvars in (30, 40, 50, 60):
+            for _ in range(int(4.26 * nvars) - len(clauses)):
+                clause = [rng.choice([-1, 1]) * v
+                          for v in rng.sample(range(1, nvars + 1), 3)]
+                clauses.append(clause)
+                solver.add_clause(clause)
+            assumptions = [rng.choice([-1, 1]) * rng.randint(1, nvars)]
+            if solver.solve(assumptions):
+                model = solver.model()
+                assert all(any(model[abs(l)] == (l > 0) for l in c)
+                           for c in clauses + [assumptions])
+        assert solver.checks > 10
+        if var_inc > 1:
+            assert solver.var_inc < 1e50  # rescaled by 1e-100
+
+
 def test_check_deadline():
     check_deadline(None)
     with pytest.raises(SolveTimeout):
