@@ -49,7 +49,6 @@ class GenSpec:
     pattern: str                       # catalog name
     num_traces: int = 50
     max_trace_length: int = 10
-    alphabet_size: Optional[int] = None  # default: width used by the pattern
     seed: int = 0
     noise_rate: float = 0.0
 
@@ -83,10 +82,6 @@ def generate_sample(spec: GenSpec) -> LabeledSample:
     # propositions some patterns admit too few distinct traces in one
     # class to fill it without duplicates.
     width = max(len(pattern_alphabet(spec.pattern)) + 2, 3)
-    if spec.alphabet_size is not None:
-        if spec.alphabet_size < len(pattern_alphabet(spec.pattern)):
-            raise ValueError("alphabet_size smaller than the pattern needs")
-        width = spec.alphabet_size
     alphabet = tuple(f"p{k}" for k in range(width))
     target = parse_formula(PATTERNS[spec.pattern], alphabet)
     rng = random.Random(spec.seed)

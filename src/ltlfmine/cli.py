@@ -64,6 +64,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not value >= 0:  # NaN too
+        raise argparse.ArgumentTypeError("value must be at least 0")
+    return value
+
+
 def _pool(sample, args) -> OperatorPool:
     if args.with_constants:
         return OperatorPool(tuple(sample.alphabet), constants=("true", "false"))
@@ -76,7 +86,7 @@ def _add_learn_opts(parser: argparse.ArgumentParser,
     parser.add_argument("--kappa", type=_fraction, default=Fraction(0),
                         help="misclassification threshold (rational, default 0)")
     parser.add_argument("--max-size", type=_positive_int, default=40)
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_nonnegative_float, default=None,
                         help=timeout_help)
     parser.add_argument("--with-constants", action="store_true",
                         help="allow true/false as leaves")
@@ -123,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--kappa", type=_fraction, default=Fraction(0))
     p.add_argument("--max-size", type=_positive_int, default=40)
-    p.add_argument("--timeout", type=float, default=900.0,
+    p.add_argument("--timeout", type=_nonnegative_float, default=900.0,
                    help="per-sample budget in seconds (default 900)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="run this many samples concurrently")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .formula import CONSTANTS, Formula, FormulaBuilder, PROP, arity
+from .formula import Formula, FormulaBuilder
 from .learner import (SOLVED, LearnConfig, LearnResult, TIMED_OUT,
                       learn_minimal)
 from .encoding import OperatorPool
@@ -188,16 +188,8 @@ def _copy_into(builder: FormulaBuilder, f: Formula) -> int:
     """Add `f`'s nodes to `builder` in node order; the id of its root."""
     ids: list[int] = []
     for node in f.nodes:
-        if node.op == PROP:
-            out = builder.prop(node.name)
-        elif node.op in CONSTANTS:
-            out = builder.const(node.op == "true")
-        elif arity(node.op) == 1:
-            out = builder.unary(node.op, ids[node.left - 1])
-        else:
-            out = builder.binary(node.op, ids[node.left - 1],
-                                 ids[node.right - 1])
-        ids.append(out)
+        children = (ids[c - 1] for c in (node.left, node.right) if c)
+        ids.append(builder.add(node.label, *children))
     return ids[-1]
 
 
@@ -214,22 +206,22 @@ def tree_to_formula(tree: DecisionTree) -> Formula:
             return
         lit = _copy_into(builder, node.formula)
         walk(node.left, prefix + [lit])
-        walk(node.right, prefix + [builder.unary("!", lit)])
+        walk(node.right, prefix + [builder.add("!", lit)])
 
     walk(tree, [])
     if not paths:
-        return builder.finish(builder.const(False))
+        return builder.finish(builder.add("false"))
     disjuncts = []
     for path in paths:
         if not path:  # root itself is an accepting leaf
-            return builder.finish(builder.const(True))
+            return builder.finish(builder.add("true"))
         acc = path[0]
         for term in path[1:]:
-            acc = builder.binary("&", acc, term)
+            acc = builder.add("&", acc, term)
         disjuncts.append(acc)
     acc = disjuncts[0]
     for d in disjuncts[1:]:
-        acc = builder.binary("|", acc, d)
+        acc = builder.add("|", acc, d)
     return builder.finish(acc)
 
 

@@ -337,17 +337,9 @@ class _Skeleton:
         built = [0]  # built[i]: the builder id of node i
         for i in range(1, self.n + 1):
             label = self.node_label(assignment, i)
-            if label in F.CONSTANTS:
-                built.append(builder.const(label == F.TRUE))
-            elif label in self.pool.alphabet:
-                built.append(builder.prop(label))
-            elif label in self.pool.unary:
-                built.append(builder.unary(
-                    label, built[self._child(assignment, self.l, i)]))
-            else:
-                built.append(builder.binary(
-                    label, built[self._child(assignment, self.l, i)],
-                    built[self._child(assignment, self.r, i)]))
+            children = [built[self._child(assignment, table, i)]
+                        for table in (self.l, self.r)[:F.arity(label)]]
+            built.append(builder.add(label, *children))
         return builder.finish(built[self.n])
 
     # -- helpers for tests and external tooling ----------------------------
@@ -360,8 +352,7 @@ class _Skeleton:
         lits = []
         for i in range(1, self.n + 1):
             node = f.node(i)
-            label = node.name if node.op == F.PROP else node.op
-            lits.append(self.x[(i, label)])
+            lits.append(self.x[(i, node.label)])
             if node.left:
                 lits.append(self.l[(i, node.left)])
             if node.right:

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .formula import CONSTANTS, PROP, TRUE, Formula, FormulaBuilder, Layout
+from .formula import TRUE, Formula, FormulaBuilder, Layout
 from .sample import LabeledSample, WeightFn, scaled_weights
 from .sat import check_deadline
 
@@ -50,7 +50,8 @@ class Enumerator:
         self.groups = [(w, layout.bits(ones))
                        for w, ones in sorted(groups.items())]
         # Stored formulas, by id: key, signature and subformula ids.  A key
-        # is (PROP, name), (constant,), (op, f) or (op, f, g) over ids.
+        # is a label and its children's ids, as `FormulaBuilder.add` takes
+        # them: (p,), (constant,), (op, f) or (op, f, g).
         self.keys: list[tuple] = []
         self.sigs: list[int] = []
         self.subs: list[frozenset] = []
@@ -58,7 +59,7 @@ class Enumerator:
         self.levels: dict[int, list[int]] = {}
         self.candidates = 0
         symbols = [symbol for u in traces for symbol in u]
-        self.leaves = [((PROP, p), layout.bits(
+        self.leaves = [((p,), layout.bits(
             pos for pos, symbol in enumerate(symbols) if p in symbol))
             for p in pool.alphabet]
         self.leaves += [((c,), layout.full if c == TRUE else 0)
@@ -131,9 +132,8 @@ class Enumerator:
     def _store(self, key: tuple, sig: int) -> int:
         i = len(self.keys)
         sub = {i}
-        if key[0] != PROP:
-            for child in key[1:]:
-                sub |= self.subs[child]
+        for child in key[1:]:
+            sub |= self.subs[child]
         self.keys.append(key)
         self.sigs.append(sig)
         self.subs.append(frozenset(sub))
@@ -182,14 +182,6 @@ class Enumerator:
         builder = FormulaBuilder()
 
         def node(key) -> int:
-            op = key[0]
-            if op == PROP:
-                return builder.prop(key[1])
-            if op in CONSTANTS:
-                return builder.const(op == TRUE)
-            children = [node(self.keys[c]) for c in key[1:]]
-            if len(children) == 1:
-                return builder.unary(op, children[0])
-            return builder.binary(op, *children)
+            return builder.add(key[0], *(node(self.keys[c]) for c in key[1:]))
 
         return builder.finish(node(key))

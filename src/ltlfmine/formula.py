@@ -59,6 +59,11 @@ class Node:
     left: int = 0               # child node ids, 0 = absent
     right: int = 0
 
+    @property
+    def label(self) -> str:
+        """The proposition name, else the operator."""
+        return self.name if self.op == PROP else self.op
+
 
 class FormulaBuilder:
     """Hash-consing constructor for syntax DAGs.
@@ -71,30 +76,24 @@ class FormulaBuilder:
         self._nodes: list[Node] = []
         self._intern: dict[tuple, int] = {}
 
-    def _mk(self, op: str, name: Optional[str], left: int, right: int) -> int:
-        key = (op, name, left, right)
+    def add(self, label: str, *children: int) -> int:
+        """The id of the node `label` over `children`, which must number
+        `arity(label)`.  With no children, `true` and `false` are the
+        constants and any other label is a proposition."""
+        if len(children) != arity(label):
+            raise ValueError(f"{label!r} takes {arity(label)} children, "
+                             f"got {len(children)}")
+        left, right = (*children, 0, 0)[:2]
+        if children or label in CONSTANTS:
+            key = (label, None, left, right)
+        else:
+            key = (PROP, label, 0, 0)
         idx = self._intern.get(key)
         if idx is None:
-            self._nodes.append(Node(op, name, left, right))
+            self._nodes.append(Node(*key))
             idx = len(self._nodes)
             self._intern[key] = idx
         return idx
-
-    def prop(self, name: str) -> int:
-        return self._mk(PROP, name, 0, 0)
-
-    def const(self, value: bool) -> int:
-        return self._mk(TRUE if value else FALSE, None, 0, 0)
-
-    def unary(self, op: str, child: int) -> int:
-        if arity(op) != 1:
-            raise ValueError(f"not a unary operator: {op!r}")
-        return self._mk(op, None, child, 0)
-
-    def binary(self, op: str, left: int, right: int) -> int:
-        if arity(op) != 2:
-            raise ValueError(f"not a binary operator: {op!r}")
-        return self._mk(op, None, left, right)
 
     def node(self, idx: int) -> Node:
         return self._nodes[idx - 1]
@@ -178,11 +177,9 @@ class Formula:
         if self._text is None:
             texts: list[str] = []
             for node in self.nodes:
-                if node.op == PROP:
-                    text = node.name
-                elif node.op in CONSTANTS:
-                    text = node.op
-                elif arity(node.op) == 1:
+                if not node.left:
+                    text = node.label
+                elif not node.right:
                     text = f"({node.op} {texts[node.left - 1]})"
                 else:
                     text = (f"({texts[node.left - 1]} {node.op} "
@@ -315,20 +312,14 @@ def from_tree(tree, builder: Optional[FormulaBuilder] = None) -> Formula:
     stack = [(tree, False)]             # (subtree, children built)
     while stack:
         t, expanded = stack.pop()
-        op = t[0]
-        if op == PROP:
-            built.append(builder.prop(t[1]))
-        elif op in CONSTANTS:
-            built.append(builder.const(op == TRUE))
-        elif not expanded:
+        if t[0] == PROP:
+            built.append(builder.add(t[1]))
+        elif not expanded and len(t) > 1:
             stack.append((t, True))
-            children = t[1:2] if arity(op) == 1 else t[1:3]
-            stack.extend((child, False) for child in reversed(children))
-        elif arity(op) == 1:
-            built.append(builder.unary(op, built.pop()))
+            stack.extend((child, False) for child in reversed(t[1:]))
         else:
-            right = built.pop()
-            built.append(builder.binary(op, built.pop(), right))
+            first = len(built) - (len(t) - 1)   # t's built children
+            built[first:] = [builder.add(t[0], *built[first:])]
     return builder.finish(built.pop())
 
 
@@ -429,25 +420,20 @@ class _Parser:
                 prec = _BINARY[op][0]
                 if prec < precedence or (prec == precedence and right_assoc):
                     return
-                right = operands.pop()
-                operands[-1] = self.b.binary(op, operands[-1], right)
-            else:
-                operands[-1] = self.b.unary(op, operands[-1])
+            k = arity(op)
+            operands[-k:] = [self.b.add(op, *operands[-k:])]
             pending.pop()
 
     def _atom(self, tok: str, pos: int) -> int:
-        if tok == TRUE:
-            return self.b.const(True)
-        if tok == FALSE:
-            return self.b.const(False)
         if tok == "<end>":
             raise LtlSyntaxError("unexpected end of input", pos)
-        if not (tok[0].isalpha() or tok[0] == "_"):
+        if not (tok[0].isalpha() or tok[0] == "_") or arity(tok):
             raise LtlSyntaxError(f"expected a proposition, got {tok!r}", pos)
-        if self.alphabet is not None and tok not in self.alphabet:
+        if (self.alphabet is not None and tok not in CONSTANTS
+                and tok not in self.alphabet):
             raise UnknownPropositionError(
                 f"proposition {tok!r} not in alphabet {sorted(self.alphabet)}")
-        return self.b.prop(tok)
+        return self.b.add(tok)
 
 
 def parse_formula(text: str, alphabet: Optional[Iterable[str]] = None) -> Formula:

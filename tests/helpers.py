@@ -10,9 +10,9 @@ import math
 import random
 from fractions import Fraction
 
-from ltlfmine.formula import (BINARY_OPS, CONSTANTS, EVENTUALLY, FALSE,
-                              GLOBALLY, IMPLIES, NEXT, NOT, OR, AND, PROP,
-                              TRUE, UNARY_OPS, UNTIL, Formula, FormulaBuilder)
+from ltlfmine.formula import (BINARY_OPS, EVENTUALLY, FALSE, GLOBALLY,
+                              IMPLIES, NEXT, NOT, OR, AND, PROP, TRUE,
+                              UNARY_OPS, UNTIL, Formula, FormulaBuilder, arity)
 from ltlfmine import maxsat
 from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, WeightedCnf,
                              check_hard, clause_satisfied,
@@ -49,14 +49,7 @@ def enumerate_formulas(props, max_n, constants=()):
             builder = FormulaBuilder()
             ids = {}
             for i, (label, j, k) in enumerate(combo, start=1):
-                if label in props:
-                    ids[i] = builder.prop(label)
-                elif label in CONSTANTS:
-                    ids[i] = builder.const(label == TRUE)
-                elif label in UNARY_OPS:
-                    ids[i] = builder.unary(label, ids[j])
-                else:
-                    ids[i] = builder.binary(label, ids[j], ids[k])
+                ids[i] = builder.add(label, *(ids[c] for c in (j, k) if c))
             f = builder.finish(ids[n])
             if f.nodes not in seen:
                 seen.add(f.nodes)
@@ -265,10 +258,8 @@ def random_formula(rng: random.Random, props, depth) -> Formula:
 
     def build(d) -> int:
         if d == 0 or rng.random() < 0.3:
-            return builder.prop(rng.choice(list(props)))
+            return builder.add(rng.choice(list(props)))
         op = rng.choice(UNARY_OPS + BINARY_OPS)
-        if op in UNARY_OPS:
-            return builder.unary(op, build(d - 1))
-        return builder.binary(op, build(d - 1), build(d - 1))
+        return builder.add(op, *(build(d - 1) for _ in range(arity(op))))
 
     return builder.finish(build(depth))

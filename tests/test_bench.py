@@ -61,21 +61,11 @@ class TestGeneration:
         sample = generate_sample(GenSpec("absence1", num_traces=10, seed=0))
         assert sample.alphabet == ("p0", "p1", "p2")
 
-    def test_explicit_alphabet_size(self):
-        spec = GenSpec("absence1", num_traces=10, seed=0, alphabet_size=5)
-        assert generate_sample(spec).alphabet == tuple(
-            f"p{k}" for k in range(5))
-
-    def test_alphabet_too_small_rejected(self):
-        spec = GenSpec("disjunction3", num_traces=4, seed=0, alphabet_size=2)
-        with pytest.raises(ValueError, match="smaller"):
-            generate_sample(spec)
-
     def test_impossible_class_raises(self):
-        # max length 1 and a 1-symbol alphabet: at most 2 distinct traces,
-        # so 10 per class can never be collected.
+        # max length 1 over the 3-proposition alphabet: 8 distinct traces,
+        # 4 per class, so 10 per class can never be collected.
         spec = GenSpec("absence1", num_traces=20, max_trace_length=1,
-                       seed=0, alphabet_size=1)
+                       seed=0)
         with pytest.raises(GenerationError):
             generate_sample(spec)
 

@@ -65,6 +65,13 @@ class TestLearn:
         code, _, err = run(["learn", str(path), "--timeout", "0"], capsys)
         assert code == cli.EXIT_TIMEOUT
 
+    def test_negative_timeout_rejected(self, sample_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["learn", sample_file, "--timeout", "-1"])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 0" in captured.err
+
     def test_missing_file(self, capsys):
         code, _, err = run(["learn", "/no/such/file"], capsys)
         assert code == cli.EXIT_USAGE
@@ -108,6 +115,13 @@ class TestLearnDt:
             cli.main(["learn-dt", str(path), "--max-size", "0"])
         assert exc.value.code == cli.EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    def test_negative_timeout_rejected(self, sample_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["learn-dt", sample_file, "--timeout", "-0.5"])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 0" in captured.err
 
     def test_timeout_help_names_each_learner_call(self, capsys):
         with pytest.raises(SystemExit):
@@ -214,6 +228,16 @@ class TestBench:
                       *args, "-o", str(out)])
         assert exc.value.code == cli.EXIT_USAGE
         assert "at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timeout", ["-5", "nan"])
+    def test_negative_timeout_writes_no_csv(self, tmp_path, capsys, timeout):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--patterns", "absence1", "--sizes", "8",
+                      "--timeout", timeout, "-o", str(out)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "at least 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -8,7 +8,7 @@ from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine import encoding
 from ltlfmine.encoding import (EncodingError, EncodingInstance,
                                IncrementalInstance, OperatorPool, default_pool)
-from ltlfmine.formula import FormulaBuilder, parse_formula
+from ltlfmine.formula import FormulaBuilder, arity, parse_formula
 from ltlfmine.maxsat import FEASIBLE
 from ltlfmine.sample import (omega_uniform, parse_sample, weighted_loss)
 from ltlfmine.sat import SatSolver
@@ -202,15 +202,9 @@ def node_formulas(inst, model):
     ids = {}
     for i in range(1, inst.n + 1):
         label = inst.node_label(model, i)
-        if label in inst.pool.constants:
-            ids[i] = builder.const(label == "true")
-        elif label in inst.pool.nullary:
-            ids[i] = builder.prop(label)
-        elif label in inst.pool.unary:
-            ids[i] = builder.unary(label, ids[chosen_child(model, inst.l, i)])
-        else:
-            ids[i] = builder.binary(label, ids[chosen_child(model, inst.l, i)],
-                                    ids[chosen_child(model, inst.r, i)])
+        ids[i] = builder.add(label, *(
+            ids[chosen_child(model, table, i)]
+            for table in (inst.l, inst.r)[:arity(label)]))
     return {i: builder.finish(ids[i]) for i in ids}
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltlfmine.formula import (Formula, FormulaBuilder, LtlSyntaxError,
-                              UnknownPropositionError, from_tree,
+from ltlfmine.formula import (PROP, Formula, FormulaBuilder, LtlSyntaxError,
+                              UnknownPropositionError, arity, from_tree,
                               parse_formula)
 from helpers import random_formula, random_trace, reference_evaluate
 
@@ -79,16 +79,47 @@ class TestStructure:
         # identical node arrays.
         a = parse_formula("(p & q) | (q & p)")
         b1 = FormulaBuilder()
-        q = b1.prop("q")
-        p = b1.prop("p")
-        left = b1.binary("&", p, q)
-        right = b1.binary("&", q, p)
-        b = b1.finish(b1.binary("|", left, right))
+        q = b1.add("q")
+        p = b1.add("p")
+        left = b1.add("&", p, q)
+        right = b1.add("&", q, p)
+        b = b1.finish(b1.add("|", left, right))
         assert a == b
         assert hash(a) == hash(b)
 
     def test_propositions(self):
         assert parse_formula("(p U G q) | F G q").propositions() == {"p", "q"}
+
+
+class TestBuilderAdd:
+    @pytest.mark.parametrize("label, count", [
+        ("&", 1), ("!", 0), ("p", 1), ("true", 1), ("U", 0)])
+    def test_wrong_child_count_raises(self, label, count):
+        builder = FormulaBuilder()
+        x = builder.add("x")
+        with pytest.raises(ValueError):
+            builder.add(label, *[x] * count)
+
+    def test_equal_label_and_children_give_same_id(self):
+        builder = FormulaBuilder()
+        p, q = builder.add("p"), builder.add("q")
+        assert builder.add("p") == p
+        assert builder.add("true") == builder.add("true") != p
+        assert builder.add("U", p, q) == builder.add("U", p, q)
+        assert builder.add("U", q, p) != builder.add("U", p, q)
+        assert builder.add("X", p) == builder.add("X", p) != builder.add("F", p)
+
+    def test_no_children_gives_constant_or_proposition(self):
+        builder = FormulaBuilder()
+        f = builder.finish(builder.add("&", builder.add("false"),
+                                       builder.add("p")))
+        assert [(n.op, n.name, n.label) for n in f.nodes] == [
+            ("false", None, "false"), ("prop", "p", "p"), ("&", None, "&")]
+
+    @pytest.mark.parametrize("text", ["U", "p & U", "(U U U)"])
+    def test_operator_name_is_not_a_proposition(self, text):
+        with pytest.raises(LtlSyntaxError):
+            parse_formula(text)
 
 
 class TestParser:
@@ -154,9 +185,9 @@ class TestParser:
 
         depth = 1500
         builder = FormulaBuilder()
-        node = builder.prop("p")
+        node = builder.add("p")
         for _ in range(depth):
-            node = builder.unary("X", node)
+            node = builder.add("X", node)
         chain = builder.finish(node)
         text = chain.to_text()
         assert text == "(X " * depth + "p" + ")" * depth
@@ -214,6 +245,10 @@ def formula_texts(draw):
     return random_formula(rng, ("p", "q", "r"), depth=draw(st.integers(0, 5)))
 
 
+LABELS = {"leaf": ["p", "q", "true", "false"], "unary": list("!XFG"),
+          "binary": ["|", "&", "->", "U"]}
+
+
 @st.composite
 def formulas_with_constants(draw):
     builder = FormulaBuilder()
@@ -221,17 +256,9 @@ def formulas_with_constants(draw):
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(["leaf", "unary", "binary"])
                     if nodes else st.just("leaf"))
-        if kind == "leaf":
-            leaf = draw(st.sampled_from(["p", "q", "true", "false"]))
-            nodes.append(builder.const(leaf == "true")
-                         if leaf in ("true", "false") else builder.prop(leaf))
-        elif kind == "unary":
-            nodes.append(builder.unary(draw(st.sampled_from("!XFG")),
-                                       draw(st.sampled_from(nodes))))
-        else:
-            nodes.append(builder.binary(
-                draw(st.sampled_from(["|", "&", "->", "U"])),
-                draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))))
+        label = draw(st.sampled_from(LABELS[kind]))
+        children = [draw(st.sampled_from(nodes)) for _ in range(arity(label))]
+        nodes.append(builder.add(label, *children))
     return builder.finish(nodes[-1])
 
 
@@ -248,9 +275,9 @@ def test_evaluate_matches_reference_at_every_position(f, trace):
 
 def test_deep_formula_evaluates_without_recursion():
     builder = FormulaBuilder()
-    node = builder.prop("p")
+    node = builder.add("p")
     for _ in range(1500):
-        node = builder.unary("X", node)
+        node = builder.add("X", node)
     f = builder.finish(node)
     assert f.size == 1501
     p = frozenset(["p"])
@@ -270,3 +297,27 @@ def test_parse_print_round_trip(f):
 def test_canonicalization_idempotent(f):
     again = Formula._from_nodes(list(f.nodes), f.root)
     assert again.nodes == f.nodes
+
+
+def nested_tuple(f: Formula) -> tuple:
+    """`f` as the nested-tuple tree `from_tree` reads."""
+    trees: list[tuple] = []
+    for node in f.nodes:
+        if node.op == PROP:
+            trees.append((PROP, node.name))
+        else:
+            trees.append((node.op, *(trees[c - 1] for c in
+                                     (node.left, node.right) if c)))
+    return trees[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas_with_constants())
+def test_rebuilding_with_add_and_from_tree_gives_equal_formula(f):
+    builder = FormulaBuilder()
+    ids: list[int] = []
+    for node in f.nodes:
+        ids.append(builder.add(node.label, *(ids[c - 1] for c in
+                                             (node.left, node.right) if c)))
+    assert builder.finish(ids[-1]) == f
+    assert from_tree(nested_tuple(f)) == f
