@@ -31,7 +31,8 @@ PATTERNS: dict[str, str] = {
 
 
 class GenerationError(RuntimeError):
-    """The sampling budget ran out before both classes were filled."""
+    """Too few distinct traces exist for the spec, or the sampling budget
+    ran out before both classes were filled."""
 
 
 def pattern_alphabet(name: str) -> tuple[str, ...]:
@@ -84,6 +85,16 @@ def generate_sample(spec: GenSpec) -> LabeledSample:
     width = max(len(pattern_alphabet(spec.pattern)) + 2, 3)
     alphabet = tuple(f"p{k}" for k in range(width))
     target = parse_formula(PATTERNS[spec.pattern], alphabet)
+    distinct = 0  # distinct traces up to max length, counted far enough
+    for length in range(1, spec.max_trace_length + 1):
+        distinct += 2 ** (width * length)
+        if distinct >= spec.num_traces:
+            break
+    else:
+        raise GenerationError(
+            f"{spec.num_traces} traces asked for, but only {distinct} "
+            f"distinct traces of length at most {spec.max_trace_length} "
+            f"exist over {width} propositions")
     rng = random.Random(spec.seed)
     pos_target = spec.num_traces // 2
     neg_target = spec.num_traces - pos_target

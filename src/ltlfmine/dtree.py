@@ -10,11 +10,12 @@ candidate with the higher rebalanced score.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .formula import Formula, FormulaBuilder
+from .formula import Formula, FormulaBuilder, parse_formula
 from .learner import (SOLVED, LearnConfig, LearnResult, TIMED_OUT,
                       learn_minimal)
 from .encoding import OperatorPool
@@ -54,6 +55,8 @@ class DtConfig:
     def __post_init__(self):
         self.kappa = Fraction(self.kappa)
         self.min_score = Fraction(self.min_score)
+        if not 0 <= self.kappa <= 1:
+            raise ValueError("kappa must lie in [0, 1]")
         if not Fraction(1, 2) < self.min_score <= 1:
             raise ValueError("min_score must lie in (0.5, 1]")
         if self.max_depth < 0:
@@ -195,93 +198,82 @@ def _copy_into(builder: FormulaBuilder, f: Formula) -> int:
 
 def tree_to_formula(tree: DecisionTree) -> Formula:
     """Disjunction over root-to-accepting-leaf paths of the conjunctions of
-    node formulas, negated along dashed edges."""
+    node formulas, negated along dashed edges.  Paths are walked left
+    first over an explicit stack, so tree depth is not bounded by the
+    recursion limit."""
     builder = FormulaBuilder()
-    paths: list[list[int]] = []
-
-    def walk(node: DecisionTree, prefix: list[int]) -> None:
-        if isinstance(node, Leaf):
-            if node.label == 1:
-                paths.append(list(prefix))
-            return
-        lit = _copy_into(builder, node.formula)
-        walk(node.left, prefix + [lit])
-        walk(node.right, prefix + [builder.add("!", lit)])
-
-    walk(tree, [])
-    if not paths:
-        return builder.finish(builder.add("false"))
-    disjuncts = []
-    for path in paths:
-        if not path:  # root itself is an accepting leaf
-            return builder.finish(builder.add("true"))
-        acc = path[0]
-        for term in path[1:]:
-            acc = builder.add("&", acc, term)
-        disjuncts.append(acc)
-    acc = disjuncts[0]
-    for d in disjuncts[1:]:
-        acc = builder.add("|", acc, d)
-    return builder.finish(acc)
+    if isinstance(tree, Leaf):
+        return builder.finish(builder.add("true" if tree.label else "false"))
+    disjunction = None
+    # (subtree, conjunction of the literals on the path to it)
+    stack: list[tuple[DecisionTree, Optional[int]]] = [(tree, None)]
+    while stack:
+        node, conj = stack.pop()
+        if isinstance(node, Inner):
+            lit = _copy_into(builder, node.formula)
+            for child, term in ((node.right, builder.add("!", lit)),
+                                (node.left, lit)):
+                stack.append((child, term if conj is None
+                              else builder.add("&", conj, term)))
+        elif node.label == 1:
+            disjunction = (conj if disjunction is None
+                           else builder.add("|", disjunction, conj))
+    if disjunction is None:
+        disjunction = builder.add("false")
+    return builder.finish(disjunction)
 
 
 # -- serialization -----------------------------------------------------------
 
 def serialize_tree(tree: DecisionTree) -> str:
-    if isinstance(tree, Leaf):
-        return f"(leaf {'true' if tree.label else 'false'})"
-    return (f'(node "{tree.formula.to_text()}" '
-            f"{serialize_tree(tree.left)} {serialize_tree(tree.right)})")
+    """`(leaf true|false)` or `(node "<formula>" <solid> <dashed>)`,
+    written over an explicit stack of subtrees and closing texts."""
+    parts: list[str] = []
+    stack: list[Union[DecisionTree, str]] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(f"(leaf {'true' if item.label else 'false'})")
+        else:
+            parts.append(f'(node "{item.formula.to_text()}" ')
+            stack += [")", item.right, " ", item.left]
+    return "".join(parts)
+
+
+# One token per match, after any whitespace: a whole leaf (group 1 its
+# label), a node's head up to its quoted formula (group 2 the formula),
+# or a node's closing ")" (group 3).
+_TREE_TOKEN = re.compile(
+    r'\s*(?:\(\s*leaf\s+(true|false)\s*\)|\(\s*node\s*"([^"]*)"|(\)))')
 
 
 def parse_tree(text: str, alphabet=None) -> DecisionTree:
-    from .formula import parse_formula
-
-    pos = [0]
-
-    def skip_ws():
-        while pos[0] < len(text) and text[pos[0]].isspace():
-            pos[0] += 1
-
-    def expect(token: str):
-        skip_ws()
-        if not text.startswith(token, pos[0]):
-            raise ValueError(f"expected {token!r} at offset {pos[0]}")
-        pos[0] += len(token)
-
-    def word() -> str:
-        skip_ws()
-        start = pos[0]
-        while pos[0] < len(text) and (text[pos[0]].isalnum() or text[pos[0]] == "_"):
-            pos[0] += 1
-        return text[start:pos[0]]
-
-    def quoted() -> str:
-        expect('"')
-        start = pos[0]
-        end = text.index('"', start)
-        pos[0] = end + 1
-        return text[start:end]
-
-    def node() -> DecisionTree:
-        expect("(")
-        kind = word()
-        if kind == "leaf":
-            label = word()
-            if label not in ("true", "false"):
-                raise ValueError(f"leaf label {label!r} is not true or false")
-            expect(")")
-            return Leaf(1 if label == "true" else 0)
-        if kind != "node":
-            raise ValueError(f"unknown node kind {kind!r}")
-        formula = parse_formula(quoted(), alphabet)
-        left = node()
-        right = node()
-        expect(")")
-        return Inner(formula, left, right)
-
-    result = node()
-    skip_ws()
-    if pos[0] != len(text):
-        raise ValueError("trailing text after tree")
-    return result
+    """The tree `serialize_tree` writes as `text`, any whitespace allowed
+    between tokens.  Nodes whose ")" is still to come wait on an explicit
+    stack, so tree depth is not bounded by the recursion limit."""
+    open_nodes: list[tuple[Formula, list[DecisionTree]]] = []
+    pos = 0
+    while True:
+        match = _TREE_TOKEN.match(text, pos)
+        # ")" must follow a node's second subtree, and a subtree may not.
+        second_done = bool(open_nodes) and len(open_nodes[-1][1]) == 2
+        if match is None or (match[3] is not None) != second_done:
+            raise ValueError(f"unexpected text at offset {pos}")
+        pos = match.end()
+        label, quoted, _ = match.groups()
+        if quoted is not None:
+            open_nodes.append((parse_formula(quoted, alphabet), []))
+            continue
+        if label is not None:
+            done = Leaf(1 if label == "true" else 0)
+        else:
+            formula, (left, right) = open_nodes.pop()
+            done = Inner(formula, left, right)
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(done)
+    if text[pos:].strip():
+        raise ValueError(f"trailing text after tree at offset {pos}")
+    return done

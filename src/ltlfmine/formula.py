@@ -10,6 +10,7 @@ so the node count equals the number of unique subformulas.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -326,42 +327,25 @@ def from_tree(tree, builder: Optional[FormulaBuilder] = None) -> Formula:
 # -- parser -----------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, int]] = []
-        self._scan()
-        self.index = 0
+# One token per match, after any whitespace: "->", a punctuation
+# character or a word (group 1), else a character no token starts with
+# (group 2).
+_TOKEN = re.compile(r"\s*(?:(->|[()!|&]|\w+)|(\S))")
 
-    def _scan(self) -> None:
-        text, i = self.text, 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if text.startswith("->", i):
-                self.tokens.append(("->", i))
-                i += 2
-            elif c in "()!|&":
-                self.tokens.append((c, i))
-                i += 1
-            elif c.isalnum() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append((text[i:j], i))
-                i = j
-            else:
-                raise LtlSyntaxError(f"unexpected character {c!r}", i)
-        self.tokens.append(("<end>", len(text)))
 
-    def next(self) -> tuple[str, int]:
-        tok = self.tokens[self.index]
-        if tok[0] != "<end>":
-            self.index += 1
-        return tok
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """The (token, position) pairs of `text`, ending in ("<end>", len).
+    The whole text is scanned before parsing, so a bad character is
+    reported before any error of the grammar."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        token, bad = match.groups()
+        if bad is not None:
+            raise LtlSyntaxError(f"unexpected character {bad!r}",
+                                 match.start(2))
+        tokens.append((token, match.start(1)))
+    tokens.append(("<end>", len(text)))
+    return tokens
 
 
 # binary operator -> (precedence, right-associative); prefix operators
@@ -378,7 +362,7 @@ class _Parser:
 
     def __init__(self, text: str, alphabet: Optional[Iterable[str]],
                  builder: FormulaBuilder):
-        self.toks = _Tokenizer(text)
+        self.toks = iter(_tokens(text))
         self.alphabet = None if alphabet is None else set(alphabet)
         self.b = builder
         self.operands: list[int] = []
@@ -388,14 +372,14 @@ class _Parser:
         pending = self.pending
         while True:
             # an operand: prefix operators and "(" up to an atom
-            tok, pos = self.toks.next()
+            tok, pos = next(self.toks)
             while tok in _PREFIX or tok == "(":
                 pending.append(tok)
-                tok, pos = self.toks.next()
+                tok, pos = next(self.toks)
             self.operands.append(self._atom(tok, pos))
             # then ")"s, up to a binary operator or the end
             while True:
-                tok, pos = self.toks.next()
+                tok, pos = next(self.toks)
                 if tok in _BINARY:
                     self._reduce(*_BINARY[tok])
                     pending.append(tok)

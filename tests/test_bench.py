@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ltlfmine import bench
 from ltlfmine.bench import (GenSpec, GenerationError, PATTERNS,
                             generate_sample, inject_noise, pattern_alphabet,
                             pattern_formula, render_sample_file,
@@ -61,12 +62,16 @@ class TestGeneration:
         sample = generate_sample(GenSpec("absence1", num_traces=10, seed=0))
         assert sample.alphabet == ("p0", "p1", "p2")
 
-    def test_impossible_class_raises(self):
+    def test_impossible_class_raises(self, monkeypatch):
         # max length 1 over the 3-proposition alphabet: 8 distinct traces,
-        # 4 per class, so 10 per class can never be collected.
+        # fewer than the 20 asked for, which is known before any draw.
+        def no_draw(*args):
+            raise AssertionError("a trace was drawn")
+
+        monkeypatch.setattr(bench, "_random_trace", no_draw)
         spec = GenSpec("absence1", num_traces=20, max_trace_length=1,
                        seed=0)
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError, match="20 traces .* only 8 "):
             generate_sample(spec)
 
     def test_invalid_specs(self):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             infer_split_formula, learn_tree, parse_tree,
@@ -125,7 +126,9 @@ class TestLearnTree:
         assert r.status == "timed-out"
 
     @pytest.mark.parametrize("bad", [{"max_depth": -1}, {"max_size": 0},
-                                     {"max_size": -3}])
+                                     {"max_size": -3},
+                                     {"kappa": Fraction(-1, 10)},
+                                     {"kappa": Fraction(3, 2)}])
     def test_config_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError):
             DtConfig(**bad)
@@ -196,3 +199,52 @@ class TestSerialization:
                      '(node "p0" (leaf yes) (leaf true))'):
             with pytest.raises(ValueError):
                 parse_tree(text)
+
+    def test_whitespace_between_tokens_is_optional_or_free(self):
+        assert parse_tree('(node"p0" (leaf true) (leaf false))') == \
+            Inner(parse_formula("p0"), Leaf(1), Leaf(0))
+        assert parse_tree("( leaf  true )") == Leaf(1)
+        assert parse_tree(' \n(node "p0"\t(leaf true)(leaf false)) ') == \
+            Inner(parse_formula("p0"), Leaf(1), Leaf(0))
+
+    def test_parse_rejects_wrong_subtree_counts(self):
+        for text in ('(node "p0" (leaf true) (leaf false) (leaf true))',
+                     '(node "p0" (leaf true))', "(leaf true))", ")",
+                     '(node "p0" (leaf true) (leaf false)))'):
+            with pytest.raises(ValueError):
+                parse_tree(text)
+
+    def test_deep_chain_parses_prints_and_converts(self):
+        # 5000 levels are far past the interpreter's recursion limit.
+        # Each dashed edge leads one level down; the one accepting leaf
+        # is at the bottom, so the conversion has a single path.
+        depth = 5000
+        text = '(node "p0" (leaf false) ' * depth + "(leaf true)" + \
+            ")" * depth
+        tree = parse_tree(text)
+        assert serialize_tree(tree) == text
+        expected = "(! p0)"
+        for _ in range(depth - 1):
+            expected = f"({expected} & (! p0))"
+        assert tree_to_formula(tree).to_text() == expected
+
+
+@st.composite
+def trees(draw):
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+    props = ("p0", "p1")
+
+    def build(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return Leaf(rng.randint(0, 1))
+        return Inner(random_formula(rng, props, rng.randint(0, 3)),
+                     build(depth - 1), build(depth - 1))
+
+    return build(draw(st.integers(0, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees())
+def test_serialize_parse_round_trip(tree):
+    text = serialize_tree(tree)
+    assert serialize_tree(parse_tree(text)) == text

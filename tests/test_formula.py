@@ -150,6 +150,13 @@ class TestParser:
             parse_formula("p | | q")
         assert exc.value.position == 4
 
+    def test_bad_character_is_reported_before_grammar_errors(self):
+        # The whole text is scanned first: "#" at 2, not the "&" at 0
+        # that no operand precedes.
+        with pytest.raises(LtlSyntaxError) as exc:
+            parse_formula("& #")
+        assert exc.value.position == 2
+
     def test_unbalanced_paren(self):
         with pytest.raises(LtlSyntaxError):
             parse_formula("(p | q")
