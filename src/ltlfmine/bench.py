@@ -3,6 +3,7 @@ patterns, with optional label noise."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -31,8 +32,9 @@ PATTERNS: dict[str, str] = {
 
 
 class GenerationError(RuntimeError):
-    """Too few distinct traces exist for the spec, or the sampling budget
-    ran out before both classes were filled."""
+    """Too few distinct traces exist for the spec or for one of its
+    classes, or the sampling budget ran out before both classes were
+    filled."""
 
 
 def pattern_alphabet(name: str) -> tuple[str, ...]:
@@ -85,12 +87,13 @@ def generate_sample(spec: GenSpec) -> LabeledSample:
     width = max(len(pattern_alphabet(spec.pattern)) + 2, 3)
     alphabet = tuple(f"p{k}" for k in range(width))
     target = parse_formula(PATTERNS[spec.pattern], alphabet)
-    distinct = 0  # distinct traces up to max length, counted far enough
+    # distinct traces up to max length, counted as far as the draws reach
+    distinct = 0
     for length in range(1, spec.max_trace_length + 1):
         distinct += 2 ** (width * length)
-        if distinct >= spec.num_traces:
+        if distinct >= max(spec.num_traces, _MAX_ATTEMPTS):
             break
-    else:
+    if distinct < spec.num_traces:
         raise GenerationError(
             f"{spec.num_traces} traces asked for, but only {distinct} "
             f"distinct traces of length at most {spec.max_trace_length} "
@@ -100,9 +103,24 @@ def generate_sample(spec: GenSpec) -> LabeledSample:
     neg_target = spec.num_traces - pos_target
     positives: dict[Trace, None] = {}
     negatives: dict[Trace, None] = {}
-    for _ in range(_MAX_ATTEMPTS):
+    for attempt in range(_MAX_ATTEMPTS):
         if len(positives) >= pos_target and len(negatives) >= neg_target:
             break
+        if attempt == distinct:
+            # More draws than traces: list them all and count each class.
+            symbols = [frozenset(itertools.compress(alphabet, bits))
+                       for bits in itertools.product((0, 1), repeat=width)]
+            exist = sum(target.satisfies(u)
+                        for length in range(1, spec.max_trace_length + 1)
+                        for u in itertools.product(symbols, repeat=length))
+            for name, count, wanted in (
+                    ("positive", exist, pos_target),
+                    ("negative", distinct - exist, neg_target)):
+                if count < wanted:
+                    raise GenerationError(
+                        f"{wanted} {name} traces asked for, but only "
+                        f"{count} of length at most {spec.max_trace_length} "
+                        f"exist over {width} propositions")
         trace = _random_trace(rng, alphabet, spec.max_trace_length)
         if target.satisfies(trace):
             if len(positives) < pos_target:
@@ -122,8 +140,7 @@ def inject_noise(sample: LabeledSample, rate: float,
     """Flip the labels of k traces chosen uniformly without replacement,
     with k itself drawn uniformly from {0, ..., floor(rate * |S|)}.
 
-    Returns the noisy sample and k.  If a flip would produce a trace
-    carrying both labels, the older conflicting entry is dropped.
+    Returns the noisy sample and k.
     """
     if not 0 <= rate <= 1:
         raise ValueError("rate must lie in [0, 1]")
@@ -131,15 +148,9 @@ def inject_noise(sample: LabeledSample, rate: float,
     k_max = math.floor(rate * sample.size)
     k = rng.randint(0, k_max) if k_max > 0 else 0
     flipped = set(rng.sample(range(sample.size), k))
-    labels: dict[Trace, int] = {}
-    order: list[Trace] = []
-    for idx, (u, b) in enumerate(sample.entries):
-        label = 1 - b if idx in flipped else b
-        if u not in labels:
-            order.append(u)
-        labels[u] = label  # later (possibly flipped) entry wins
-    entries = [(u, labels[u]) for u in order]
-    return make_sample(sample.alphabet, entries), k
+    entries = tuple((u, 1 - b if idx in flipped else b)
+                    for idx, (u, b) in enumerate(sample.entries))
+    return LabeledSample(sample.alphabet, entries), k
 
 
 def spec_sample(spec: GenSpec) -> tuple[LabeledSample, Optional[int]]:

@@ -11,9 +11,11 @@ For a target DAG size n and a labeled sample, the instance contains:
   variable y of every node from L and R, stated once per node and
   operator and guarded by the operator's label variable alone (temporal
   operators use the one-step suffix recurrences, so the clause count
-  stays linear in the trace length); each operator's clauses are one
-  loop over the trace positions, plus, for X, F, G and U, the clauses
-  of the last position, where the recurrence has no successor;
+  stays linear in the trace length); every channel, constant and
+  operator except U is one definition, own <-> the disjunction or the
+  conjunction of at most two signals (`_define`), U keeps a loop of its
+  own, and X, F, G and U add the clauses of the last position, where
+  the recurrence has no successor;
 * one unit soft clause per trace asserting correct classification at the
   root, weighted by the trace weight function.
 
@@ -210,107 +212,90 @@ class _Skeleton:
     def _emit_semantic(self, t: int) -> None:
         trace = self.traces[t]
         m = len(trace)
-        add = self._add
+        add, define = self._add, self._define
         x, y = self.x, self.y
         # per node, its valuation along the trace
         val = {i: _signal([y[(t, i, tau)] for tau in range(m)])
                for i in range(1, self.n + 1)}
         for i in range(1, self.n + 1):
-            own, neg_own = val[i]
+            ys, nys = val[i]
             for p in self.pool.alphabet:
                 g = -x[(i, p)]
-                for symbol, yv, nyv in zip(trace, own, neg_own):
+                for symbol, yv, nyv in zip(trace, ys, nys):
                     add((g, yv) if p in symbol else (g, nyv))
             for c in self.pool.constants:
-                g = -x[(i, c)]
-                for yv in (own if c == F.TRUE else neg_own):
-                    add((g, yv))
+                # true is the empty conjunction, false the empty disjunction
+                define(-x[(i, c)], val[i], (), conj=c == F.TRUE)
         for i in range(2, self.n + 1):
             left = _signal([self.left[(t, i, tau)] for tau in range(m)])
             right = _signal([self.right[(t, i, tau)] for tau in range(m)])
             for j in range(1, i):
-                self._channel(-self.l[(i, j)], left, val[j])
-                self._channel(-self.r[(i, j)], right, val[j])
+                define(-self.l[(i, j)], left, (val[j],))
+                define(-self.r[(i, j)], right, (val[j],))
+            own = ys, nys = val[i]
+            ls, nls = left
+            not_left = nls, ls
             for op in self.pool.unary:
-                self._unary_semantics(op, -x[(i, op)], val[i], left)
+                g = -x[(i, op)]
+                if op == F.NOT:
+                    define(g, own, (not_left,))
+                elif op == F.NEXT:
+                    # y_i(tau) <-> L(tau+1), and false at the last position
+                    define(g, own, ((ls[1:], nls[1:]),))
+                    add((g, nys[-1]))
+                else:
+                    # y_i(tau) <-> L(tau) or/and y_i(tau+1), y_i <-> L last
+                    define(g, own, (left, (ys[1:], nys[1:])),
+                           conj=op == F.GLOBALLY)
+                    add((g, nys[-1], ls[-1]))
+                    add((g, ys[-1], nls[-1]))
             for op in self.pool.binary:
-                self._binary_semantics(op, -x[(i, op)], val[i], left, right)
+                g = -x[(i, op)]
+                if op != F.UNTIL:
+                    define(g, own, (not_left if op == F.IMPLIES else left,
+                                    right), conj=op == F.AND)
+                    continue
+                # y_i(tau) <-> R(tau) or (L(tau) and y_i(tau+1)), and
+                # y_i <-> R at the last position
+                rs, nrs = right
+                for yi, nyi, a, na, b, nb, yin, nyin in zip(
+                        ys, nys, ls, nls, rs, nrs, ys[1:], nys[1:]):
+                    add((g, nyi, b, a))
+                    add((g, nyi, b, yin))
+                    add((g, yi, nb))
+                    add((g, yi, na, nyin))
+                add((g, nys[-1], rs[-1]))
+                add((g, ys[-1], nrs[-1]))
 
-    # The emitters below take each signal along the trace as a pair
-    # (literals, negated literals) from `_signal`, and the guard as the
-    # negated label or select literal.
-
-    def _channel(self, g, channel, child) -> None:
-        """g -> (channel <-> child) at every position."""
+    def _define(self, g, own, inputs, conj=False) -> None:
+        """The clauses of -g -> (own <-> the disjunction of `inputs`), or
+        of their conjunction if `conj`, at every position all the signals
+        reach.  The guard g is a negated label or select variable, each
+        signal a pair (literals, negated literals) from `_signal`, and
+        `inputs` holds at most two.  The conjunction is the De Morgan
+        dual: not own <-> the disjunction of the negated inputs."""
         add = self._add
-        for c, nc, yj, nyj in zip(*channel, *child):
-            add((g, nc, yj))
-            add((g, c, nyj))
-
-    def _unary_semantics(self, op, g, own, left) -> None:
-        """Clauses, guarded by the literal g, giving own = op(left)."""
-        add = self._add
-        (ys, nys), (ls, nls) = own, left
-        if op == F.NOT:
+        # conj swaps each signal's two lists by name: building swapped
+        # pairs per call emitted G and & a quarter slower
+        ys, nys = own[::-1] if conj else own
+        if not inputs:
+            for nyi in nys:
+                add((g, nyi))
+        elif len(inputs) == 1:
+            (ls, nls), = inputs
+            if conj:
+                ls, nls = nls, ls
             for yi, nyi, a, na in zip(ys, nys, ls, nls):
-                add((g, nyi, na))
-                add((g, yi, a))
-            return
-        if op == F.NEXT:
-            # y_i(tau) <-> L(tau+1), and false at the last position
-            for yi, nyi, an, nan in zip(ys, nys, ls[1:], nls[1:]):
-                add((g, nyi, an))
-                add((g, yi, nan))
-            add((g, nys[-1]))
-            return
-        if op == F.EVENTUALLY:
-            # y_i(tau) <-> L(tau) or y_i(tau+1)
-            for yi, nyi, a, na, yin, nyin in zip(ys, nys, ls, nls,
-                                                  ys[1:], nys[1:]):
-                add((g, nyi, a, yin))
-                add((g, yi, na))
-                add((g, yi, nyin))
-        else:
-            # G: y_i(tau) <-> L(tau) and y_i(tau+1)
-            for yi, nyi, a, na, yin, nyin in zip(ys, nys, ls, nls,
-                                                  ys[1:], nys[1:]):
-                add((g, yi, na, nyin))
                 add((g, nyi, a))
-                add((g, nyi, yin))
-        # F and G at the last position: y_i <-> L
-        add((g, nys[-1], ls[-1]))
-        add((g, ys[-1], nls[-1]))
-
-    def _binary_semantics(self, op, g, own, left, right) -> None:
-        """Clauses, guarded by the literal g, giving own = left op right."""
-        add = self._add
-        (ys, nys), (ls, nls), (rs, nrs) = own, left, right
-        if op == F.OR:
+                add((g, yi, na))
+        else:
+            (ls, nls), (rs, nrs) = inputs
+            if conj:
+                ls, nls, rs, nrs = nls, ls, nrs, rs
             for yi, nyi, a, na, b, nb in zip(ys, nys, ls, nls, rs, nrs):
                 add((g, nyi, a, b))
                 add((g, yi, na))
                 add((g, yi, nb))
-        elif op == F.AND:
-            for yi, nyi, a, na, b, nb in zip(ys, nys, ls, nls, rs, nrs):
-                add((g, yi, na, nb))
-                add((g, nyi, a))
-                add((g, nyi, b))
-        elif op == F.IMPLIES:
-            for yi, nyi, a, na, b, nb in zip(ys, nys, ls, nls, rs, nrs):
-                add((g, nyi, na, b))
-                add((g, yi, a))
-                add((g, yi, nb))
-        else:
-            # U: y_i(tau) <-> R(tau) or (L(tau) and y_i(tau+1)), and
-            # y_i <-> R at the last position
-            for yi, nyi, a, na, b, nb, yin, nyin in zip(
-                    ys, nys, ls, nls, rs, nrs, ys[1:], nys[1:]):
-                add((g, nyi, b, a))
-                add((g, nyi, b, yin))
-                add((g, yi, nb))
-                add((g, yi, na, nyin))
-            add((g, nys[-1], rs[-1]))
-            add((g, ys[-1], nrs[-1]))
 
     def root_literal(self, t: int) -> int:
         """The literal stating that the root classifies trace t correctly."""

@@ -30,7 +30,7 @@ class SampleError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """A deduplicated set of (trace, label) pairs over a fixed alphabet."""
+    """Labeled traces over a fixed alphabet, each trace once."""
 
     alphabet: tuple[str, ...]
     entries: tuple[tuple[Trace, int], ...]
@@ -43,10 +43,11 @@ class LabeledSample:
                 raise SampleError("empty traces are not allowed")
             if label not in (0, 1):
                 raise SampleError(f"label must be 0 or 1, got {label!r}")
-            if trace in labels and labels[trace] != label:
+            if trace in labels:
                 raise SampleError(
                     f"trace {format_trace(trace, self.alphabet)} appears "
-                    "with both labels")
+                    + ("twice" if labels[trace] == label
+                       else "with both labels"))
             labels[trace] = label
             for symbol in trace:
                 unknown = symbol - props

@@ -74,6 +74,26 @@ class TestGeneration:
         with pytest.raises(GenerationError, match="20 traces .* only 8 "):
             generate_sample(spec)
 
+    def test_too_small_class_raises_once_draws_outnumber_traces(
+            self, monkeypatch):
+        # absence3 at max length 1: 16 traces over four propositions, but
+        # only 4 negatives of the 6 asked for.  Once the draws outnumber
+        # the traces, the whole space is counted and the spec refused.
+        draws = []
+        draw = bench._random_trace
+
+        def counted(*args):
+            draws.append(None)
+            return draw(*args)
+
+        monkeypatch.setattr(bench, "_random_trace", counted)
+        spec = GenSpec("absence3", num_traces=12, max_trace_length=1,
+                       seed=0)
+        with pytest.raises(GenerationError,
+                           match="6 negative traces .* only 4 "):
+            generate_sample(spec)
+        assert len(draws) <= 16
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             GenSpec("no-such-pattern")

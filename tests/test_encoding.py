@@ -1,5 +1,7 @@
+import itertools
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -247,6 +249,33 @@ class TestChannels:
         keys = {(t, i, tau) for t, trace in enumerate(inst.traces)
                 for i in (2, 3) for tau in range(len(trace))}
         assert set(inst.left) == keys and set(inst.right) == keys
+
+
+@pytest.mark.parametrize("conj", [False, True], ids=["or", "and"])
+@pytest.mark.parametrize("lengths", [(), (2,), (1,), (2, 2), (2, 1)])
+def test_define_states_the_definition(lengths, conj):
+    # Over fresh variables (own along two positions, inputs of the given
+    # lengths), with the guard the negated label variable 1, the clauses
+    # hold exactly when label -> (own <-> the or/and of the inputs) at
+    # each position that every signal reaches.
+    own = [2, 3]
+    inputs, nvars = [], 3
+    for length in lengths:
+        inputs.append(list(range(nvars + 1, nvars + 1 + length)))
+        nvars += length
+    clauses = []
+    sink = types.SimpleNamespace(_add=clauses.append)
+    encoding._Skeleton._define(sink, -1, encoding._signal(own),
+                               [encoding._signal(s) for s in inputs], conj)
+    combine = all if conj else any
+    for bits in itertools.product((False, True), repeat=nvars):
+        value = dict(zip(range(1, nvars + 1), bits))
+        holds = all(any(value[abs(v)] == (v > 0) for v in c)
+                    for c in clauses)
+        defined = all(value[own[tau]] == combine(value[s[tau]]
+                                                 for s in inputs)
+                      for tau in range(min((2,) + lengths)))
+        assert holds == (not value[1] or defined)
 
 
 def test_hard_clause_count_stays_quadratic_in_size():

@@ -69,6 +69,11 @@ class TestParsing:
 
 
 class TestValidation:
+    def test_repeated_trace_rejected(self):
+        u, v = (sym("p"),), (sym(),)
+        with pytest.raises(SampleError, match="twice"):
+            LabeledSample(("p",), ((u, 1), (u, 1), (v, 0)))
+
     def test_empty_trace_rejected(self):
         with pytest.raises(SampleError, match="empty"):
             LabeledSample(("p",), (((), 1),))
