@@ -7,8 +7,7 @@ from .sample import (LabeledSample, SampleError, Trace, WeightFn,
                      invert_labels, load_sample, loss, make_sample,
                      omega_rebalanced, omega_uniform, parse_sample,
                      weighted_loss)
-from .encoding import (EncodingError, EncodingInstance, OperatorPool,
-                       default_pool)
+from .encoding import EncodingError, EncodingInstance
 from .maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, MaxSatSolution,
                      WeightedCnf, export_wcnf, import_model, parse_wcnf,
                      solve_decision)
@@ -28,7 +27,7 @@ __all__ = [
     "LabeledSample", "SampleError", "Trace", "WeightFn", "invert_labels",
     "load_sample", "loss", "make_sample", "omega_rebalanced", "omega_uniform",
     "parse_sample", "weighted_loss",
-    "EncodingError", "EncodingInstance", "OperatorPool", "default_pool",
+    "EncodingError", "EncodingInstance",
     "FEASIBLE", "HARD_UNSAT", "INFEASIBLE", "MaxSatSolution",
     "WeightedCnf", "export_wcnf", "import_model", "parse_wcnf",
     "solve_decision", "SolveTimeout",

@@ -25,7 +25,7 @@ from . import bench as benchmod
 from . import maxsat
 from .dtree import (DEPTH_CAPPED, DtConfig, learn_tree, serialize_tree,
                     tree_loss)
-from .encoding import EncodingInstance, OperatorPool, default_pool
+from .encoding import EncodingInstance
 from .learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT, learn_minimal,
                       resolve_omega)
 from .sample import load_sample
@@ -72,12 +72,6 @@ def _nonnegative_float(text: str) -> float:
     if not value >= 0:  # NaN too
         raise argparse.ArgumentTypeError("value must be at least 0")
     return value
-
-
-def _pool(sample, args) -> OperatorPool:
-    if args.with_constants:
-        return OperatorPool(tuple(sample.alphabet), constants=("true", "false"))
-    return default_pool(sample.alphabet)
 
 
 def _add_learn_opts(parser: argparse.ArgumentParser,
@@ -168,7 +162,8 @@ def _write(path: str, text: str) -> None:
 def cmd_learn(args) -> int:
     sample = load_sample(args.sample)
     config = LearnConfig(kappa=args.kappa, weights=args.weights,
-                         pool=_pool(sample, args), max_size=args.max_size,
+                         with_constants=args.with_constants,
+                         max_size=args.max_size,
                          timeout=args.timeout)
     result = learn_minimal(sample, config)
     if result.status == SOLVED:
@@ -188,7 +183,8 @@ def cmd_learn(args) -> int:
 def cmd_learn_dt(args) -> int:
     sample = load_sample(args.sample)
     config = DtConfig(kappa=args.kappa, min_score=args.min_score,
-                      pool=_pool(sample, args), max_size=args.max_size,
+                      with_constants=args.with_constants,
+                      max_size=args.max_size,
                       max_depth=args.max_depth, node_timeout=args.timeout)
     result = learn_tree(sample, config)
     if result.status == TIMED_OUT:
@@ -289,7 +285,7 @@ def cmd_export_wcnf(args) -> int:
     sample = load_sample(args.sample)
     omega = resolve_omega(sample, args.weights)
     instance = EncodingInstance(args.size, sample, omega,
-                                _pool(sample, args),
+                                with_constants=args.with_constants,
                                 var_comments=args.var_comments)
     if args.import_model:
         assignment = maxsat.import_model(args.import_model, instance.wcnf)

@@ -18,7 +18,6 @@ from typing import Optional, Union
 from .formula import Formula, FormulaBuilder, parse_formula
 from .learner import (SOLVED, LearnConfig, LearnResult, TIMED_OUT,
                       learn_minimal)
-from .encoding import OperatorPool
 from .sample import (LabeledSample, invert_labels, omega_rebalanced,
                      weighted_loss)
 from .sat import SolveTimeout
@@ -47,7 +46,7 @@ DecisionTree = Union[Leaf, Inner]
 class DtConfig:
     kappa: Fraction = Fraction(1, 20)
     min_score: Fraction = Fraction(4, 5)
-    pool: Optional[OperatorPool] = None
+    with_constants: bool = False  # true and false as leaves
     max_size: int = 40
     max_depth: int = 20
     node_timeout: Optional[float] = None  # seconds per learner invocation
@@ -124,7 +123,8 @@ def infer_split_formula(sample: LabeledSample, config: DtConfig) -> Formula:
 
     def run(s: LabeledSample) -> LearnResult:
         cfg = LearnConfig(kappa=threshold, weights="rebalanced",
-                          pool=config.pool, max_size=config.max_size,
+                          with_constants=config.with_constants,
+                          max_size=config.max_size,
                           timeout=config.node_timeout)
         return learn_minimal(s, cfg)
 

@@ -2,7 +2,9 @@
 
 For a target DAG size n and a labeled sample, the instance contains:
 
-* structural hard clauses fixing one operator label per node and one
+* structural hard clauses fixing one label per node, from the sample's
+  propositions, `true` and `false` when constants are asked for
+  (`leaf_labels`), and the operators ! X F G | & -> U, and one
   left/right child (with smaller id) per non-leaf node;
 * channel clauses: per trace t, node i >= 2 and position tau, the
   variables L(t,i,tau) and R(t,i,tau) equal the valuation of the chosen
@@ -45,9 +47,7 @@ bytes per hard clause instead of about 90 (tracemalloc, CPython
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import formula as F
 from .formula import Formula, FormulaBuilder
@@ -60,42 +60,14 @@ class EncodingError(RuntimeError):
     """A model violates the encoder's exactly-one invariants."""
 
 
-@dataclass(frozen=True)
-class OperatorPool:
-    """The operator set the search ranges over (propositions included)."""
-
-    alphabet: tuple[str, ...]
-    unary: tuple[str, ...] = F.UNARY_OPS
-    binary: tuple[str, ...] = F.BINARY_OPS
-    constants: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        reserved = set(F.UNARY_OPS) | set(F.BINARY_OPS) | set(F.CONSTANTS)
-        clash = reserved & set(self.alphabet)
-        if clash:
-            raise ValueError(f"proposition names clash with operators: {clash}")
-        for kind, ops, known in (("unary", self.unary, F.UNARY_OPS),
-                                 ("binary", self.binary, F.BINARY_OPS),
-                                 ("constant", self.constants, F.CONSTANTS)):
-            unknown = [op for op in ops if op not in known]
-            if unknown:
-                raise ValueError(f"unsupported {kind} operators: {unknown}")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("operator pool lists a label twice")
-        if not self.nullary:
-            raise ValueError("operator pool needs at least one nullary operator")
-
-    @property
-    def nullary(self) -> tuple[str, ...]:
-        return self.alphabet + self.constants
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.nullary + self.unary + self.binary
-
-
-def default_pool(alphabet) -> OperatorPool:
-    return OperatorPool(tuple(alphabet))
+def leaf_labels(alphabet, with_constants: bool) -> tuple[str, ...]:
+    """The nullary labels of the search: the propositions of `alphabet`,
+    then `true` and `false` if `with_constants`.  The operators are
+    always `F.UNARY_OPS` and `F.BINARY_OPS`."""
+    leaves = tuple(alphabet) + (F.CONSTANTS if with_constants else ())
+    if not leaves:
+        raise ValueError("the search needs a proposition or the constants")
+    return leaves
 
 
 def _signal(lits: list[int]) -> tuple[list[int], list[int]]:
@@ -125,13 +97,13 @@ class _Skeleton:
     alike.
     """
 
-    def __init__(self, n: int, sample: LabeledSample,
-                 pool: Optional[OperatorPool]):
+    def __init__(self, n: int, sample: LabeledSample, with_constants: bool):
         if n < 1:
             raise ValueError("target size must be at least 1")
         self.n = n
         self.sample = sample
-        self.pool = pool or default_pool(sample.alphabet)
+        self.leaves = leaf_labels(sample.alphabet, with_constants)
+        self.labels = self.leaves + F.UNARY_OPS + F.BINARY_OPS
         self.traces: list[Trace] = sample.traces()
         self._next = 1
         self.x: dict[tuple[int, str], int] = {}
@@ -153,9 +125,9 @@ class _Skeleton:
         return v
 
     def _allocate_structure(self) -> None:
-        n, pool = self.n, self.pool
+        n = self.n
         for i in range(1, n + 1):
-            for label in pool.labels:
+            for label in self.labels:
                 self.x[(i, label)] = self._fresh()
         for i in range(2, n + 1):
             for j in range(1, i):
@@ -185,7 +157,7 @@ class _Skeleton:
     # -- structural clauses ------------------------------------------------
 
     def _emit_structural(self) -> None:
-        n, labels = self.n, self.pool.labels
+        n, labels = self.n, self.labels
         add = self._add
         for i in range(1, n + 1):
             add(tuple(self.x[(i, lab)] for lab in labels))
@@ -199,11 +171,11 @@ class _Skeleton:
                 for b in range(a + 1, i):
                     add((-self.l[(i, a)], -self.l[(i, b)]))
                     add((-self.r[(i, a)], -self.r[(i, b)]))
-        add(tuple(self.x[(1, lab)] for lab in self.pool.nullary))
+        add(tuple(self.x[(1, lab)] for lab in self.leaves))
         # Unary nodes mirror the left child in the right-child slot, which
         # removes spurious model multiplicity.
         for i in range(2, self.n + 1):
-            for op in self.pool.unary:
+            for op in F.UNARY_OPS:
                 for j in range(1, i):
                     add((-self.x[(i, op)], -self.l[(i, j)], self.r[(i, j)]))
 
@@ -219,13 +191,15 @@ class _Skeleton:
                for i in range(1, self.n + 1)}
         for i in range(1, self.n + 1):
             ys, nys = val[i]
-            for p in self.pool.alphabet:
+            for p in self.leaves:
                 g = -x[(i, p)]
+                if p in F.CONSTANTS:
+                    # true is the empty conjunction, false the empty
+                    # disjunction
+                    define(g, val[i], (), conj=p == F.TRUE)
+                    continue
                 for symbol, yv, nyv in zip(trace, ys, nys):
                     add((g, yv) if p in symbol else (g, nyv))
-            for c in self.pool.constants:
-                # true is the empty conjunction, false the empty disjunction
-                define(-x[(i, c)], val[i], (), conj=c == F.TRUE)
         for i in range(2, self.n + 1):
             left = _signal([self.left[(t, i, tau)] for tau in range(m)])
             right = _signal([self.right[(t, i, tau)] for tau in range(m)])
@@ -235,7 +209,7 @@ class _Skeleton:
             own = ys, nys = val[i]
             ls, nls = left
             not_left = nls, ls
-            for op in self.pool.unary:
+            for op in F.UNARY_OPS:
                 g = -x[(i, op)]
                 if op == F.NOT:
                     define(g, own, (not_left,))
@@ -249,7 +223,7 @@ class _Skeleton:
                            conj=op == F.GLOBALLY)
                     add((g, nys[-1], ls[-1]))
                     add((g, ys[-1], nls[-1]))
-            for op in self.pool.binary:
+            for op in F.BINARY_OPS:
                 g = -x[(i, op)]
                 if op != F.UNTIL:
                     define(g, own, (not_left if op == F.IMPLIES else left,
@@ -306,7 +280,7 @@ class _Skeleton:
 
     def node_label(self, assignment: dict, i: int) -> str:
         return _exactly_one(assignment, [(lab, self.x[(i, lab)])
-                                         for lab in self.pool.labels],
+                                         for lab in self.labels],
                             i, "labels")
 
     def _child(self, assignment: dict, table, i: int) -> int:
@@ -351,9 +325,8 @@ class EncodingInstance(_Skeleton):
     """The size-n search instance as a `WeightedCnf`, for WCNF export."""
 
     def __init__(self, n: int, sample: LabeledSample, omega: WeightFn,
-                 pool: Optional[OperatorPool] = None,
-                 var_comments: bool = False):
-        super().__init__(n, sample, pool)
+                 with_constants: bool = False, var_comments: bool = False):
+        super().__init__(n, sample, with_constants)
         self.wcnf = WeightedCnf(self._next - 1)
         self._add = self.wcnf.hard.append
         self._emit_structural()
@@ -387,8 +360,8 @@ class IncrementalInstance(_Skeleton):
     valid."""
 
     def __init__(self, n: int, sample: LabeledSample,
-                 pool: Optional[OperatorPool] = None):
-        super().__init__(n, sample, pool)
+                 with_constants: bool = False):
+        super().__init__(n, sample, with_constants)
         self.solver = SatSolver()
         self._reserve(self._next - 1)
         self._add = self.solver.add_clause

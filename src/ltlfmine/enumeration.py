@@ -24,7 +24,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .formula import TRUE, Formula, FormulaBuilder, Layout
+from .encoding import leaf_labels
+from .formula import (BINARY_OPS, TRUE, UNARY_OPS, Formula, FormulaBuilder,
+                      Layout)
 from .sample import LabeledSample, WeightFn, scaled_weights
 from .sat import check_deadline
 
@@ -33,12 +35,13 @@ CHECK_EVERY = 4096  # candidates between two calls of the deadline check
 
 
 class Enumerator:
-    """Formulas over one operator pool, by size, with their signatures on
-    one sample and their weighted losses."""
+    """Formulas over the sample's propositions, `true` and `false` if
+    `with_constants`, and the operators ! X F G | & -> U, by size, with
+    their signatures on the sample and their weighted losses."""
 
-    def __init__(self, sample: LabeledSample, omega: WeightFn, pool):
+    def __init__(self, sample: LabeledSample, omega: WeightFn,
+                 with_constants: bool = False):
         traces = sample.traces()
-        self.pool = pool
         layout = self.layout = Layout([len(u) for u in traces])
         starts = layout.offsets
         self.positives = layout.bits(
@@ -58,12 +61,11 @@ class Enumerator:
         self.intern: dict[tuple, int] = {}
         self.levels: dict[int, list[int]] = {}
         self.candidates = 0
+        # No symbol holds a constant's name, so false holds nowhere.
         symbols = [symbol for u in traces for symbol in u]
-        self.leaves = [((p,), layout.bits(
+        self.leaves = [((p,), layout.full if p == TRUE else layout.bits(
             pos for pos, symbol in enumerate(symbols) if p in symbol))
-            for p in pool.alphabet]
-        self.leaves += [((c,), layout.full if c == TRUE else 0)
-                        for c in pool.constants]
+            for p in leaf_labels(sample.alphabet, with_constants)]
 
     def loss(self, sig: int) -> int:
         """Weighted loss of a signature, times the denominator."""
@@ -117,13 +119,11 @@ class Enumerator:
             yield from self.leaves
             return
         sigs, layout = self.sigs, self.layout
-        for op in self.pool.unary:
+        for op in UNARY_OPS:
             apply = layout.unary[op]
             for f in self.levels[n - 1]:
                 yield (op, f), apply(sigs[f])
-        binary = [(op, layout.binary[op]) for op in self.pool.binary]
-        if not binary:
-            return
+        binary = [(op, layout.binary[op]) for op in BINARY_OPS]
         for f, g in self._pairs(n - 1):
             a, b = sigs[f], sigs[g]
             for op, apply in binary:
@@ -160,19 +160,16 @@ class Enumerator:
             for leaf in self.levels[1]:
                 if leaf not in inside:
                     yield leaf
-        if self.pool.unary:
-            for h in self._extend(inside, k - 1):
-                for op in self.pool.unary:
-                    g = intern[(op, h)]
-                    if g not in inside:
-                        yield g
-        if not self.pool.binary:
-            return
+        for h in self._extend(inside, k - 1):
+            for op in UNARY_OPS:
+                g = intern[(op, h)]
+                if g not in inside:
+                    yield g
         for m in range(k):
             for h in self._extend(inside, m):
                 around = inside | self.subs[h] if m else inside
                 for h2 in self._extend(around, k - 1 - m):
-                    for op in self.pool.binary:
+                    for op in BINARY_OPS:
                         g = intern[(op, h, h2)]
                         if g not in inside:
                             yield g

@@ -96,9 +96,6 @@ class FormulaBuilder:
             self._intern[key] = idx
         return idx
 
-    def node(self, idx: int) -> Node:
-        return self._nodes[idx - 1]
-
     def finish(self, root: int) -> "Formula":
         return Formula._from_nodes(self._nodes, root)
 

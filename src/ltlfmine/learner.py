@@ -7,9 +7,9 @@ The trace weights are scaled to integers w_t by their common denominator
 D, so the question reads "misclassified weight <= B" with the loss
 budget B = floor(kappa * D).  Each size has one decision path:
 
-* n <= enumeration.LIMIT (4): every formula of size n over the operator
-  pool is enumerated with its bitset signature on the whole sample, and
-  the first whose weighted loss is <= kappa is taken (`enumeration`).
+* n <= enumeration.LIMIT (4): every formula of size n is enumerated
+  with its bitset signature on the whole sample, and the first whose
+  weighted loss is <= kappa is taken (`enumeration`).
   No instance is built, and `candidates` counts the formulas tried.
 * larger n: SAT decisions (`maxsat.solve_decision`) on one solver per
   size that holds the structural clauses and the clauses of the encoded
@@ -30,8 +30,11 @@ budget B = floor(kappa * D).  Each size has one decision path:
     stay valid.  Each round adds a trace, so a size takes at most
     |S| + 1 rounds.
 
-Every path recomputes the exact weighted loss of the formula it accepts;
-the enumerated one also checks the formula's size.
+Both paths search formulas over the sample's propositions and the
+operators ! X F G | & -> U, with `true` and `false` as further leaves
+when `with_constants` is set.  Every path recomputes the exact weighted
+loss of the formula it accepts; the enumerated one also checks the
+formula's size.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import maxsat
-from .encoding import IncrementalInstance, OperatorPool, default_pool
+from .encoding import IncrementalInstance
 from .enumeration import LIMIT, Enumerator
 from .formula import Formula
 from .sample import (LabeledSample, WeightFn, _check_domain, omega_rebalanced,
@@ -62,7 +65,7 @@ log = logging.getLogger(__name__)
 class LearnConfig:
     kappa: Fraction = Fraction(0)
     weights: Union[str, WeightFn] = "uniform"  # "uniform" | "rebalanced" | explicit
-    pool: Optional[OperatorPool] = None
+    with_constants: bool = False  # true and false as leaves
     max_size: int = 40
     timeout: Optional[float] = None  # wall-clock seconds for the whole run
 
@@ -97,8 +100,8 @@ def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
     return weights
 
 
-def _decide_sat(sample, omega, pool, enumerator, kappa, encoded, n,
-                deadline, record):
+def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
+                n, deadline, record):
     """SAT decisions on one size-n solver, with the trace weights scaled
     by `enumerator`: every trace counted when the loss budget allows a
     misclassified trace, else the traces of `encoded` (T) assumed
@@ -107,7 +110,7 @@ def _decide_sat(sample, omega, pool, enumerator, kappa, encoded, n,
     loss, or None."""
     bound = enumerator.bound(kappa)
     weights = enumerator.weights
-    instance = IncrementalInstance(n, sample, pool)
+    instance = IncrementalInstance(n, sample, with_constants)
     if bound >= min(weights):
         instance.add_traces(range(sample.size))
         softs = [(instance.root_literal(t), w) for t, w in enumerate(weights)]
@@ -182,14 +185,14 @@ def _decide_enumerated(sample, omega, enumerator, kappa, n, deadline,
 
 def learn_minimal(sample: LabeledSample,
                   config: Optional[LearnConfig] = None) -> LearnResult:
-    """Smallest formula over the operator pool with weighted loss <= kappa."""
+    """Smallest formula with weighted loss <= kappa."""
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
-    pool = config.pool or default_pool(sample.alphabet)
-    enumerator = Enumerator(sample, omega, pool)
+    enumerator = Enumerator(sample, omega, config.with_constants)
     enumerated = functools.partial(_decide_enumerated, sample, omega,
                                    enumerator, config.kappa)
-    solved = functools.partial(_decide_sat, sample, omega, pool, enumerator,
+    solved = functools.partial(_decide_sat, sample, omega,
+                               config.with_constants, enumerator,
                                config.kappa, [])
     deadline = (None if config.timeout is None
                 else time.monotonic() + config.timeout)

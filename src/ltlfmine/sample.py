@@ -7,6 +7,7 @@ want floats can convert at the surface.  This keeps threshold comparisons
 
 from __future__ import annotations
 
+import functools
 import io
 import logging
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .formula import Formula
+from .formula import PROP, Formula, LtlSyntaxError, Node, parse_formula
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +29,24 @@ class SampleError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=256)
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    """Every name must be read back by `parse_formula` as that one
+    proposition, so no operator, constant or non-word, and none may be
+    listed twice.  Cached: a decision tree builds many samples over one
+    alphabet."""
+    for p in alphabet:
+        try:
+            readback = parse_formula(p).nodes
+        except LtlSyntaxError:
+            readback = None
+        if readback != (Node(PROP, p),):
+            raise SampleError(f"proposition name {p!r} does not read back "
+                              f"as that proposition in a formula")
+    if len(set(alphabet)) != len(alphabet):
+        raise SampleError(f"alphabet {list(alphabet)} lists a name twice")
+
+
 @dataclass(frozen=True)
 class LabeledSample:
     """Labeled traces over a fixed alphabet, each trace once."""
@@ -36,6 +55,7 @@ class LabeledSample:
     entries: tuple[tuple[Trace, int], ...]
 
     def __post_init__(self):
+        _check_alphabet(tuple(self.alphabet))
         labels: dict[Trace, int] = {}
         props = set(self.alphabet)
         for trace, label in self.entries:

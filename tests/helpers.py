@@ -171,8 +171,8 @@ def find_optimum(wcnf: WeightedCnf):
     raise AssertionError("the decision at weight 0 must be feasible")
 
 
-def sat_decision(sample, omega, pool, kappa, n, encoded=None, deadline=None,
-                 record=None):
+def sat_decision(sample, omega, with_constants, kappa, n, encoded=None,
+                 deadline=None, record=None):
     """The learner's SAT-side decision of size n, `_decide_sat`, called
     directly, with T the trace subset `encoded`.  A formula and its loss,
     or None."""
@@ -183,23 +183,21 @@ def sat_decision(sample, omega, pool, kappa, n, encoded=None, deadline=None,
     record.setdefault("traces_encoded", 0)
     record.setdefault("rounds", 0)
     return learner._decide_sat(
-        sample, omega, pool, Enumerator(sample, omega, pool), kappa,
+        sample, omega, with_constants,
+        Enumerator(sample, omega, with_constants), kappa,
         [] if encoded is None else encoded, n, deadline, record)
 
 
-def sat_minimal(sample, omega, kappa, max_size, pool=None):
+def sat_minimal(sample, omega, kappa, max_size, with_constants=False):
     """The learner's loop over sizes 1..max_size with every size decided
     by `sat_decision`, T carried across sizes: (size, formula, loss,
     per-size records), size None when no size up to max_size is
     feasible."""
-    from ltlfmine.encoding import default_pool
-
-    pool = pool or default_pool(sample.alphabet)
     encoded, records = [], []
     for n in range(1, max_size + 1):
         record = {"size": n, "status": "timeout"}
         records.append(record)
-        found = sat_decision(sample, omega, pool, kappa, n, encoded,
+        found = sat_decision(sample, omega, with_constants, kappa, n, encoded,
                              record=record)
         if found is not None:
             return n, found[0], found[1], records

@@ -16,7 +16,7 @@ from ltlfmine.bench import GenSpec, PATTERNS, generate_sample, inject_noise
 from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree, learn_tree,
                             score_r, split, tree_loss, tree_to_formula)
 from ltlfmine.encoding import EncodingInstance
-from ltlfmine.formula import parse_formula
+from ltlfmine.formula import BINARY_OPS, UNARY_OPS, parse_formula
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, learn_minimal)
 from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, WeightedCnf, check_hard,
                              export_wcnf, import_model, parse_wcnf,
@@ -126,18 +126,18 @@ def random_structure_assumptions(rng, inst):
     lits = []
     for i in range(1, inst.n + 1):
         if i == 1:
-            label = rng.choice(inst.pool.nullary)
+            label = rng.choice(inst.leaves)
         else:
-            label = rng.choice(inst.pool.labels)
+            label = rng.choice(inst.labels)
         lits.append(inst.x[(i, label)])
         if i == 1:
             continue
         j = rng.randint(1, i - 1)
         lits.append(inst.l[(i, j)])
-        if label in inst.pool.binary:
+        if label in BINARY_OPS:
             k = rng.randint(1, i - 1)
             lits.append(inst.r[(i, k)])
-        elif label in inst.pool.unary:
+        elif label in UNARY_OPS:
             lits.append(inst.r[(i, j)])
         else:
             lits.append(inst.r[(i, j)])  # nullary: child slots are free

@@ -83,6 +83,18 @@ class TestLearn:
         code, _, err = run(["learn", str(path)], capsys)
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["learn", "learn-dt"])
+    @pytest.mark.parametrize("header", ["1a,q", "p q,r"])
+    def test_unreadable_proposition_name_rejected(self, tmp_path, capsys,
+                                                  command, header):
+        # Such a name would be printed in a formula that does not read
+        # back.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"alphabet: {header}\n1,0\n---\n0,1\n")
+        code, out, err = run([command, str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "does not read back" in err
+
     def test_bad_kappa_rejected(self, sample_file, capsys):
         # Argument errors are usage errors, not argparse's 2 (a timeout).
         for bad in (["--kappa", "2"], ["--bogus"]):

@@ -9,7 +9,7 @@ import pytest
 from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine import encoding
 from ltlfmine.encoding import (EncodingError, EncodingInstance,
-                               IncrementalInstance, OperatorPool, default_pool)
+                               IncrementalInstance, leaf_labels)
 from ltlfmine.formula import FormulaBuilder, arity, parse_formula
 from ltlfmine.maxsat import FEASIBLE
 from ltlfmine.sample import (omega_uniform, parse_sample, weighted_loss)
@@ -20,34 +20,41 @@ from test_acceptance import random_structure_assumptions
 BASIC = "1,0;1,1\n0,1\n---\n0,0\n1,0\n"
 
 
-def instance_for(text, n, pool=None):
+def instance_for(text, n, with_constants=False):
     sample = parse_sample(text)
-    return EncodingInstance(n, sample, omega_uniform(sample), pool)
+    return EncodingInstance(n, sample, omega_uniform(sample), with_constants)
+
+
+OPERATORS = ("!", "X", "F", "G", "|", "&", "->", "U")
 
 
 class TestOperatorPool:
+    """The labels of the search: the sample's propositions, the constants
+    if asked for, then the fixed operators, in this order, which is also
+    the order of each node's label variables."""
+
     def test_default_pool_labels(self):
-        pool = default_pool(("p", "q"))
-        assert pool.labels == ("p", "q", "!", "X", "F", "G", "|", "&", "->", "U")
-        assert "p" in pool.nullary and "U" not in pool.nullary
+        assert leaf_labels(("p", "q"), False) == ("p", "q")
+        inst = instance_for(BASIC, 2)
+        assert inst.leaves == ("p0", "p1")
+        assert inst.labels == ("p0", "p1") + OPERATORS
+        for i in (1, 2):
+            assert [inst.x[(i, lab)] for lab in inst.labels] \
+                == list(range(1 + 10 * (i - 1), 1 + 10 * i))
 
     def test_constants_optional(self):
-        pool = OperatorPool(("p",), constants=("true", "false"))
-        assert "true" in pool.nullary
+        assert leaf_labels(("p",), True) == ("p", "true", "false")
+        inst = instance_for(BASIC, 2, with_constants=True)
+        assert inst.leaves == ("p0", "p1", "true", "false")
+        assert inst.labels == ("p0", "p1", "true", "false") + OPERATORS
+        for i in (1, 2):
+            assert [inst.x[(i, lab)] for lab in inst.labels] \
+                == list(range(1 + 12 * (i - 1), 1 + 12 * i))
 
-    def test_clashing_proposition_rejected(self):
-        with pytest.raises(ValueError, match="clash"):
-            OperatorPool(("X",))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"unary": ("Q",)}, {"unary": ("U",)}, {"binary": ("W",)},
-        {"binary": ("!",)}, {"constants": ("maybe",)},
-        {"unary": ("X", "X")}, {"constants": ("true", "true")}],
-        ids=["unary-Q", "unary-U", "binary-W", "binary-not", "constant-maybe",
-             "unary-twice", "constant-twice"])
-    def test_unknown_or_repeated_operators_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            OperatorPool(("p0",), **kwargs)
+    def test_empty_alphabet_needs_constants(self):
+        assert leaf_labels((), True) == ("true", "false")
+        with pytest.raises(ValueError, match="proposition or the constants"):
+            leaf_labels((), False)
 
 
 class TestStructuralClauses:
@@ -56,9 +63,9 @@ class TestStructuralClauses:
         # node: 3 * (1 + 45) = 138; the only other clause over label
         # variables alone is the first-node nullary clause.
         inst = instance_for(BASIC, 3)
-        assert len(inst.pool.labels) == 10
+        assert len(inst.labels) == 10
         label_vars = set(inst.x.values())
-        first = sorted(inst.x[(1, p)] for p in inst.pool.nullary)
+        first = sorted(inst.x[(1, p)] for p in inst.leaves)
         count = sum(1 for c in inst.wcnf.hard
                     if all(abs(lit) in label_vars for lit in c)
                     and sorted(c) != first)
@@ -77,7 +84,7 @@ class TestStructuralClauses:
 
     def test_first_node_nullary(self):
         inst = instance_for(BASIC, 2)
-        first = sorted(inst.x[(1, p)] for p in inst.pool.nullary)
+        first = sorted(inst.x[(1, p)] for p in inst.leaves)
         assert first in [sorted(c) for c in inst.wcnf.hard]
 
     def test_size_one_has_no_child_variables(self):
@@ -183,8 +190,8 @@ class TestOptimalAgainstEnumeration:
 
     def test_constants_in_pool_allow_trivial_formulas(self):
         sample = parse_sample("1\n0\n---\n")  # all positive
-        pool = OperatorPool(sample.alphabet, constants=("true", "false"))
-        inst = EncodingInstance(1, sample, omega_uniform(sample), pool)
+        inst = EncodingInstance(1, sample, omega_uniform(sample),
+                                with_constants=True)
         result = decide(inst.wcnf, Fraction(1))
         assert result.status == FEASIBLE
         assert inst.decode_model(result.assignment).to_text() in (
@@ -211,7 +218,7 @@ def node_formulas(inst, model):
 
 
 class TestChannels:
-    @pytest.mark.parametrize("constants", [(), ("true", "false")],
+    @pytest.mark.parametrize("constants", [False, True],
                              ids=["props", "constants"])
     def test_every_node_and_channel_matches_semantics(self, constants):
         # Under random structures, every node's valuation variable equals
@@ -222,9 +229,9 @@ class TestChannels:
         for _ in range(40):
             sample = random_sample(rng, ("p0", "p1"), max_traces=4,
                                    max_len=4)
-            pool = OperatorPool(sample.alphabet, constants=constants)
             n = rng.randint(2, 5)
-            inst = EncodingInstance(n, sample, omega_uniform(sample), pool)
+            inst = EncodingInstance(n, sample, omega_uniform(sample),
+                                    constants)
             solver = hard_solver(inst)
             for _ in range(5):
                 assert solver.solve(random_structure_assumptions(rng, inst))
@@ -327,10 +334,10 @@ def test_incremental_instance_sends_the_full_instance_clauses(monkeypatch,
 
     monkeypatch.setattr(encoding, "SatSolver", Recording)
     sample = generate_sample(GenSpec("universality2", 8, seed=0))
-    pool = OperatorPool(tuple(sample.alphabet), constants=constants)
-    inc = IncrementalInstance(4, sample, pool)
+    inc = IncrementalInstance(4, sample, bool(constants))
+    assert inc.leaves == sample.alphabet + constants
     inc.add_traces(range(len(inc.traces)))
-    full = EncodingInstance(4, sample, omega_uniform(sample), pool)
+    full = EncodingInstance(4, sample, omega_uniform(sample), bool(constants))
     assert sent == full.wcnf.hard
     assert all(type(c) is tuple for c in sent)
     assert inc.solver.nvars == full.wcnf.nvars

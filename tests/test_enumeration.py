@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from ltlfmine.encoding import OperatorPool, default_pool
 from ltlfmine.enumeration import LIMIT, Enumerator
 from ltlfmine.formula import CONSTANTS
 from ltlfmine.learner import resolve_omega
@@ -24,40 +23,23 @@ def reference():
     }
 
 
-def pool_of(props, constants, unary, binary):
-    if unary is None:
-        return OperatorPool(props, constants=constants)
-    return OperatorPool(props, unary, binary, constants)
-
-
-def ops_of(formula):
-    return {node.op for node in formula.nodes}
-
-
-@pytest.mark.parametrize("props, constants, unary, binary", [
-    (("p0",), (), None, None),
-    (PROPS, (), None, None),
-    (PROPS, CONSTANTS, None, None),
-    (PROPS, (), ("X", "G"), ("U",)),
-    (PROPS, CONSTANTS, ("!",), ()),
-    (PROPS, (), (), ("&", "->")),
-], ids=["one-prop", "two-props", "constants", "X-G-U", "not-only",
-        "binary-only"])
-def test_levels_match_node_table_enumeration(reference, props, constants,
-                                             unary, binary):
-    # Per size, the same formulas as decoding every node table, each once;
-    # a restricted pool gives the reference formulas over its operators.
-    pool = pool_of(props, constants, unary, binary)
-    allowed = set(pool.labels) | {"prop"}
+@pytest.mark.parametrize("props, constants", [
+    (("p0",), ()),
+    (PROPS, ()),
+    (PROPS, CONSTANTS),
+], ids=["one-prop", "two-props", "constants"])
+def test_levels_match_node_table_enumeration(reference, props, constants):
+    # Per size, the same formulas as decoding every node table, each once.
     sample = random_sample(random.Random(1), props, 4, 4)
-    enumerator = Enumerator(sample, omega_uniform(sample), pool)
+    enumerator = Enumerator(sample, omega_uniform(sample), bool(constants))
     for n in range(1, LIMIT + 1):
         got = [enumerator.build(key) for key, _ in enumerator.level(n)]
-        expected = {f for f in reference[props, constants].get(n, [])
-                    if ops_of(f) <= allowed}
         assert len(got) == len(set(got))
-        assert set(got) == expected
+        assert set(got) == set(reference[props, constants].get(n, []))
         assert all(f.size == n for f in got)
+    # the leaves come in the encoder's label order
+    assert [enumerator.keys[f] for f in enumerator.levels[1]] \
+        == [(label,) for label in props + constants]
 
 
 def test_signatures_hold_every_position():
@@ -67,8 +49,7 @@ def test_signatures_hold_every_position():
     for _ in range(4):
         sample = random_sample(rng, PROPS, 5, 6)
         traces = sample.traces()
-        enumerator = Enumerator(sample, omega_uniform(sample),
-                                OperatorPool(PROPS, constants=CONSTANTS))
+        enumerator = Enumerator(sample, omega_uniform(sample), True)
         offsets = enumerator.layout.offsets
         for n in range(1, LIMIT):
             for key, sig in enumerator.level(n):
@@ -87,7 +68,7 @@ def test_scaled_loss_is_weighted_loss(weights):
         sample = random_sample(rng, PROPS, 7, 4, require_both_classes=True)
         omega = resolve_omega(sample, random_weights(rng, sample)
                               if weights == "explicit" else weights)
-        enumerator = Enumerator(sample, omega, default_pool(PROPS))
+        enumerator = Enumerator(sample, omega)
         for n in range(1, LIMIT):
             for key, sig in enumerator.level(n):
                 assert Fraction(enumerator.loss(sig), enumerator.denominator) \
@@ -110,7 +91,7 @@ def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
     # For every n <= LIMIT: a formula of size n within kappa exists by
     # enumeration iff the SAT path finds one iff brute force does.
     formulas = reference[PROPS, constants]
-    pool = OperatorPool(PROPS, constants=constants)
+    with_constants = bool(constants)
     rng = random.Random(4)
     for _ in range(8):
         sample = random_sample(rng, PROPS, 8, 5,
@@ -118,13 +99,14 @@ def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
         omega = resolve_omega(sample, random_weights(rng, sample)
                               if weights == "explicit" else weights)
         for n in range(1, LIMIT + 1):
-            enumerator = Enumerator(sample, omega, pool)
+            enumerator = Enumerator(sample, omega, with_constants)
             for m in range(1, n):
                 for _ in enumerator.level(m):
                     pass
             found = enumerator.search(n, enumerator.bound(kappa), None)
             by_enumeration = found is not None
-            by_sat = sat_decision(sample, omega, pool, kappa, n) is not None
+            by_sat = sat_decision(sample, omega, with_constants, kappa,
+                                  n) is not None
             by_brute_force = any(weighted_loss(sample, f, omega) <= kappa
                                  for f in formulas.get(n, []))
             assert by_enumeration == by_sat == by_brute_force, (sample, n)
@@ -137,8 +119,7 @@ def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
 
 def test_search_counts_candidates_and_stops_at_first_hit():
     sample = random_sample(random.Random(5), PROPS, 6, 4)
-    enumerator = Enumerator(sample, omega_uniform(sample),
-                            default_pool(PROPS))
+    enumerator = Enumerator(sample, omega_uniform(sample))
     assert enumerator.search(1, -1, None) is None
     assert enumerator.candidates == len(PROPS)
     # Everything is within kappa 1: the first size-2 formula is taken.
@@ -149,8 +130,7 @@ def test_search_counts_candidates_and_stops_at_first_hit():
 
 def test_levels_must_be_generated_in_order_and_once():
     sample = random_sample(random.Random(6), PROPS, 4, 3)
-    enumerator = Enumerator(sample, omega_uniform(sample),
-                            default_pool(PROPS))
+    enumerator = Enumerator(sample, omega_uniform(sample))
     with pytest.raises(ValueError):
         next(enumerator.level(2))
     list(enumerator.level(1))

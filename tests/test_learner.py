@@ -7,7 +7,7 @@ import pytest
 
 from ltlfmine import encoding, enumeration, learner, maxsat
 from ltlfmine.bench import GenSpec, generate_sample, inject_noise
-from ltlfmine.encoding import EncodingInstance, OperatorPool, default_pool
+from ltlfmine.encoding import EncodingInstance
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega)
 from ltlfmine.sample import (loss, omega_rebalanced, omega_uniform,
@@ -110,8 +110,8 @@ class TestLearnMinimal:
         monkeypatch.setattr(learner, "weighted_loss", late_loss)
         record = {"size": 1, "status": "timeout"}
         with pytest.raises(SolveTimeout):
-            sat_decision(s, omega_uniform(s), default_pool(s.alphabet),
-                         Fraction(0), 1, deadline=deadline, record=record)
+            sat_decision(s, omega_uniform(s), False, Fraction(0), 1,
+                         deadline=deadline, record=record)
         assert (record["size"], record["status"], record["rounds"]) \
             == (1, "timeout", 1)
 
@@ -303,8 +303,7 @@ class TestLearnMinimal:
 
     def test_constant_pool_single_class(self):
         s = parse_sample("1\n0\n---\n")
-        pool = OperatorPool(s.alphabet, constants=("true", "false"))
-        r = learn_minimal(s, LearnConfig(pool=pool))
+        r = learn_minimal(s, LearnConfig(with_constants=True))
         assert r.status == SOLVED
         assert r.size == 1
         assert loss(s, r.formula) == 0
@@ -387,12 +386,11 @@ class TestExactPath:
             w = random_weights(rng, s) if weights == "explicit" else weights
             omega = resolve_omega(s, w)
             kappa = min(omega.values()) * Fraction(999, 1000)
-            pool = default_pool(s.alphabet)
             encoded = []
             for n in range(1, 5):
                 inst = EncodingInstance(n, s, omega)
                 expected = decide(inst.wcnf, 1 - kappa).status
-                found = sat_decision(s, omega, pool, kappa, n, encoded)
+                found = sat_decision(s, omega, False, kappa, n, encoded)
                 assert (found is not None) == (expected == maxsat.FEASIBLE)
                 if found is not None:
                     formula, achieved = found

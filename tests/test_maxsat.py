@@ -393,12 +393,11 @@ class TestExportBytes:
         assert path.read_text(encoding="utf-8") == expected
 
     def test_encoding_instance_across_slices(self, monkeypatch):
-        from ltlfmine.encoding import EncodingInstance, OperatorPool
+        from ltlfmine.encoding import EncodingInstance
         from ltlfmine.sample import omega_uniform, parse_sample
         sample = parse_sample("1,0;1,1\n0,1\n---\n0,0\n1,0\n")
-        pool = OperatorPool(tuple(sample.alphabet),
-                            constants=("true", "false"))
-        inst = EncodingInstance(3, sample, omega_uniform(sample), pool)
+        inst = EncodingInstance(3, sample, omega_uniform(sample),
+                                with_constants=True)
         monkeypatch.setattr(maxsat, "WRITE_SLICE", 7)
         assert len(inst.wcnf.hard) % 7  # the last slice is a short one
         assert export_text(inst.wcnf) == reference_export(inst.wcnf)

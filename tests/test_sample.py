@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from ltlfmine.formula import parse_formula
+from ltlfmine import sample as samplemod
+from ltlfmine.formula import BINARY_OPS, CONSTANTS, UNARY_OPS, parse_formula
 from ltlfmine.sample import (LabeledSample, SampleError, format_trace,
                              invert_labels, loss, make_sample,
                              omega_rebalanced, omega_uniform, parse_sample,
@@ -85,6 +87,47 @@ class TestValidation:
     def test_bad_label_rejected(self):
         with pytest.raises(SampleError, match="label"):
             LabeledSample(("p",), (((sym("p"),), 2),))
+
+    def test_clashing_proposition_rejected(self):
+        for name in CONSTANTS + UNARY_OPS + BINARY_OPS:
+            with pytest.raises(SampleError, match=re.escape(
+                    f"proposition name {name!r} does not read back")):
+                LabeledSample(("p", name), (((sym("p"),), 1),))
+
+    @pytest.mark.parametrize("name", ["1a", "p q", "(p)", "p-q", "p,", ""])
+    def test_unreadable_proposition_rejected(self, name):
+        with pytest.raises(SampleError, match="does not read back"):
+            LabeledSample((name,), (((sym(),), 1),))
+
+    @pytest.mark.parametrize("header", ["1a,q", "p q,r", "X,q", "q,true"])
+    def test_unreadable_header_rejected(self, header):
+        with pytest.raises(SampleError, match="does not read back"):
+            parse_sample(f"alphabet: {header}\n1,0\n---\n0,1\n")
+
+    def test_repeated_proposition_rejected(self):
+        with pytest.raises(SampleError, match="twice"):
+            LabeledSample(("p", "q", "p"), (((sym("p"),), 1),))
+        with pytest.raises(SampleError, match="twice"):
+            parse_sample("alphabet: a,a\n1,0\n---\n0,0\n")
+
+    def test_readable_names_accepted(self):
+        names = ("a", "_x", "p_1", "Xy", "trueish", "Fp", "UU")
+        s = LabeledSample(names, (((sym("Xy"),), 1),))
+        for name in names:
+            assert parse_formula(name, s.alphabet).propositions() == {name}
+
+    def test_alphabet_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(text, *args):
+            calls.append(text)
+            return parse_formula(text, *args)
+
+        monkeypatch.setattr(samplemod, "parse_formula", counting)
+        names = ("once_a", "once_b")
+        for label in (0, 1, 0):
+            LabeledSample(names, (((sym("once_a"),), label),))
+        assert calls == list(names)
 
 
 class TestLossAndWeights:
