@@ -196,6 +196,9 @@ def cmd_learn_dt(args) -> int:
     if result.status == DEPTH_CAPPED:
         print("warning: depth cap hit, tree may misclassify more than kappa",
               file=sys.stderr)
+    elif result.status == SIZE_CAP:
+        print(f"warning: no split formula up to size {args.max_size}, "
+              "tree may misclassify more than kappa", file=sys.stderr)
     return EXIT_OK
 
 
@@ -294,10 +297,8 @@ def cmd_export_wcnf(args) -> int:
         print(formula.to_text())
         print(f"loss: {1 - weight}", file=sys.stderr)
         return EXIT_OK
-    if args.output == "-":
-        maxsat.export_wcnf(instance.wcnf, sys.stdout)
-    else:
-        maxsat.export_wcnf(instance.wcnf, args.output)
+    maxsat.export_wcnf(instance.wcnf,
+                       sys.stdout if args.output == "-" else args.output)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .formula import Formula, FormulaBuilder, parse_formula
-from .learner import (SOLVED, LearnConfig, LearnResult, TIMED_OUT,
+from .learner import (SIZE_CAP, SOLVED, LearnConfig, TIMED_OUT,
                       learn_minimal)
 from .sample import (LabeledSample, invert_labels, omega_rebalanced,
                      weighted_loss)
@@ -70,7 +70,7 @@ class DtConfig:
 @dataclass
 class TreeResult:
     tree: DecisionTree
-    status: str  # SOLVED | DEPTH_CAPPED | TIMED_OUT
+    status: str  # SOLVED | DEPTH_CAPPED | SIZE_CAP | TIMED_OUT
     nodes_expanded: int = 0
 
 
@@ -109,35 +109,38 @@ def split(sample: LabeledSample,
             LabeledSample(sample.alphabet, tuple(unsat)))
 
 
-def infer_split_formula(sample: LabeledSample, config: DtConfig) -> Formula:
-    """The higher-scoring of two minimal formulas, one per label polarity.
+def infer_split_formula(sample: LabeledSample,
+                        config: DtConfig) -> Optional[Formula]:
+    """The higher-scoring of two minimal formulas, one per label polarity,
+    or None if either search hits `max_size`.
 
     Runs the learner on the sample and on its label inversion, each under
     its own rebalanced weights with loss threshold 1 - min_score, and
     keeps the result with the higher rebalanced score on the sample,
     preferring the non-inverted one on ties.  That formula need not be
     the smallest one with score >= min_score: the other polarity's
-    formula may be smaller and score lower.
+    formula may be smaller and score lower.  The inversion is not
+    searched when the first search hits the size cap or times out.
     """
     threshold = 1 - config.min_score
 
-    def run(s: LabeledSample) -> LearnResult:
+    def run(s: LabeledSample) -> Optional[Formula]:
         cfg = LearnConfig(kappa=threshold, weights="rebalanced",
                           with_constants=config.with_constants,
                           max_size=config.max_size,
                           timeout=config.node_timeout)
-        return learn_minimal(s, cfg)
-
-    first = run(sample)
-    second = run(invert_labels(sample))
-    for result in (first, second):
+        result = learn_minimal(s, cfg)
         if result.status == TIMED_OUT:
             raise SolveTimeout()
-        if result.status != SOLVED:
-            raise RuntimeError(f"split search failed: {result.status}")
-    s1 = score_r(sample, first.formula)
-    s2 = score_r(sample, second.formula)
-    chosen = second.formula if s2 > s1 else first.formula
+        return result.formula  # None at the size cap
+
+    first = run(sample)
+    second = None if first is None else run(invert_labels(sample))
+    if second is None:
+        return None
+    s1 = score_r(sample, first)
+    s2 = score_r(sample, second)
+    chosen = second if s2 > s1 else first
     if max(s1, s2) < config.min_score:
         raise RuntimeError("no split formula reaches min_score; "
                            "this indicates a learner bug")
@@ -148,19 +151,28 @@ def infer_split_formula(sample: LabeledSample, config: DtConfig) -> Formula:
 
 def learn_tree(sample: LabeledSample, config: DtConfig) -> TreeResult:
     """Top-down induction: stop on class-purity, else split on an inferred
-    formula and recurse on both parts."""
+    formula and recurse on both parts.
+
+    A node at `max_depth`, or whose split search hits `max_size`, becomes
+    a majority leaf; the status is then SIZE_CAP if any node hit the size
+    cap, else DEPTH_CAPPED.  A timeout ends the tree with TIMED_OUT."""
     expanded = 0
-    capped = False
+    status = SOLVED
 
     def build(s: LabeledSample, depth: int) -> DecisionTree:
-        nonlocal expanded, capped
+        nonlocal expanded, status
         label = pure_label(s, config.kappa)
         if label is not None:
             return Leaf(label)
+        majority = Leaf(1 if positive_fraction(s) >= Fraction(1, 2) else 0)
         if depth >= config.max_depth:
-            capped = True
-            return Leaf(1 if positive_fraction(s) >= Fraction(1, 2) else 0)
+            if status == SOLVED:
+                status = DEPTH_CAPPED
+            return majority
         formula = infer_split_formula(s, config)
+        if formula is None:
+            status = SIZE_CAP
+            return majority
         expanded += 1
         s1, s2 = split(s, formula)
         return Inner(formula, build(s1, depth + 1), build(s2, depth + 1))
@@ -169,7 +181,6 @@ def learn_tree(sample: LabeledSample, config: DtConfig) -> TreeResult:
         tree = build(sample, 0)
     except SolveTimeout:
         return TreeResult(Leaf(1), TIMED_OUT, expanded)
-    status = DEPTH_CAPPED if capped else SOLVED
     return TreeResult(tree, status, expanded)
 
 

@@ -29,11 +29,12 @@ Models of the hard clauses decode to LTLf formulas; the satisfied soft
 weight of a model equals one minus the weighted loss of the decoded
 formula.
 
-`IncrementalInstance` streams the structural clauses into a SAT solver
-and adds traces to it in batches: the learner decides every size >= 5
-on it, and the solver it fills is the only copy of the clauses.
-`EncodingInstance` builds the same clauses, numbered alike, as a
-`WeightedCnf` with the soft clauses, for WCNF export.
+`Encoding` writes its clauses into a sink given to it, any object with
+`add_clause(clause)` and `ensure_var(nvars)`.  The learner's sink is a
+`SatSolver`, the only copy of the clauses, to which it adds traces in
+batches; `EncodingInstance` fills a `WeightedCnf` with every trace and
+the soft clauses, for WCNF export.  Both number variables and order
+clauses alike.
 
 The clause tuples share their literal objects: per trace, each node's
 valuation literals and their negations, each inner node's L and R
@@ -52,7 +53,6 @@ from fractions import Fraction
 from . import formula as F
 from .formula import Formula, FormulaBuilder
 from .maxsat import WeightedCnf
-from .sat import SatSolver
 from .sample import LabeledSample, Trace, WeightFn, _check_domain
 
 
@@ -85,19 +85,17 @@ def _exactly_one(assignment: dict, choices, i: int, kind: str):
     return hits[0]
 
 
-class _Skeleton:
+class Encoding:
     """The size-n structure: label and child variables, structural
-    clauses, decoding, and the per-trace emitters.
+    clauses, decoding, and the per-trace clauses of `add_traces`.
 
-    Clauses, tuples of ints, go to the sink `self._add`, set by the
-    subclass before it emits anything, and `_reserve(nvars)` is told the
-    variable count once `add_traces` has allocated a batch, before their
-    clauses.  The full instance and the incremental one both encode
-    traces with `add_traces`, so they number variables and order clauses
-    alike.
+    Each clause goes to `sink.add_clause` as a tuple of ints, after
+    `sink.ensure_var` has been told the variable count.  Clauses are only
+    ever added, so clauses a solver sink learned stay valid.
     """
 
-    def __init__(self, n: int, sample: LabeledSample, with_constants: bool):
+    def __init__(self, n: int, sample: LabeledSample, with_constants: bool,
+                 sink):
         if n < 1:
             raise ValueError("target size must be at least 1")
         self.n = n
@@ -114,8 +112,9 @@ class _Skeleton:
         # valuation there
         self.left: dict[tuple[int, int, int], int] = {}
         self.right: dict[tuple[int, int, int], int] = {}
-        self._add = None
-        self._allocate_structure()
+        self.sink = sink
+        self._add = sink.add_clause
+        self._add_structure()
 
     # -- variables ---------------------------------------------------------
 
@@ -123,17 +122,6 @@ class _Skeleton:
         v = self._next
         self._next += 1
         return v
-
-    def _allocate_structure(self) -> None:
-        n = self.n
-        for i in range(1, n + 1):
-            for label in self.labels:
-                self.x[(i, label)] = self._fresh()
-        for i in range(2, n + 1):
-            for j in range(1, i):
-                self.l[(i, j)] = self._fresh()
-            for j in range(1, i):
-                self.r[(i, j)] = self._fresh()
 
     def add_traces(self, ts) -> None:
         """Encode the sample traces `ts`: valuation variables for every
@@ -150,14 +138,24 @@ class _Skeleton:
                 for tau in range(len(self.traces[t])):
                     self.left[(t, i, tau)] = self._fresh()
                     self.right[(t, i, tau)] = self._fresh()
-        self._reserve(self._next - 1)
+        self.sink.ensure_var(self._next - 1)
         for t in ts:
             self._emit_semantic(t)
 
-    # -- structural clauses ------------------------------------------------
+    # -- structure ---------------------------------------------------------
 
-    def _emit_structural(self) -> None:
+    def _add_structure(self) -> None:
+        """The label and child variables, then their clauses."""
         n, labels = self.n, self.labels
+        for i in range(1, n + 1):
+            for label in labels:
+                self.x[(i, label)] = self._fresh()
+        for i in range(2, n + 1):
+            for j in range(1, i):
+                self.l[(i, j)] = self._fresh()
+            for j in range(1, i):
+                self.r[(i, j)] = self._fresh()
+        self.sink.ensure_var(self._next - 1)
         add = self._add
         for i in range(1, n + 1):
             add(tuple(self.x[(i, lab)] for lab in labels))
@@ -321,51 +319,23 @@ class _Skeleton:
         return lits
 
 
-class EncodingInstance(_Skeleton):
-    """The size-n search instance as a `WeightedCnf`, for WCNF export."""
+class EncodingInstance(Encoding):
+    """The size-n search instance with every trace, as a `WeightedCnf`
+    with one soft clause per trace, for WCNF export."""
 
     def __init__(self, n: int, sample: LabeledSample, omega: WeightFn,
                  with_constants: bool = False, var_comments: bool = False):
-        super().__init__(n, sample, with_constants)
-        self.wcnf = WeightedCnf(self._next - 1)
-        self._add = self.wcnf.hard.append
-        self._emit_structural()
+        self.wcnf = WeightedCnf(0)
+        super().__init__(n, sample, with_constants, self.wcnf)
         self.add_traces(range(len(self.traces)))
         if var_comments:
-            self.wcnf.comments.extend(self._var_map_comments())
-        self._emit_satisfaction(omega)
-
-    def _reserve(self, nvars: int) -> None:
-        self.wcnf.nvars = nvars
-
-    def _var_map_comments(self) -> list[str]:
-        return [f"c var {v} {tag} {' '.join(map(str, key))}"
+            self.wcnf.comments.extend(
+                f"c var {v} {tag} {' '.join(map(str, key))}"
                 for tag, table in (("x", self.x), ("l", self.l),
                                    ("r", self.r), ("y", self.y),
                                    ("L", self.left), ("R", self.right))
-                for key, v in table.items()]
-
-    def _emit_satisfaction(self, omega: WeightFn) -> None:
-        _check_domain(self.sample, omega)
+                for key, v in table.items())
+        _check_domain(sample, omega)
         for t, trace in enumerate(self.traces):
             self.wcnf.add_soft([self.root_literal(t)],
                                Fraction(omega[trace]))
-
-
-class IncrementalInstance(_Skeleton):
-    """The size-n structure in a SAT solver, with traces added in
-    batches: their variables and hard clauses go straight into `solver`,
-    and their root literals are for the caller to assume or weigh.
-    Clauses are only ever added, so clauses the solver learned stay
-    valid."""
-
-    def __init__(self, n: int, sample: LabeledSample,
-                 with_constants: bool = False):
-        super().__init__(n, sample, with_constants)
-        self.solver = SatSolver()
-        self._reserve(self._next - 1)
-        self._add = self.solver.add_clause
-        self._emit_structural()
-
-    def _reserve(self, nvars: int) -> None:
-        self.solver.ensure_var(nvars)

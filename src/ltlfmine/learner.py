@@ -12,8 +12,9 @@ budget B = floor(kappa * D).  Each size has one decision path:
   weighted loss is <= kappa is taken (`enumeration`).
   No instance is built, and `candidates` counts the formulas tried.
 * larger n: SAT decisions (`maxsat.solve_decision`) on one solver per
-  size that holds the structural clauses and the clauses of the encoded
-  traces.  The budget decides what the solver is told about the traces:
+  size, into which `encoding.Encoding` writes the structural clauses
+  and the clauses of the encoded traces.  The budget decides what the
+  solver is told about the traces:
   - B >= the smallest w_t: some trace may be misclassified.  Every trace
     is encoded, its root literal is a soft literal of weight w_t, and
     the target is sum(w_t) - B.  One decision answers the size.
@@ -47,12 +48,12 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import maxsat
-from .encoding import IncrementalInstance
+from .encoding import Encoding
 from .enumeration import LIMIT, Enumerator
 from .formula import Formula
 from .sample import (LabeledSample, WeightFn, _check_domain, omega_rebalanced,
                      omega_uniform, weighted_loss)
-from .sat import SolveTimeout, check_deadline
+from .sat import SatSolver, SolveTimeout, check_deadline
 
 SOLVED = "solved"
 SIZE_CAP = "size-cap"
@@ -110,7 +111,8 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
     loss, or None."""
     bound = enumerator.bound(kappa)
     weights = enumerator.weights
-    instance = IncrementalInstance(n, sample, with_constants)
+    solver = SatSolver()
+    instance = Encoding(n, sample, with_constants, solver)
     if bound >= min(weights):
         instance.add_traces(range(sample.size))
         softs = [(instance.root_literal(t), w) for t, w in enumerate(weights)]
@@ -125,7 +127,7 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
         record["traces_encoded"] = sample.size if softs else len(encoded)
         check_deadline(deadline)
         record["rounds"] += 1
-        result = maxsat.solve_decision(instance.solver, softs, target,
+        result = maxsat.solve_decision(solver, softs, target,
                                        deadline=deadline, assumptions=roots)
         if result.status == maxsat.HARD_UNSAT:
             raise RuntimeError("hard constraints unsatisfiable; "

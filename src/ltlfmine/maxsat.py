@@ -45,8 +45,8 @@ WRITE_SLICE = 16384  # hard clauses per write in export_wcnf
 class WeightedCnf:
     """Hard clauses plus weighted soft clauses over variables 1..nvars.
 
-    A hard clause is a tuple of ints: `add_hard`, the encoder and
-    `parse_wcnf` all store tuples."""
+    A hard clause is a tuple of ints: `add_clause`, through which the
+    encoder writes, and `parse_wcnf` both store tuples."""
 
     nvars: int
     hard: list = field(default_factory=list)              # list[tuple[int, ...]]
@@ -54,8 +54,11 @@ class WeightedCnf:
     comments: list = field(default_factory=list)          # extra "c" lines for export
     weight_scale: Optional[int] = None                    # fixed denominator, else lcm
 
-    def add_hard(self, clause: Sequence[int]) -> None:
+    def add_clause(self, clause: Sequence[int]) -> None:
         self.hard.append(tuple(clause))
+
+    def ensure_var(self, nvars: int) -> None:
+        self.nvars = max(self.nvars, nvars)
 
     def add_soft(self, clause: Sequence[int], weight: Fraction) -> None:
         if weight <= 0:

@@ -140,7 +140,8 @@ def parse_trace_row(row: str, alphabet: tuple[str, ...], lineno: int) -> Trace:
 def parse_sample(source: Union[str, io.TextIOBase]) -> LabeledSample:
     """Parse the sample file format.
 
-    Format: an optional `alphabet: p0,p1,...` header, positive trace rows
+    Format: an optional `alphabet: p0,p1,...` header (once, before the
+    first trace, naming at least one proposition), positive trace rows
     (symbols separated by `;`, bit vectors separated by `,`), a `---`
     separator, then negative rows.  `#` starts a comment.  Anything after
     a second `---` is ignored with a warning (compatibility sections).
@@ -158,8 +159,15 @@ def parse_sample(source: Union[str, io.TextIOBase]) -> LabeledSample:
         if not line or line.startswith("#"):
             continue
         if line.startswith("alphabet:"):
+            # A header read or an alphabet inferred from a trace before.
+            if alphabet:
+                raise SampleError(f"line {lineno}: the alphabet header must "
+                                  "come once, before the first trace")
             alphabet = tuple(
                 p.strip() for p in line[len("alphabet:"):].split(",") if p.strip())
+            if not alphabet:
+                raise SampleError(f"line {lineno}: the alphabet header "
+                                  "names no proposition")
             continue
         if line == "---":
             seen_separators += 1

@@ -151,8 +151,8 @@ def test_criterion_04_maxsat_exactness_brute_force():
         nvars = rng.randint(1, 14)
         wcnf = WeightedCnf(nvars)
         for _ in range(rng.randint(0, 18)):
-            wcnf.add_hard([rng.choice([-1, 1]) * rng.randint(1, nvars)
-                           for _ in range(rng.randint(1, 3))])
+            wcnf.add_clause([rng.choice([-1, 1]) * rng.randint(1, nvars)
+                             for _ in range(rng.randint(1, 3))])
         for _ in range(rng.randint(1, 8)):
             wcnf.add_soft([rng.choice([-1, 1]) * rng.randint(1, nvars)
                            for _ in range(rng.randint(1, 2))],

@@ -112,6 +112,21 @@ class TestLearnDt:
         tree = parse_tree(out.strip(), sample.alphabet)
         assert tree_loss(sample, tree) == 0
 
+    def test_size_cap_prints_tree_and_warning(self, tmp_path):
+        # The root split needs a size-2 formula: a majority leaf, a
+        # warning and exit 0, not a traceback.
+        path = tmp_path / "s.txt"
+        path.write_text("1,0\n0,1\n---\n1,1\n0,0\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "ltlfmine", "learn-dt", str(path),
+             "--max-size", "1"], env=env, capture_output=True, text=True)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert done.stdout == "(leaf true)\n"
+        assert "warning: no split formula up to size 1" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_negative_max_depth_rejected(self, sample_file, capsys):
         code, out, err = run(["learn-dt", sample_file, "--max-depth", "-1"],
                              capsys)

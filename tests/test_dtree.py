@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ltlfmine import dtree
 from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             infer_split_formula, learn_tree, parse_tree,
                             positive_fraction, pure_label, score_r,
                             serialize_tree, split, tree_loss,
                             tree_to_formula)
 from ltlfmine.formula import parse_formula
+from ltlfmine.learner import SIZE_CAP
 from ltlfmine.sample import loss, make_sample, parse_sample
 from helpers import random_formula, random_sample, random_trace
 
@@ -119,6 +121,50 @@ class TestLearnTree:
                 break
         else:
             pytest.fail("expected at least one depth-capped run")
+
+    def test_size_cap_gives_majority_leaf(self):
+        # The root splits on a; its a-side, {a} positive and {a, b}
+        # negative, needs !b, past a size cap of 1, so it becomes a
+        # majority leaf (a tie goes to accept) instead of failing.
+        s = parse_sample("alphabet: a,b\n1,0\n---\n1,1\n0,0\n0,1\n")
+        r = learn_tree(s, DtConfig(max_size=1))
+        assert r.status == SIZE_CAP
+        assert r.tree == Inner(parse_formula("a"), Leaf(1), Leaf(0))
+        assert r.nodes_expanded == 1
+        r = learn_tree(s, DtConfig(max_size=2))
+        assert r.status == "solved" and tree_loss(s, r.tree) == 0
+
+    def test_size_cap_on_the_root(self, monkeypatch):
+        # No single proposition scores 4/5 on this sample, so the first
+        # search hits the cap and the inversion is not searched.
+        calls = []
+        real = dtree.learn_minimal
+        monkeypatch.setattr(dtree, "learn_minimal",
+                            lambda *args: calls.append(args) or real(*args))
+        s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
+        r = learn_tree(s, DtConfig(max_size=1))
+        assert (r.status, r.tree, r.nodes_expanded) == (SIZE_CAP, Leaf(1), 0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("splits", [("a", None, "b"), ("a", "b", None)],
+                             ids=["size-cap-first", "depth-cap-first"])
+    def test_size_cap_outranks_depth_cap(self, monkeypatch, splits):
+        # Every part of the sample is impure.  The root splits on a; of
+        # the two depth-1 nodes, built solid side first, one's split
+        # search hits the size cap (None) and the other splits on b into
+        # depth-2 nodes past max_depth 2.
+        s = parse_sample("alphabet: a,b\n1,1;0,0\n1,0\n0,1\n0,0\n---\n"
+                         "1,1;0,1\n1,0;0,0\n0,1;0,0\n0,0;0,0\n")
+        answers = iter(splits)
+
+        def scripted(sample, config):
+            text = next(answers)
+            return text and parse_formula(text)
+
+        monkeypatch.setattr(dtree, "infer_split_formula", scripted)
+        r = learn_tree(s, DtConfig(max_depth=2))
+        assert r.status == SIZE_CAP
+        assert r.nodes_expanded == 2
 
     def test_timeout_status(self):
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")

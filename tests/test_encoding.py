@@ -8,8 +8,8 @@ import pytest
 
 from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine import encoding
-from ltlfmine.encoding import (EncodingError, EncodingInstance,
-                               IncrementalInstance, leaf_labels)
+from ltlfmine.encoding import (Encoding, EncodingError, EncodingInstance,
+                               leaf_labels)
 from ltlfmine.formula import FormulaBuilder, arity, parse_formula
 from ltlfmine.maxsat import FEASIBLE
 from ltlfmine.sample import (omega_uniform, parse_sample, weighted_loss)
@@ -272,8 +272,8 @@ def test_define_states_the_definition(lengths, conj):
         nvars += length
     clauses = []
     sink = types.SimpleNamespace(_add=clauses.append)
-    encoding._Skeleton._define(sink, -1, encoding._signal(own),
-                               [encoding._signal(s) for s in inputs], conj)
+    encoding.Encoding._define(sink, -1, encoding._signal(own),
+                              [encoding._signal(s) for s in inputs], conj)
     combine = all if conj else any
     for bits in itertools.product((False, True), repeat=nvars):
         value = dict(zip(range(1, nvars + 1), bits))
@@ -323,8 +323,7 @@ def test_literals_shared_per_trace():
 
 
 @pytest.mark.parametrize("constants", [(), ("true", "false")])
-def test_incremental_instance_sends_the_full_instance_clauses(monkeypatch,
-                                                              constants):
+def test_encoding_over_a_solver_sends_the_full_instance_clauses(constants):
     sent = []
 
     class Recording(SatSolver):
@@ -332,12 +331,12 @@ def test_incremental_instance_sends_the_full_instance_clauses(monkeypatch,
             sent.append(lits)
             super().add_clause(lits)
 
-    monkeypatch.setattr(encoding, "SatSolver", Recording)
     sample = generate_sample(GenSpec("universality2", 8, seed=0))
-    inc = IncrementalInstance(4, sample, bool(constants))
-    assert inc.leaves == sample.alphabet + constants
-    inc.add_traces(range(len(inc.traces)))
+    solver = Recording()
+    encoded = Encoding(4, sample, bool(constants), solver)
+    assert encoded.leaves == sample.alphabet + constants
+    encoded.add_traces(range(len(encoded.traces)))
     full = EncodingInstance(4, sample, omega_uniform(sample), bool(constants))
     assert sent == full.wcnf.hard
     assert all(type(c) is tuple for c in sent)
-    assert inc.solver.nvars == full.wcnf.nvars
+    assert solver.nvars == full.wcnf.nvars

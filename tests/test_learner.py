@@ -79,9 +79,9 @@ class TestLearnMinimal:
                              ids=["exact", "relaxed"])
     def test_timeout_checked_before_encoding(self, monkeypatch, kappa):
         built = []
-        real = learner.IncrementalInstance
+        real = learner.Encoding
         monkeypatch.setattr(
-            learner, "IncrementalInstance",
+            learner, "Encoding",
             lambda *args: built.append(args) or real(*args))
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
         r = learn_minimal(s, LearnConfig(kappa=kappa, timeout=0))
@@ -211,7 +211,7 @@ class TestLearnMinimal:
         monkeypatch.setattr(encoding.EncodingInstance, "__init__", refuse)
         instances, added = [], []
 
-        class Recording(learner.IncrementalInstance):
+        class Recording(learner.Encoding):
             def __init__(self, *args):
                 super().__init__(*args)
                 instances.append(self)
@@ -221,7 +221,7 @@ class TestLearnMinimal:
                 added.extend(ts)
                 super().add_traces(ts)
 
-        monkeypatch.setattr(learner, "IncrementalInstance", Recording)
+        monkeypatch.setattr(learner, "Encoding", Recording)
         calls = record_decisions(monkeypatch)
         r = learn_minimal(size_five_sample(),
                           LearnConfig(kappa=Fraction(1, 20)))
@@ -232,7 +232,7 @@ class TestLearnMinimal:
         # sizes 1-4 are enumerated: one instance, of size 5
         [instance] = instances
         for k, (solver, softs, target, assumptions) in enumerate(calls):
-            assert solver is instance.solver
+            assert solver is instance.sink
             assert (softs, target) == ([], 0)
             assert assumptions == [instance.root_literal(t)
                                    for t in added[:k]]

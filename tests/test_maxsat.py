@@ -19,7 +19,7 @@ def random_wcnf(rng, max_vars=8, max_hard=12, max_soft=6):
     for _ in range(rng.randint(0, max_hard)):
         clause = [rng.choice([-1, 1]) * rng.randint(1, nvars)
                   for _ in range(rng.randint(1, 3))]
-        wcnf.add_hard(clause)
+        wcnf.add_clause(clause)
     for _ in range(rng.randint(1, max_soft)):
         clause = [rng.choice([-1, 1]) * rng.randint(1, nvars)
                   for _ in range(rng.randint(1, 2))]
@@ -46,21 +46,21 @@ class TestSolveOptimal:
 
     def test_hard_unsat(self):
         wcnf = WeightedCnf(1)
-        wcnf.add_hard([1])
-        wcnf.add_hard([-1])
+        wcnf.add_clause([1])
+        wcnf.add_clause([-1])
         wcnf.add_soft([1], Fraction(1))
         assert decide(wcnf, Fraction(0)).status == HARD_UNSAT
 
     def test_hard_constraints_respected(self):
         wcnf = WeightedCnf(2)
-        wcnf.add_hard([-1, -2])
+        wcnf.add_clause([-1, -2])
         wcnf.add_soft([1], Fraction(1, 2))
         wcnf.add_soft([2], Fraction(1, 2))
         assert check_hard(wcnf, pin_optimum(wcnf, Fraction(1, 2)))
 
     def test_non_unit_soft_clauses(self):
         wcnf = WeightedCnf(3)
-        wcnf.add_hard([-1])
+        wcnf.add_clause([-1])
         wcnf.add_soft([1, 2], Fraction(1, 4))
         wcnf.add_soft([1, 3], Fraction(1, 4))
         wcnf.add_soft([-2, -3], Fraction(1, 2))
@@ -103,7 +103,7 @@ class TestSolveDecision:
 
     def test_zero_target_reduces_to_hard_sat(self):
         wcnf = WeightedCnf(1)
-        wcnf.add_hard([1])
+        wcnf.add_clause([1])
         wcnf.add_soft([-1], Fraction(1))
         result = decide(wcnf, Fraction(0))
         assert result.status == FEASIBLE
@@ -111,8 +111,8 @@ class TestSolveDecision:
 
     def test_hard_unsat_distinguished_from_infeasible(self):
         wcnf = WeightedCnf(1)
-        wcnf.add_hard([1])
-        wcnf.add_hard([-1])
+        wcnf.add_clause([1])
+        wcnf.add_clause([-1])
         wcnf.add_soft([1], Fraction(1))
         assert decide(wcnf, Fraction(1, 2)).status == HARD_UNSAT
 
@@ -148,7 +148,7 @@ class TestSolveDecision:
     def test_decides_in_the_callers_solver(self):
         # The totalizer goes into the solver that holds the hard clauses.
         wcnf = WeightedCnf(2)
-        wcnf.add_hard([-1, -2])
+        wcnf.add_clause([-1, -2])
         wcnf.add_soft([1], Fraction(2, 3))
         wcnf.add_soft([-2], Fraction(1, 3))
         solver, softs, denom = load_decision(wcnf)
@@ -163,7 +163,7 @@ class TestSolveDecision:
         # falls short of 2 and the solve under the totalizer output must
         # keep the assumption.
         wcnf = WeightedCnf(2)
-        wcnf.add_hard([-1, -2])
+        wcnf.add_clause([-1, -2])
         wcnf.add_soft([1], Fraction(1, 3))
         wcnf.add_soft([2], Fraction(2, 3))
 
@@ -180,7 +180,7 @@ class TestSolveDecision:
 
     def test_refuted_assumptions_are_infeasible_not_hard_unsat(self):
         wcnf = WeightedCnf(1)
-        wcnf.add_hard([1])
+        wcnf.add_clause([1])
         solver, softs, _ = load_decision(wcnf)
         assert softs == []
         assert solve_decision(solver, softs, 0,
@@ -192,8 +192,8 @@ class TestSolveDecision:
 class TestWcnfFormat:
     def build(self):
         wcnf = WeightedCnf(3)
-        wcnf.add_hard([1, -2])
-        wcnf.add_hard([2, 3])
+        wcnf.add_clause([1, -2])
+        wcnf.add_clause([2, 3])
         wcnf.add_soft([1], Fraction(1, 3))
         wcnf.add_soft([-3], Fraction(1, 6))
         return wcnf
@@ -296,6 +296,21 @@ class TestWcnfFormat:
         with pytest.raises(ValueError):
             WeightedCnf(1).add_soft([1], Fraction(0))
 
+    def test_clause_sink(self):
+        # The encoder's sink interface: ensure_var only ever raises
+        # nvars, and add_clause stores a tuple, the given one itself.
+        wcnf = WeightedCnf(5)
+        for nvars, expected in ((3, 5), (7, 7), (0, 7)):
+            wcnf.ensure_var(nvars)
+            assert wcnf.nvars == expected
+        clause = (1, -2)
+        wcnf.add_clause(clause)
+        wcnf.add_clause([3])
+        wcnf.add_clause(range(4, 6))
+        assert wcnf.hard == [(1, -2), (3,), (4, 5)]
+        assert wcnf.hard[0] is clause
+        assert all(type(c) is tuple for c in wcnf.hard)
+
 
 def reference_export(wcnf):
     """One line per clause, built clause by clause: the format
@@ -332,7 +347,7 @@ def mixed_wcnf(rng, nhard):
             clause.append(rng.choice([clause[0], -clause[0]]))
         kind = rng.randrange(3)
         if kind == 0:
-            wcnf.add_hard(clause)
+            wcnf.add_clause(clause)
         else:
             wcnf.hard.append(clause if kind == 1 else tuple(clause))
     for _ in range(rng.randint(0, 5)):
@@ -353,7 +368,7 @@ class TestExportBytes:
     def test_every_clause_length(self):
         wcnf = WeightedCnf(6)
         for k in range(7):
-            wcnf.add_hard(range(1, k + 1))
+            wcnf.add_clause(range(1, k + 1))
             wcnf.hard.append(list(range(-1, -k - 1, -1)))
         wcnf.add_soft([2], Fraction(1, 4))
         text = export_text(wcnf)

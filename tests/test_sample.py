@@ -110,6 +110,24 @@ class TestValidation:
         with pytest.raises(SampleError, match="twice"):
             parse_sample("alphabet: a,a\n1,0\n---\n0,0\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("alphabet: a,b\nalphabet: c,d\n1,0\n---\n0,1\n", 2),
+        ("alphabet: a,b\nalphabet: a,b\n1,0\n---\n0,1\n", 2),
+        ("1,0\nalphabet: a,b\n---\n0,1\n", 2),
+        ("alphabet: a,b\n1,0\n---\n# late\nalphabet: a,b\n0,1\n", 5),
+        ("alphabet:\n1,0\n---\n0,1\n", 1),
+        ("# no names\nalphabet: ,\n1,0\n---\n0,1\n", 2)],
+        ids=["second", "repeated", "after-trace", "after-separator",
+             "empty", "only-commas"])
+    def test_misplaced_or_empty_header_rejected(self, text, line):
+        with pytest.raises(SampleError, match=f"^line {line}: the alphabet "
+                                              "header"):
+            parse_sample(text)
+
+    def test_header_after_separator_before_any_trace(self):
+        s = parse_sample("---\nalphabet: a,b\n0,1\n")
+        assert s.alphabet == ("a", "b") and s.negatives() == [(sym("b"),)]
+
     def test_readable_names_accepted(self):
         names = ("a", "_x", "p_1", "Xy", "trueish", "Fp", "UU")
         s = LabeledSample(names, (((sym("Xy"),), 1),))
