@@ -14,8 +14,18 @@ unary `op(f)` has size |f| + 1, a binary `op(f, g)` has size
 |sub(f) | sub(g)| + 1, so `p & p` has size 2.  Levels below the size
 being decided are stored with each formula's signature and subformula
 set; the level being decided is streamed and stored only when a later
-level will need it.  No formula is pruned by its signature: two formulas
-with one signature can differ in what they share inside a larger one.
+level will need it.
+
+A formula is stored only if its subformulas have pairwise distinct
+signatures.  If two distinct subformulas f and g of a formula φ share
+one, with f not a subformula of g, replacing f by g everywhere keeps
+every signature above them, since an operator's value at a position
+depends only on its children's values on the same trace; so φ has a
+smaller formula with the same loss.  Once every smaller size is refuted,
+no formula of size n within the loss bound holds such a pair, so none
+of its subformulas is dropped and the streamed level still holds it.
+Two *different* formulas with one signature are both kept: they can
+differ in what they share inside a larger one.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .formula import (BINARY_OPS, TRUE, UNARY_OPS, Formula, FormulaBuilder,
 from .sample import LabeledSample, WeightFn, scaled_weights
 from .sat import check_deadline
 
-LIMIT = 4          # sizes up to LIMIT are decided by enumeration
+LIMIT = 5          # sizes up to LIMIT are decided by enumeration
 CHECK_EVERY = 4096  # candidates between two calls of the deadline check
 
 
@@ -61,6 +71,7 @@ class Enumerator:
         self.intern: dict[tuple, int] = {}
         self.levels: dict[int, list[int]] = {}
         self.candidates = 0
+        self.pruned = 0
         # No symbol holds a constant's name, so false holds nowhere.
         symbols = [symbol for u in traces for symbol in u]
         self.leaves = [((p,), layout.full if p == TRUE else layout.bits(
@@ -81,9 +92,14 @@ class Enumerator:
     def search(self, n: int, bound: int, deadline: Optional[float]):
         """The key and scaled loss of the first formula of size n whose
         scaled loss is at most `bound`, or None.  `self.candidates` counts
-        the formulas whose loss was computed; the deadline is checked
+        the formulas whose loss was computed and `self.pruned` the ones
+        of them not stored for the next size; the deadline is checked
         before the first and after every CHECK_EVERY of them, and
-        `SolveTimeout` stops the search."""
+        `SolveTimeout` stops the search.
+
+        None is exact only when no size below n has a formula within
+        `bound` on this sample (module docstring): the formulas of size
+        n built on formulas that were not stored are never tried."""
         loss, every = self.loss, CHECK_EVERY
         count = 0
         for key, sig in self.level(n):
@@ -99,17 +115,24 @@ class Enumerator:
         return None
 
     def level(self, n: int):
-        """(key, signature) of every formula of size n, once each.  Sizes
-        1..n-1 must have been generated in full before; size n is stored
-        for the next one unless n is LIMIT."""
+        """(key, signature) of every formula of size n whose children are
+        stored, once each.  Sizes 1..n-1 must have been generated in full
+        before; size n is stored for the next one unless n is LIMIT, its
+        formulas with two subformulas of one signature left out and
+        counted in `self.pruned`."""
         if sorted(self.levels) != list(range(1, n)):
             raise ValueError(f"sizes below {n} must be enumerated in full, "
                              f"and only once")
         store = n < LIMIT
         stored = []
+        self.pruned = 0
         for key, sig in self._generate(n):
             if store:
-                stored.append(self._store(key, sig))
+                i = self._store(key, sig)
+                if i is None:
+                    self.pruned += 1
+                else:
+                    stored.append(i)
             yield key, sig
         if store:
             self.levels[n] = stored
@@ -129,11 +152,18 @@ class Enumerator:
             for op, apply in binary:
                 yield (op, f, g), apply(a, b)
 
-    def _store(self, key: tuple, sig: int) -> int:
-        i = len(self.keys)
-        sub = {i}
+    def _store(self, key: tuple, sig: int) -> Optional[int]:
+        """The new id of the formula, or None, storing nothing, when two
+        of its subformulas have one signature."""
+        sub = set()
         for child in key[1:]:
             sub |= self.subs[child]
+        seen = {self.sigs[j] for j in sub}
+        seen.add(sig)
+        if len(seen) <= len(sub):
+            return None
+        i = len(self.keys)
+        sub.add(i)
         self.keys.append(key)
         self.sigs.append(sig)
         self.subs.append(frozenset(sub))
@@ -162,16 +192,16 @@ class Enumerator:
                     yield leaf
         for h in self._extend(inside, k - 1):
             for op in UNARY_OPS:
-                g = intern[(op, h)]
-                if g not in inside:
+                g = intern.get((op, h))
+                if g is not None and g not in inside:
                     yield g
         for m in range(k):
             for h in self._extend(inside, m):
                 around = inside | self.subs[h] if m else inside
                 for h2 in self._extend(around, k - 1 - m):
                     for op in BINARY_OPS:
-                        g = intern[(op, h, h2)]
-                        if g not in inside:
+                        g = intern.get((op, h, h2))
+                        if g is not None and g not in inside:
                             yield g
 
     def build(self, key: tuple) -> Formula:

@@ -7,10 +7,13 @@ The trace weights are scaled to integers w_t by their common denominator
 D, so the question reads "misclassified weight <= B" with the loss
 budget B = floor(kappa * D).  Each size has one decision path:
 
-* n <= enumeration.LIMIT (4): every formula of size n is enumerated
+* n <= enumeration.LIMIT (5): every formula of size n is enumerated
   with its bitset signature on the whole sample, and the first whose
-  weighted loss is <= kappa is taken (`enumeration`).
-  No instance is built, and `candidates` counts the formulas tried.
+  weighted loss is <= kappa is taken (`enumeration`).  A formula with
+  two subformulas of one signature is not stored for the next size:
+  a smaller formula has its loss, and the smaller sizes are refuted
+  before n is decided.  No instance is built; `candidates` counts the
+  formulas tried and `pruned` those not stored.
 * larger n: SAT decisions (`maxsat.solve_decision`) on one solver per
   size, into which `encoding.Encoding` writes the structural clauses
   and the clauses of the encoded traces.  The budget decides what the
@@ -169,6 +172,7 @@ def _decide_enumerated(sample, omega, enumerator, kappa, n, deadline,
         found = enumerator.search(n, enumerator.bound(kappa), deadline)
     finally:
         record["candidates"] = enumerator.candidates
+        record["pruned"] = enumerator.pruned
     if found is None:
         record["status"] = maxsat.INFEASIBLE
         return None
@@ -205,7 +209,8 @@ def learn_minimal(sample: LabeledSample,
             started = time.monotonic()
             # A size the deadline stops keeps its "timeout" status.
             record = {"size": n, "status": "timeout", "seconds": 0.0,
-                      "traces_encoded": 0, "rounds": 0, "candidates": 0}
+                      "traces_encoded": 0, "rounds": 0, "candidates": 0,
+                      "pruned": 0}
             iterations.append(record)
             decision = "enumerated" if n <= LIMIT else "sat"
             decide = enumerated if n <= LIMIT else solved
@@ -213,11 +218,11 @@ def learn_minimal(sample: LabeledSample,
                 found = decide(n, deadline, record)
             finally:
                 record["seconds"] = time.monotonic() - started
-                log.debug("size %d (%s): %s, %d candidates, %d traces "
-                          "encoded, %d rounds, %.3f s", n, decision,
-                          record["status"], record["candidates"],
-                          record["traces_encoded"], record["rounds"],
-                          record["seconds"])
+                log.debug("size %d (%s): %s, %d candidates, %d pruned, "
+                          "%d traces encoded, %d rounds, %.3f s", n,
+                          decision, record["status"], record["candidates"],
+                          record["pruned"], record["traces_encoded"],
+                          record["rounds"], record["seconds"])
             if found is not None:
                 formula, achieved = found
                 return LearnResult(SOLVED, formula, formula.size, achieved,

@@ -5,6 +5,7 @@ and a loader that puts a `WeightedCnf` in front of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -21,10 +22,12 @@ from ltlfmine.sat import SatSolver
 from ltlfmine.sample import LabeledSample, Trace, make_sample
 
 
+@functools.cache
 def enumerate_formulas(props, max_n, constants=()):
     """All distinct canonical formulas representable by a syntax DAG with
     at most max_n nodes over the propositions, the constants and every
-    operator, grouped by exact size.
+    operator, grouped by exact size.  Cached, as several test modules ask
+    for the same sizes: callers must not modify the result.
 
     Enumerates every node table (per node: a label, plus children with
     smaller ids), decodes the root, and dedupes.  A table of size n can
@@ -60,6 +63,20 @@ def enumerate_formulas(props, max_n, constants=()):
 def reference_evaluate(f: Formula, trace, position: int) -> int:
     """Finite-trace valuation by memoized recursion over (node, position):
     the reference for `Formula.evaluate`."""
+    return reference_valuation(f, trace)(f.root, position)
+
+
+def reference_signatures(f: Formula, traces) -> dict[int, tuple]:
+    """Node id -> the node's reference valuation at every position of
+    every trace, in order: its signature on the traces."""
+    values = [reference_valuation(f, u) for u in traces]
+    return {i: tuple(value(i, pos) for value, u in zip(values, traces)
+                     for pos in range(len(u)))
+            for i in range(1, f.size + 1)}
+
+
+def reference_valuation(f: Formula, trace):
+    """value(node id, position) on `trace`, memoized."""
     memo: dict[tuple[int, int], int] = {}
     last = len(trace) - 1
 
@@ -101,7 +118,7 @@ def reference_evaluate(f: Formula, trace, position: int) -> int:
         memo[key] = val
         return val
 
-    return value(f.root, position)
+    return value
 
 
 def load_decision(wcnf: WeightedCnf):

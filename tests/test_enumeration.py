@@ -8,19 +8,36 @@ from ltlfmine.formula import CONSTANTS
 from ltlfmine.learner import resolve_omega
 from ltlfmine.sample import omega_uniform, weighted_loss
 from helpers import (enumerate_formulas, random_sample, reference_evaluate,
-                     sat_decision)
+                     reference_signatures, sat_decision)
 
 PROPS = ("p0", "p1")
+# The node-table enumeration of the helpers takes about a minute at size 5
+# over two propositions, so it is the oracle up to size 4 only.
+BRUTE_FORCE_SIZE = 4
 
 
 @pytest.fixture(scope="module")
 def reference():
     """Formulas by size from the node-table enumeration of the helpers."""
     return {
-        (("p0",), ()): enumerate_formulas(("p0",), LIMIT),
-        (PROPS, ()): enumerate_formulas(PROPS, LIMIT),
-        (PROPS, CONSTANTS): enumerate_formulas(PROPS, LIMIT, CONSTANTS),
+        (("p0",), ()): enumerate_formulas(("p0",), BRUTE_FORCE_SIZE),
+        (PROPS, ()): enumerate_formulas(PROPS, BRUTE_FORCE_SIZE),
+        (PROPS, CONSTANTS): enumerate_formulas(PROPS, BRUTE_FORCE_SIZE,
+                                               CONSTANTS),
     }
+
+
+def distinct_signatures(f, traces) -> dict[int, bool]:
+    """Node id of `f` -> whether the subformulas of that node have
+    pairwise distinct reference signatures on the traces."""
+    sigs = reference_signatures(f, traces)
+    below, distinct = {}, {}
+    for i in range(1, f.size + 1):
+        node = f.node(i)
+        below[i] = {i}.union(*(below[c] for c in (node.left, node.right)
+                               if c))
+        distinct[i] = len({sigs[j] for j in below[i]}) == len(below[i])
+    return distinct
 
 
 @pytest.mark.parametrize("props, constants", [
@@ -29,14 +46,31 @@ def reference():
     (PROPS, CONSTANTS),
 ], ids=["one-prop", "two-props", "constants"])
 def test_levels_match_node_table_enumeration(reference, props, constants):
-    # Per size, the same formulas as decoding every node table, each once.
+    # Per size, against decoding every node table: each formula whose
+    # children are stored is streamed once, and exactly those whose
+    # subformulas have pairwise distinct signatures are stored.
     sample = random_sample(random.Random(1), props, 4, 4)
+    traces = sample.traces()
     enumerator = Enumerator(sample, omega_uniform(sample), bool(constants))
-    for n in range(1, LIMIT + 1):
+    for n in range(1, BRUTE_FORCE_SIZE + 1):
         got = [enumerator.build(key) for key, _ in enumerator.level(n)]
         assert len(got) == len(set(got))
-        assert set(got) == set(reference[props, constants].get(n, []))
         assert all(f.size == n for f in got)
+        streamed, stored = set(), set()
+        for f in reference[props, constants].get(n, []):
+            distinct = distinct_signatures(f, traces)
+            root = f.node(f.root)
+            if all(distinct[c] for c in (root.left, root.right) if c):
+                streamed.add(f)
+                if distinct[f.root]:
+                    stored.add(f)
+        assert set(got) == streamed
+        assert {enumerator.build(enumerator.keys[i])
+                for i in enumerator.levels[n]} == stored
+        assert enumerator.pruned == len(streamed) - len(stored)
+        if n == 2:
+            # p0 & p0 is streamed, not stored
+            assert enumerator.pruned > 0
     # the leaves come in the encoder's label order
     assert [enumerator.keys[f] for f in enumerator.levels[1]] \
         == [(label,) for label in props + constants]
@@ -51,7 +85,8 @@ def test_signatures_hold_every_position():
         traces = sample.traces()
         enumerator = Enumerator(sample, omega_uniform(sample), True)
         offsets = enumerator.layout.offsets
-        for n in range(1, LIMIT):
+        # sizes 1-3 apply every operator to leaves and to composite formulas
+        for n in range(1, 4):
             for key, sig in enumerator.level(n):
                 f = enumerator.build(key)
                 assert sig <= enumerator.layout.full
@@ -69,7 +104,7 @@ def test_scaled_loss_is_weighted_loss(weights):
         omega = resolve_omega(sample, random_weights(rng, sample)
                               if weights == "explicit" else weights)
         enumerator = Enumerator(sample, omega)
-        for n in range(1, LIMIT):
+        for n in range(1, 4):
             for key, sig in enumerator.level(n):
                 assert Fraction(enumerator.loss(sig), enumerator.denominator) \
                     == weighted_loss(sample, enumerator.build(key), omega)
@@ -88,8 +123,12 @@ def random_weights(rng, sample):
                                    Fraction(1, 4)], ids=["0", "1_10", "1_4"])
 def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
                                                       weights, kappa):
-    # For every n <= LIMIT: a formula of size n within kappa exists by
-    # enumeration iff the SAT path finds one iff brute force does.
+    # For every n <= LIMIT up to the first feasible one, as learn_minimal
+    # asks: a formula of size n within kappa exists by enumeration iff the
+    # SAT path finds one, and, up to BRUTE_FORCE_SIZE, iff brute force
+    # does.  The SAT path and brute force agree at every n up to
+    # BRUTE_FORCE_SIZE.  Past the first feasible size the pruned search
+    # need not be exact.
     formulas = reference[PROPS, constants]
     with_constants = bool(constants)
     rng = random.Random(4)
@@ -98,23 +137,68 @@ def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
                                require_both_classes=weights == "rebalanced")
         omega = resolve_omega(sample, random_weights(rng, sample)
                               if weights == "explicit" else weights)
+        enumerator = Enumerator(sample, omega, with_constants)
+        bound = enumerator.bound(kappa)
+        found = None
         for n in range(1, LIMIT + 1):
-            enumerator = Enumerator(sample, omega, with_constants)
-            for m in range(1, n):
-                for _ in enumerator.level(m):
-                    pass
-            found = enumerator.search(n, enumerator.bound(kappa), None)
-            by_enumeration = found is not None
+            if found is not None and n > BRUTE_FORCE_SIZE:
+                break
             by_sat = sat_decision(sample, omega, with_constants, kappa,
                                   n) is not None
-            by_brute_force = any(weighted_loss(sample, f, omega) <= kappa
-                                 for f in formulas.get(n, []))
-            assert by_enumeration == by_sat == by_brute_force, (sample, n)
+            if n <= BRUTE_FORCE_SIZE:
+                assert by_sat == any(weighted_loss(sample, f, omega) <= kappa
+                                     for f in formulas.get(n, [])), (sample, n)
+            if found is not None:
+                continue
+            found = enumerator.search(n, bound, None)
+            assert (found is not None) == by_sat, (sample, n)
             if found is not None:
                 f = enumerator.build(found[0])
                 assert f.size == n
                 assert weighted_loss(sample, f, omega) \
                     == Fraction(found[1], enumerator.denominator) <= kappa
+
+
+class Unpruned(Enumerator):
+    """The enumerator with every formula stored: no signature pruning."""
+
+    def _store(self, key, sig):
+        i = len(self.keys)
+        self.keys.append(key)
+        self.sigs.append(sig)
+        self.subs.append(frozenset({i}.union(*(self.subs[c]
+                                               for c in key[1:]))))
+        self.intern[key] = i
+        return i
+
+
+@pytest.mark.parametrize("constants", [(), CONSTANTS],
+                         ids=["default-pool", "constants"])
+@pytest.mark.parametrize("weights", ["uniform", "rebalanced", "explicit"])
+def test_pruning_finds_the_unpruned_formula(constants, weights):
+    # Size by size up to the first feasible one, the pruned and the
+    # unpruned search decide alike and take the same formula, by text:
+    # ids differ once formulas are pruned.  The pruned one tries no more.
+    with_constants = bool(constants)
+    rng = random.Random(8)
+    for kappa in (Fraction(0), Fraction(1, 10), Fraction(1, 4)) * 2:
+        sample = random_sample(rng, PROPS, 10, 6,
+                               require_both_classes=weights == "rebalanced")
+        omega = resolve_omega(sample, random_weights(rng, sample)
+                              if weights == "explicit" else weights)
+        pruned = Enumerator(sample, omega, with_constants)
+        unpruned = Unpruned(sample, omega, with_constants)
+        bound = pruned.bound(kappa)
+        for n in range(1, LIMIT + 1):
+            found = pruned.search(n, bound, None)
+            expected = unpruned.search(n, bound, None)
+            assert pruned.candidates <= unpruned.candidates
+            assert (found is None) == (expected is None), (sample, n)
+            if found is not None:
+                assert pruned.build(found[0]).to_text() \
+                    == unpruned.build(expected[0]).to_text(), (sample, n)
+                assert found[1] == expected[1]
+                break
 
 
 def test_search_counts_candidates_and_stops_at_first_hit():

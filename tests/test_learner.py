@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ltlfmine import encoding, enumeration, learner, maxsat
-from ltlfmine.bench import GenSpec, generate_sample, inject_noise
+from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine.encoding import EncodingInstance
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega)
@@ -178,19 +178,42 @@ class TestLearnMinimal:
                        and "(enumerated)" in rec.getMessage()
                        for rec in logged)
 
-    def test_size_five_is_handed_to_sat(self, caplog):
-        s = size_five_sample()
-        for kappa in (Fraction(0), Fraction(1, 20)):
+    def test_size_five_is_enumerated(self):
+        # The learn-exact benchmark's universality2@20 sample needs size 5,
+        # the last size enumeration decides: no trace reaches SAT.
+        r = learn_minimal(universality2_sample())
+        assert (r.status, r.size, r.achieved_loss) == (SOLVED, 5, 0)
+        assert [it["size"] for it in r.iterations] == [1, 2, 3, 4, 5]
+        assert all(it["candidates"] > 0 and it["traces_encoded"] == 0
+                   and it["rounds"] == 0 for it in r.iterations)
+
+    def test_records_count_the_pruned_formulas(self, caplog):
+        # Over four propositions, levels 3 and 4 are built from the
+        # pruned levels below them, and each drops formulas of its own.
+        with caplog.at_level(logging.DEBUG, logger="ltlfmine.learner"):
+            r = learn_minimal(universality2_sample())
+        _, _, three, four, five = r.iterations
+        assert (three["candidates"], four["candidates"]) == (368, 5600)
+        assert three["pruned"] > 0 and four["pruned"] > 0
+        # size 5 is streamed and stored for no later size
+        assert five["pruned"] == 0
+        logged = [rec.getMessage() for rec in caplog.records
+                  if rec.name == "ltlfmine.learner"]
+        assert f"{four['pruned']} pruned" in logged[3]
+
+    def test_size_six_is_handed_to_sat(self, caplog):
+        s = size_six_sample()
+        for kappa in (Fraction(0), Fraction(1, 40)):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="ltlfmine.learner"):
                 r = learn_minimal(s, LearnConfig(kappa=kappa))
             assert r.status == SOLVED
-            assert r.size == 5
+            assert r.size == 6
             assert r.achieved_loss <= kappa
             assert weighted_loss(s, r.formula, omega_uniform(s)) \
                 == r.achieved_loss
-            assert [it["size"] for it in r.iterations] == [1, 2, 3, 4, 5]
-            enumerated, last = r.iterations[:4], r.iterations[4]
+            assert [it["size"] for it in r.iterations] == [1, 2, 3, 4, 5, 6]
+            enumerated, last = r.iterations[:5], r.iterations[5]
             assert all(it["status"] == "infeasible" and it["candidates"] > 0
                        for it in enumerated)
             assert last["status"] == "feasible"
@@ -199,12 +222,12 @@ class TestLearnMinimal:
             logged = [rec.getMessage() for rec in caplog.records
                       if rec.name == "ltlfmine.learner"]
             assert ["(sat)" in line for line in logged] \
-                == [False] * 4 + [True]
+                == [False] * 5 + [True]
 
-    def test_relaxed_size_five_decides_on_the_learners_solver(
+    def test_relaxed_size_six_decides_on_the_learners_solver(
             self, monkeypatch):
-        # kappa 1/20 on five traces of weight 1/5: D = 5 and the loss
-        # budget floor(5 / 20) = 0 is below every weight, so no trace may
+        # kappa 1/40 on 20 traces of weight 1/20: D = 20 and the loss
+        # budget floor(20 / 40) = 0 is below every weight, so no trace may
         # be misclassified.  Each round is one maxsat.solve_decision with
         # nothing counted, target 0 and the root literals of T, in the
         # order its traces joined, assumed; no WCNF instance is built.
@@ -223,13 +246,13 @@ class TestLearnMinimal:
 
         monkeypatch.setattr(learner, "Encoding", Recording)
         calls = record_decisions(monkeypatch)
-        r = learn_minimal(size_five_sample(),
-                          LearnConfig(kappa=Fraction(1, 20)))
-        assert (r.status, r.size, r.achieved_loss) == (SOLVED, 5, 0)
+        r = learn_minimal(size_six_sample(),
+                          LearnConfig(kappa=Fraction(1, 40)))
+        assert (r.status, r.size, r.achieved_loss) == (SOLVED, 6, 0)
         last = r.iterations[-1]
         assert last["rounds"] == len(calls) == len(added) + 1
         assert last["traces_encoded"] == len(added)
-        # sizes 1-4 are enumerated: one instance, of size 5
+        # sizes 1-5 are enumerated: one instance, of size 6
         [instance] = instances
         for k, (solver, softs, target, assumptions) in enumerate(calls):
             assert solver is instance.sink
@@ -237,28 +260,26 @@ class TestLearnMinimal:
             assert assumptions == [instance.root_literal(t)
                                    for t in added[:k]]
 
-    def test_counted_size_five_is_one_decision(self, monkeypatch):
-        # 20 traces of weight 1/20 at kappa 1/20: D = 20 and the loss
+    def test_counted_size_six_is_one_decision(self, monkeypatch):
+        # 12 traces of weight 1/12 at kappa 1/12: D = 12 and the loss
         # budget 1 allows one misclassified trace, so every trace is
-        # counted with weight 1 and the target is 20 - 1 = 19.
-        s = generate_sample(GenSpec("universality2", num_traces=20,
-                                    max_trace_length=8, seed=0,
-                                    noise_rate=0.05))
-        s, _ = inject_noise(s, 0.05, 0)
-        assert s.size == 20
+        # counted with weight 1 and the target is 12 - 1 = 11.
+        s = generate_sample(GenSpec("absence3", num_traces=12,
+                                    max_trace_length=4, seed=0))
+        assert s.size == 12
         monkeypatch.setattr(encoding.EncodingInstance, "__init__", refuse)
         calls = record_decisions(monkeypatch)
-        r = learn_minimal(s, LearnConfig(kappa=Fraction(1, 20)))
-        assert (r.status, r.size) == (SOLVED, 5)
-        assert r.achieved_loss <= Fraction(1, 20)
+        r = learn_minimal(s, LearnConfig(kappa=Fraction(1, 12)))
+        assert (r.status, r.size) == (SOLVED, 6)
+        assert r.achieved_loss <= Fraction(1, 12)
         assert weighted_loss(s, r.formula, omega_uniform(s)) \
             == r.achieved_loss
         assert len(calls) == 1
         solver, softs, target, assumptions = calls[0]
         assert isinstance(solver, SatSolver)
-        assert [w for _, w in softs] == [1] * 20 and target == 19
+        assert [w for _, w in softs] == [1] * 12 and target == 11
         assert assumptions == []
-        assert r.iterations[-1]["traces_encoded"] == 20
+        assert r.iterations[-1]["traces_encoded"] == 12
 
     @pytest.mark.parametrize("weights, kappa", [
         ("uniform", Fraction(0)), ("rebalanced", Fraction(0)),
@@ -335,11 +356,16 @@ def random_weights(rng, sample):
     return {u: Fraction(k, total) for u, k in raw.items()}
 
 
-def size_five_sample():
-    # Labelled by G (p0 -> X p1); no formula of size <= 4 separates it.
-    return parse_sample("alphabet: p0,p1\n"
-                        "0,1\n0,1;1,0;1,1;0,1\n---\n"
-                        "1,1;1,0\n0,0;0,1;1,0;0,0\n0,1;1,1;1,0;0,1\n")
+def universality2_sample():
+    # The learn-exact benchmark's sample: minimal size 5 at kappa 0.
+    return generate_sample(GenSpec("universality2", num_traces=20, seed=0))
+
+
+def size_six_sample():
+    # 20 traces of absence3 up to length 6: no formula of size <= 5
+    # separates them.
+    return generate_sample(GenSpec("absence3", num_traces=20,
+                                   max_trace_length=6, seed=0))
 
 
 class TestExactPath:
