@@ -103,8 +103,8 @@ def score_r(sample: LabeledSample, formula: Formula) -> Fraction:
 def split(sample: LabeledSample,
           formula: Formula) -> tuple[LabeledSample, LabeledSample]:
     sat, unsat = [], []
-    for u, b in sample.entries:
-        (sat if formula.satisfies(u) else unsat).append((u, b))
+    for entry, value in zip(sample.entries, sample.truth(formula)):
+        (sat if value else unsat).append(entry)
     return (LabeledSample(sample.alphabet, tuple(sat)),
             LabeledSample(sample.alphabet, tuple(unsat)))
 

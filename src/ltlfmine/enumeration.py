@@ -1,12 +1,14 @@
 """Exhaustive decision of the smallest formula sizes over bitset
 signatures.
 
-All traces of the sample are laid end to end in one int (`Layout`), so
-a formula's truth values at every position of every trace are one int,
-its signature, and each operator is a few big-int operations.  A trace
-is misclassified when the bit of its position 0 is set in
-`(signature ^ positives) & first`, and the loss, scaled by the weights'
-common denominator D, is one popcount per distinct weight.
+All traces of the sample are laid end to end in one int, the sample's
+own `Layout`, so a formula's truth values at every position of every
+trace are one int, its signature, and each operator is a few big-int
+operations, the ones `Formula.signature` applies.  The leaves' signatures
+are the sample's proposition bits.  A trace is misclassified when the
+bit of its position 0 is set in `(signature ^ positives) & first`, and
+the loss, scaled by the weights' common denominator D, is one popcount
+per distinct weight.
 
 Formulas are enumerated level by level in DAG size, the number of
 distinct subformulas (as `Formula` counts it after hash-consing): a
@@ -35,8 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .encoding import leaf_labels
-from .formula import (BINARY_OPS, TRUE, UNARY_OPS, Formula, FormulaBuilder,
-                      Layout)
+from .formula import BINARY_OPS, TRUE, UNARY_OPS, Formula, FormulaBuilder
 from .sample import LabeledSample, WeightFn, scaled_weights
 from .sat import check_deadline
 
@@ -51,8 +52,7 @@ class Enumerator:
 
     def __init__(self, sample: LabeledSample, omega: WeightFn,
                  with_constants: bool = False):
-        traces = sample.traces()
-        layout = self.layout = Layout([len(u) for u in traces])
+        layout = self.layout = sample.layout
         starts = layout.offsets
         self.positives = layout.bits(
             starts[t] for t, (_, b) in enumerate(sample.entries) if b)
@@ -72,11 +72,10 @@ class Enumerator:
         self.levels: dict[int, list[int]] = {}
         self.candidates = 0
         self.pruned = 0
-        # No symbol holds a constant's name, so false holds nowhere.
-        symbols = [symbol for u in traces for symbol in u]
-        self.leaves = [((p,), layout.full if p == TRUE else layout.bits(
-            pos for pos, symbol in enumerate(symbols) if p in symbol))
-            for p in leaf_labels(sample.alphabet, with_constants)]
+        # false, like a proposition that holds nowhere, has no bits.
+        bits = {TRUE: layout.full, **sample.holds}
+        self.leaves = [((p,), bits.get(p, 0))
+                       for p in leaf_labels(sample.alphabet, with_constants)]
 
     def loss(self, sig: int) -> int:
         """Weighted loss of a signature, times the denominator."""

@@ -5,6 +5,9 @@ A formula is stored as an array of nodes numbered 1..n where the root is
 node n and every node's children have strictly smaller identifiers.  Two
 structurally equal subformulas are always represented by the same node,
 so the node count equals the number of unique subformulas.
+
+The semantics has one code path, `Formula.signature`, on traces laid end
+to end in a `Layout`: a sample's traces, or the one trace of `evaluate`.
 """
 
 from __future__ import annotations
@@ -188,25 +191,21 @@ class Formula:
 
     # -- semantics ---------------------------------------------------------
 
-    def evaluate(self, trace, position: int) -> int:
-        """Finite-trace valuation of the formula at `position`.
+    def signature(self, layout: Layout, holds) -> int:
+        """The formula's truth values at every position of `layout`, one
+        bit each: its signature.  `holds` maps each proposition to its
+        bits on `layout`; a proposition it does not map holds nowhere.
 
         Next is strong (false at the last position); Until requires its
         right argument to hold at some position, with the left argument
-        holding strictly before.  Each node's truth over all positions
-        is one int, computed in node order with `Layout`'s primitives.
+        holding strictly before.  Each node's signature is one int,
+        computed in node order with `Layout`'s primitives.
         """
-        if not 0 <= position < len(trace):
-            raise IndexError(f"position {position} out of range for trace "
-                             f"of length {len(trace)}")
-        layout = _trace_layout(len(trace))
         values: list[int] = []
         for node in self.nodes:
             op = node.op
             if op == PROP:
-                name = node.name
-                value = sum(1 << pos for pos, symbol in enumerate(trace)
-                            if name in symbol)
+                value = holds.get(node.name, 0)
             elif op == TRUE:
                 value = layout.full
             elif op == FALSE:
@@ -219,7 +218,17 @@ class Formula:
             else:
                 raise ValueError(f"unknown operator {op!r}")
             values.append(value)
-        return (values[-1] >> position) & 1
+        return values[-1]
+
+    def evaluate(self, trace, position: int) -> int:
+        """Finite-trace valuation of the formula at `position`: one bit of
+        its signature on the trace alone."""
+        if not 0 <= position < len(trace):
+            raise IndexError(f"position {position} out of range for trace "
+                             f"of length {len(trace)}")
+        layout = _trace_layout(len(trace))
+        signature = self.signature(layout, proposition_bits(trace))
+        return (signature >> position) & 1
 
     def satisfies(self, trace) -> int:
         return self.evaluate(trace, 0)
@@ -290,6 +299,19 @@ class Layout:
             b |= a & (b >> k) & mask
             a &= (a >> k) & mask
         return b
+
+
+def proposition_bits(symbols) -> dict[str, int]:
+    """Each proposition that holds somewhere -> its bits: the positions
+    whose symbol holds it, `symbols` giving one symbol per position of a
+    `Layout` in order."""
+    holds: dict[str, int] = {}
+    bit = 1
+    for symbol in symbols:
+        for name in symbol:
+            holds[name] = holds.get(name, 0) | bit
+        bit <<= 1
+    return holds
 
 
 @functools.lru_cache(maxsize=256)

@@ -139,8 +139,8 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
             record["status"] = result.status
             return None
         formula = instance.decode_model(result.assignment)
-        if any(formula.satisfies(entries[t][0]) != entries[t][1]
-               for t in encoded):
+        truth = sample.truth(formula)
+        if any(truth[t] != entries[t][1] for t in encoded):
             raise RuntimeError("decoded formula misclassifies an encoded "
                                "trace; this indicates an encoder bug")
         achieved = weighted_loss(sample, formula, omega)
@@ -157,8 +157,8 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
             return formula, achieved
         # Every trace outweighs the budget, so some trace outside T is
         # misclassified.
-        t = next(t for t, (u, b) in enumerate(entries)
-                 if formula.satisfies(u) != b)
+        t = next(t for t, ((_, b), value) in enumerate(zip(entries, truth))
+                 if value != b)
         encoded.append(t)
         instance.add_traces([t])
         roots.append(instance.root_literal(t))

@@ -3,6 +3,9 @@
 Weights and losses are kept as exact `Fraction`s internally; callers that
 want floats can convert at the surface.  This keeps threshold comparisons
 ("soft weight >= 1 - kappa") immune to float accumulation error.
+
+A sample keeps one table, its `Layout` and each proposition's bits on
+it, from which every evaluation of a formula on the sample reads.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .formula import PROP, Formula, LtlSyntaxError, Node, parse_formula
+from .formula import (PROP, Formula, Layout, LtlSyntaxError, Node,
+                      parse_formula, proposition_bits)
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +91,27 @@ class LabeledSample:
 
     def traces(self) -> list[Trace]:
         return [u for u, _ in self.entries]
+
+    @functools.cached_property
+    def layout(self) -> Layout:
+        """The traces laid end to end, in entry order."""
+        return Layout([len(u) for u, _ in self.entries])
+
+    @functools.cached_property
+    def holds(self) -> dict[str, int]:
+        """Each proposition that holds somewhere in the sample -> its bits
+        on `layout`."""
+        return proposition_bits(symbol for u, _ in self.entries
+                                for symbol in u)
+
+    def truth(self, formula: Formula) -> list[int]:
+        """The formula's value on each trace, in entry order."""
+        signature = formula.signature(self.layout, self.holds)
+        return [(signature >> start) & 1 for start in self.layout.offsets]
+
+    def __getstate__(self):
+        # The table is rebuilt on first use: its Layout does not pickle.
+        return {"alphabet": self.alphabet, "entries": self.entries}
 
     def to_text(self) -> str:
         """Canonical serialization; `parse_sample` round-trips it exactly."""
@@ -204,11 +229,10 @@ def weighted_loss(sample: LabeledSample, formula: Formula,
     """Total weight of the misclassified traces under `omega`."""
     _check_domain(sample, omega)
     total = Fraction(0)
-    for u, b in sample.entries:
-        if formula.satisfies(u) != b:
+    for (u, b), value in zip(sample.entries, sample.truth(formula)):
+        if value != b:
             total += omega[u]
     return total
-
 
 
 def scaled_weights(sample: LabeledSample,
@@ -218,6 +242,7 @@ def scaled_weights(sample: LabeledSample,
     traces = sample.traces()
     denominator = math.lcm(*(omega[u].denominator for u in traces))
     return denominator, [int(omega[u] * denominator) for u in traces]
+
 
 def omega_uniform(sample: LabeledSample) -> WeightFn:
     w = Fraction(1, sample.size)

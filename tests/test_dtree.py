@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltlfmine import dtree
+from ltlfmine.bench import GenSpec, spec_sample
 from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             infer_split_formula, learn_tree, parse_tree,
                             positive_fraction, pure_label, score_r,
@@ -12,7 +14,8 @@ from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             tree_to_formula)
 from ltlfmine.formula import parse_formula
 from ltlfmine.learner import SIZE_CAP
-from ltlfmine.sample import loss, make_sample, parse_sample
+from ltlfmine.sample import (loss, make_sample, omega_uniform, parse_sample,
+                             weighted_loss)
 from helpers import random_formula, random_sample, random_trace
 
 
@@ -71,6 +74,14 @@ class TestSplit:
         assert sat.size + unsat.size == s.size
         assert all(f.satisfies(u) for u in sat.traces())
         assert not any(f.satisfies(u) for u in unsat.traces())
+
+    def test_a_proposition_outside_the_alphabet_holds_nowhere(self):
+        s = parse_sample("alphabet: p\n1\n---\n0\n")
+        f = parse_formula("F q")
+        assert weighted_loss(s, f, omega_uniform(s)) == Fraction(1, 2)
+        assert score_r(s, f) == Fraction(1, 2)
+        assert [part.size for part in split(s, f)] == [0, 2]
+        assert tree_loss(s, Inner(f, Leaf(0), Leaf(1))) == Fraction(1, 2)
 
     def test_high_score_split_nonempty_both_sides(self):
         rng = random.Random(32)
@@ -217,6 +228,37 @@ class TestTreeFormulaAgreement:
             for _ in range(5):
                 u = random_trace(rng, props, 5)
                 assert evaluate_tree(tree, u) == f.satisfies(u)
+
+
+# SHA-256 of `serialize_tree`, a newline and `tree_to_formula` of the tree
+# learned at kappa 1/20 and min_score 4/5 on `spec_sample(GenSpec(pattern,
+# traces, 10, 0, noise))`: the five samples of the learn-dt benchmark
+# workload, and existence2@50 with 20% noise, whose split formulas reach
+# sizes 4 and 5.
+GOLDEN_TREES = {
+    ("existence2", 20, 0.1):
+        "42c21a5bef37eaedd7bc31f49cf75766ae2c535dd7f0e2ccf2909052238601f2",
+    ("universality1", 50, 0.1):
+        "16f390e1b769d7c47fe54b5bc5ee0e8a8b234018e862db0e836108e33f52532f",
+    ("universality3", 20, 0.1):
+        "cc42103c9d5127b93011315f0884923d1d1347b7f484ceeeb252b0bd8eaacea6",
+    ("existence2", 20, 0.0):
+        "ab0b22832eb8b86f0ed31d79bbab2e92527ce9be9e6d60ab8194add83016d82e",
+    ("universality2", 20, 0.0):
+        "01822ea2aa38b19056907218025e0d96018279c1a0993fd08fe16f825b311de5",
+    ("existence2", 50, 0.2):
+        "16c1266b09c66e32b8a5ac445fc12ec87401fd991f4322b4a388f65bd422ad1d",
+}
+
+
+@pytest.mark.parametrize("pattern, traces, noise", list(GOLDEN_TREES))
+def test_tree_texts_are_unchanged(pattern, traces, noise):
+    sample, _ = spec_sample(GenSpec(pattern, traces, 10, 0, noise))
+    tree = learn_tree(sample, DtConfig(kappa=Fraction(1, 20),
+                                       min_score=Fraction(4, 5))).tree
+    text = serialize_tree(tree) + "\n" + tree_to_formula(tree).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == GOLDEN_TREES[pattern, traces, noise], text
 
 
 class TestSerialization:

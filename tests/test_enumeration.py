@@ -5,8 +5,8 @@ import pytest
 
 from ltlfmine.enumeration import LIMIT, Enumerator
 from ltlfmine.formula import CONSTANTS
-from ltlfmine.learner import resolve_omega
-from ltlfmine.sample import omega_uniform, weighted_loss
+from ltlfmine.learner import learn_minimal, resolve_omega
+from ltlfmine.sample import omega_uniform, parse_sample, weighted_loss
 from helpers import (enumerate_formulas, random_sample, reference_evaluate,
                      reference_signatures, sat_decision)
 
@@ -199,6 +199,20 @@ def test_pruning_finds_the_unpruned_formula(constants, weights):
                     == unpruned.build(expected[0]).to_text(), (sample, n)
                 assert found[1] == expected[1]
                 break
+
+
+def test_dag_sharing_decides_the_minimal_size():
+    # X p0 and X p1 have one signature on this sample.  p1 & (X p1), p1
+    # shared, has size 3 and classifies it; p1 & (X p0) has size 4.  So
+    # two different formulas of one signature must both be stored.
+    sample = parse_sample("alphabet: p0,p1\n0,1;1,1\n---\n"
+                          "0,1;0,0\n0,0;1,1\n1,1\n")
+    omega = omega_uniform(sample)
+    for n in (1, 2):
+        assert sat_decision(sample, omega, False, Fraction(0), n) is None
+    result = learn_minimal(sample)
+    assert (result.size, result.achieved_loss) == (3, 0)
+    assert result.formula.to_text() == "(p1 & (X p1))"
 
 
 def test_search_counts_candidates_and_stops_at_first_hit():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ltlfmine.formula import (PROP, Formula, FormulaBuilder, LtlSyntaxError,
                               UnknownPropositionError, arity, from_tree,
                               parse_formula)
+from ltlfmine.sample import make_sample
 from helpers import random_formula, random_trace, reference_evaluate
 
 
@@ -278,6 +279,32 @@ traces = st.lists(st.frozensets(st.sampled_from(["p", "q"])),
 def test_evaluate_matches_reference_at_every_position(f, trace):
     for pos in range(len(trace)):
         assert f.evaluate(trace, pos) == reference_evaluate(f, trace, pos)
+
+
+@st.composite
+def samples(draw):
+    """A labeled sample over p, or over p and q, so that a formula's q may
+    lie outside the alphabet."""
+    alphabet = draw(st.sampled_from([("p",), ("p", "q")]))
+    labels = {}
+    for trace, label in draw(st.lists(st.tuples(traces, st.integers(0, 1)),
+                                      min_size=1, max_size=6)):
+        labels.setdefault(tuple(symbol & frozenset(alphabet)
+                                for symbol in trace), label)
+    return make_sample(alphabet, labels.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas_with_constants(), samples())
+def test_sample_signature_matches_evaluate_and_reference(f, sample):
+    truth = sample.truth(f)
+    signature = f.signature(sample.layout, sample.holds)
+    assert 0 <= signature <= sample.layout.full
+    for (u, _), value, offset in zip(sample.entries, truth,
+                                     sample.layout.offsets):
+        assert value == reference_evaluate(f, u, 0)
+        for pos in range(len(u)):
+            assert (signature >> (offset + pos)) & 1 == f.evaluate(u, pos)
 
 
 def test_deep_formula_evaluates_without_recursion():

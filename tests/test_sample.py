@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -198,6 +199,13 @@ class TestLossAndWeights:
         assert set(inv.negatives()) == set(s.positives())
         f = parse_formula("p0", s.alphabet)
         assert loss(s, f) + loss(inv, f) == 1
+
+    def test_sample_pickles_after_its_table_is_built(self):
+        s = parse_sample(BASIC)
+        f = parse_formula("F p1", s.alphabet)
+        assert s.truth(f) == [1, 1, 0, 0]
+        again = pickle.loads(pickle.dumps(s))
+        assert again == s and again.truth(f) == [1, 1, 0, 0]
 
     def test_explicit_weights(self):
         s = parse_sample("1\n---\n0\n")
