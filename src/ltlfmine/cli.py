@@ -254,7 +254,7 @@ def cmd_bench(args) -> int:
             writer.writeheader()
             handle.flush()
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs) as pool:
+                max_workers=min(args.jobs, len(tasks))) as pool:
             for row in pool.map(_bench_one, tasks):
                 rows.append(row)
                 writer.writerow(row)

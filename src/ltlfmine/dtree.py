@@ -62,6 +62,8 @@ class DtConfig:
             raise ValueError("max_depth must be at least 0")
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
+        if self.node_timeout is not None and not self.node_timeout >= 0:
+            raise ValueError("node_timeout must be None or at least 0")
         if self.min_score >= 1 - self.kappa:
             log.warning("min_score %s >= 1 - kappa %s: splits may not beat "
                         "the stopping criterion", self.min_score, self.kappa)

@@ -29,12 +29,13 @@ Models of the hard clauses decode to LTLf formulas; the satisfied soft
 weight of a model equals one minus the weighted loss of the decoded
 formula.
 
-`Encoding` writes its clauses into a sink given to it, any object with
-`add_clause(clause)` and `ensure_var(nvars)`.  The learner's sink is a
-`SatSolver`, the only copy of the clauses, to which it adds traces in
-batches; `EncodingInstance` fills a `WeightedCnf` with every trace and
-the soft clauses, for WCNF export.  Both number variables and order
-clauses alike.
+`Encoding` writes into a clause sink given to it (see `cnf`) and takes
+every variable from it, as `cnf.totalizer` does, so a trace encoded
+after a totalizer over the root literals gets variables of its own.
+The learner's sink is a `SatSolver`, the only copy of the clauses, to
+which it adds traces in batches; `EncodingInstance` fills a
+`WeightedCnf` with every trace and the soft clauses, for WCNF export.
+From a fresh sink both number variables and order clauses alike.
 
 The clause tuples share their literal objects: per trace, each node's
 valuation literals and their negations, each inner node's L and R
@@ -89,9 +90,9 @@ class Encoding:
     """The size-n structure: label and child variables, structural
     clauses, decoding, and the per-trace clauses of `add_traces`.
 
-    Each clause goes to `sink.add_clause` as a tuple of ints, after
-    `sink.ensure_var` has been told the variable count.  Clauses are only
-    ever added, so clauses a solver sink learned stay valid.
+    Each variable comes from `sink.new_var()` and each clause goes to
+    `sink.add_clause` as a tuple of ints.  Clauses are only ever added,
+    so clauses a solver sink learned stay valid.
     """
 
     def __init__(self, n: int, sample: LabeledSample, with_constants: bool,
@@ -103,7 +104,6 @@ class Encoding:
         self.leaves = leaf_labels(sample.alphabet, with_constants)
         self.labels = self.leaves + F.UNARY_OPS + F.BINARY_OPS
         self.traces: list[Trace] = sample.traces()
-        self._next = 1
         self.x: dict[tuple[int, str], int] = {}
         self.l: dict[tuple[int, int], int] = {}
         self.r: dict[tuple[int, int], int] = {}
@@ -118,27 +118,21 @@ class Encoding:
 
     # -- variables ---------------------------------------------------------
 
-    def _fresh(self) -> int:
-        v = self._next
-        self._next += 1
-        return v
-
     def add_traces(self, ts) -> None:
         """Encode the sample traces `ts`: valuation variables for every
         trace in `ts`, then channel variables for every trace in `ts`,
         then each trace's semantic clauses in turn."""
         ts = list(ts)
-        n = self.n
+        n, new_var = self.n, self.sink.new_var
         for t in ts:
             for i in range(1, n + 1):
                 for tau in range(len(self.traces[t])):
-                    self.y[(t, i, tau)] = self._fresh()
+                    self.y[(t, i, tau)] = new_var()
         for t in ts:
             for i in range(2, n + 1):
                 for tau in range(len(self.traces[t])):
-                    self.left[(t, i, tau)] = self._fresh()
-                    self.right[(t, i, tau)] = self._fresh()
-        self.sink.ensure_var(self._next - 1)
+                    self.left[(t, i, tau)] = new_var()
+                    self.right[(t, i, tau)] = new_var()
         for t in ts:
             self._emit_semantic(t)
 
@@ -146,16 +140,15 @@ class Encoding:
 
     def _add_structure(self) -> None:
         """The label and child variables, then their clauses."""
-        n, labels = self.n, self.labels
+        n, labels, new_var = self.n, self.labels, self.sink.new_var
         for i in range(1, n + 1):
             for label in labels:
-                self.x[(i, label)] = self._fresh()
+                self.x[(i, label)] = new_var()
         for i in range(2, n + 1):
             for j in range(1, i):
-                self.l[(i, j)] = self._fresh()
+                self.l[(i, j)] = new_var()
             for j in range(1, i):
-                self.r[(i, j)] = self._fresh()
-        self.sink.ensure_var(self._next - 1)
+                self.r[(i, j)] = new_var()
         add = self._add
         for i in range(1, n + 1):
             add(tuple(self.x[(i, lab)] for lab in labels))

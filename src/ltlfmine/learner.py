@@ -79,6 +79,8 @@ class LearnConfig:
             raise ValueError("kappa must lie in [0, 1]")
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
+        if self.timeout is not None and not self.timeout >= 0:  # NaN too
+            raise ValueError("timeout must be None or at least 0")
 
 
 @dataclass
@@ -95,7 +97,12 @@ def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
         return omega_uniform(sample)
     if weights == "rebalanced":
         return omega_rebalanced(sample)
+    if isinstance(weights, str):
+        raise ValueError(f"unknown weights {weights!r}: expected 'uniform', "
+                         "'rebalanced' or a weight per trace")
     _check_domain(sample, weights)
+    # Exact weights: a float such as 0.5 becomes the fraction it stores.
+    weights = {u: Fraction(w) for u, w in weights.items()}
     total = sum(weights.values(), Fraction(0))
     if total != 1:
         raise ValueError("explicit trace weights must sum to exactly 1")

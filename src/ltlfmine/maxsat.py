@@ -45,8 +45,9 @@ WRITE_SLICE = 16384  # hard clauses per write in export_wcnf
 class WeightedCnf:
     """Hard clauses plus weighted soft clauses over variables 1..nvars.
 
-    A hard clause is a tuple of ints: `add_clause`, through which the
-    encoder writes, and `parse_wcnf` both store tuples."""
+    A clause sink (see `cnf`): `new_var` raises `nvars` by one and
+    returns it, and `add_clause` stores a hard clause as a tuple of ints,
+    as `parse_wcnf` does."""
 
     nvars: int
     hard: list = field(default_factory=list)              # list[tuple[int, ...]]
@@ -57,8 +58,9 @@ class WeightedCnf:
     def add_clause(self, clause: Sequence[int]) -> None:
         self.hard.append(tuple(clause))
 
-    def ensure_var(self, nvars: int) -> None:
-        self.nvars = max(self.nvars, nvars)
+    def new_var(self) -> int:
+        self.nvars += 1
+        return self.nvars
 
     def add_soft(self, clause: Sequence[int], weight: Fraction) -> None:
         if weight <= 0:
@@ -115,7 +117,7 @@ def solve_decision(solver: SatSolver, softs: Sequence[tuple[int, int]],
     are unsatisfiable; past `deadline` the solver raises `SolveTimeout`."""
     for lit, _ in softs:
         solver.saved_phase[abs(lit)] = 1 if lit > 0 else 0
-    outs = totalizer(softs, solver.new_var, solver.add_clause)
+    outs = totalizer(softs, solver)
     # A solve under the assumptions alone is cheap and, with phases biased
     # toward the soft literals, often meets the target outright; it also
     # detects hard unsatisfiability.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import os
@@ -226,6 +227,33 @@ class TestBench:
                               for row in csv.DictReader(handle)]
         assert len(rows["1"]) == 2
         assert rows["2"] == rows["1"]
+
+    def test_jobs_start_at_most_one_process_per_sample(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # A process pool under fork starts all its workers at the first
+        # task, so the worker count is capped by the number of samples.
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        code, _, _ = run([
+            "bench", "--patterns", "existence1", "--sizes", "8",
+            "--jobs", "64", "-o", str(tmp_path / "b.csv")], capsys)
+        assert code == cli.EXIT_OK
+        assert pools == [1]
 
     def test_unknown_pattern(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import pytest
 
@@ -19,8 +20,7 @@ class TestTotalizer:
         solver = SatSolver()
         solver.ensure_var(n)
         lits = list(range(1, n + 1))
-        outs = totalizer(list(zip(lits, weights)), solver.new_var,
-                         solver.add_clause)
+        outs = totalizer(list(zip(lits, weights)), solver)
         sums = {sum(c) for k in range(1, n + 1)
                 for c in itertools.combinations(weights, k)}
         assert [s for s, _ in outs] == sorted(sums)
@@ -47,8 +47,9 @@ class TestTotalizer:
         # per pair of child counts, nothing else.
         clauses = []
         counter = itertools.count(9)
-        outs = totalizer(unit(range(1, 9)), lambda: next(counter),
-                         clauses.append)
+        sink = types.SimpleNamespace(new_var=lambda: next(counter),
+                                     add_clause=clauses.append)
+        outs = totalizer(unit(range(1, 9)), sink)
         assert [s for s, _ in outs] == list(range(1, 9))
         assert len(clauses) == 2 * sum((a + 1) * (b + 1) - 1
                                        for a, b in [(1, 1)] * 4
@@ -63,14 +64,16 @@ class TestTotalizer:
         counter = itertools.count(501)
         leaves = [(v, 399) for v in range(1, 102)]
         leaves += [(v, 101) for v in range(102, 501)]
-        outs = totalizer(leaves, lambda: next(counter), clauses.append)
+        sink = types.SimpleNamespace(new_var=lambda: next(counter),
+                                     add_clause=clauses.append)
+        outs = totalizer(leaves, sink)
         assert [s for s, _ in outs] == sorted(
             {399 * a + 101 * b for a in range(102) for b in range(400)} - {0})
         assert len(clauses) < 400_000
 
     def test_empty_input(self):
         solver = SatSolver()
-        assert totalizer([], solver.new_var, solver.add_clause) == []
+        assert totalizer([], solver) == []
 
     def test_node_pair_cap_enforced(self, monkeypatch):
         # Two leaves of weights 1 and 2 merge into a node of (1+1)*(1+1)
@@ -79,20 +82,19 @@ class TestTotalizer:
         solver = SatSolver()
         solver.ensure_var(2)
         with pytest.raises(ValueError, match="too many"):
-            totalizer([(1, 1), (2, 2)], solver.new_var, solver.add_clause)
+            totalizer([(1, 1), (2, 2)], solver)
 
     def test_nonpositive_weight_rejected(self):
         solver = SatSolver()
         with pytest.raises(ValueError):
-            totalizer([(1, 0)], solver.new_var, solver.add_clause)
+            totalizer([(1, 0)], solver)
 
     def test_output_assumption_forces_count(self):
         # Assuming o_k must force at least k true inputs in every model.
         n = 6
         solver = SatSolver()
         solver.ensure_var(n)
-        outs = totalizer(unit(range(1, n + 1)), solver.new_var,
-                         solver.add_clause)
+        outs = totalizer(unit(range(1, n + 1)), solver)
         for k, out in outs:
             assert solver.solve([out])
             model = solver.model()
@@ -103,8 +105,7 @@ class TestTotalizer:
         n = 4
         solver = SatSolver()
         solver.ensure_var(n)
-        outs = totalizer(unit(-v for v in range(1, n + 1)), solver.new_var,
-                         solver.add_clause)
+        outs = totalizer(unit(-v for v in range(1, n + 1)), solver)
         assert solver.solve([outs[2][1], 1])  # >= 3 of them false, var 1 true
         model = solver.model()
         assert sum(not model[v] for v in range(1, n + 1)) >= 3

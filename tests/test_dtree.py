@@ -185,7 +185,9 @@ class TestLearnTree:
     @pytest.mark.parametrize("bad", [{"max_depth": -1}, {"max_size": 0},
                                      {"max_size": -3},
                                      {"kappa": Fraction(-1, 10)},
-                                     {"kappa": Fraction(3, 2)}])
+                                     {"kappa": Fraction(3, 2)},
+                                     {"node_timeout": float("nan")},
+                                     {"node_timeout": -0.5}])
     def test_config_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError):
             DtConfig(**bad)

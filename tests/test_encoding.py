@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ltlfmine.bench import GenSpec, generate_sample
-from ltlfmine import encoding
+from ltlfmine.bench import GenSpec, generate_sample, spec_sample
+from ltlfmine import encoding, maxsat
 from ltlfmine.encoding import (Encoding, EncodingError, EncodingInstance,
                                leaf_labels)
 from ltlfmine.formula import FormulaBuilder, arity, parse_formula
@@ -340,3 +340,27 @@ def test_encoding_over_a_solver_sends_the_full_instance_clauses(constants):
     assert sent == full.wcnf.hard
     assert all(type(c) is tuple for c in sent)
     assert solver.nvars == full.wcnf.nvars
+
+
+def test_traces_added_after_a_totalizer_get_fresh_variables():
+    # The encoder and the totalizer number variables through the sink
+    # they share: a trace encoded after a decision over counted roots
+    # lies above the totalizer's outputs, and keeps its semantics.
+    sample, _ = spec_sample(GenSpec("absence3", 6, 4, 0, 0))
+    solver = SatSolver()
+    inst = Encoding(3, sample, False, solver)
+    inst.add_traces([0, 1])
+    encoded = solver.nvars
+    softs = [(inst.root_literal(t), 1) for t in (0, 1)]
+    assert maxsat.solve_decision(solver, softs, 2).status == FEASIBLE
+    totalized = solver.nvars
+    assert totalized > encoded
+    inst.add_traces([2])
+    trace2 = [v for table in (inst.y, inst.left, inst.right)
+              for key, v in table.items() if key[0] == 2]
+    assert min(trace2) > totalized
+    assert max(trace2) == solver.nvars
+    for text in ("G (! p0)", "p0 U p1", "X (F p1)", "p1 | p2"):
+        f = parse_formula(text, sample.alphabet)
+        assert solver.solve(inst.structure_assumptions(f))
+        assert solver.model()[inst.y[(2, 3, 0)]] == sample.truth(f)[2]

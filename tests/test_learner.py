@@ -318,9 +318,37 @@ class TestLearnMinimal:
         with pytest.raises(ValueError, match="sum"):
             resolve_omega(s, {u: Fraction(1, 3) for u in s.traces()})
 
+    def test_unknown_weights_name_rejected(self):
+        s = parse_sample("1\n---\n0\n")
+        with pytest.raises(ValueError, match="'uniform', 'rebalanced'"):
+            learn_minimal(s, LearnConfig(weights="rebalance"))
+
+    def test_float_weights_become_exact_fractions(self):
+        # 0.25 is a binary fraction, so the loss is exactly 1/2; 0.3 and
+        # 0.7 are not, and their exact values do not sum to 1.
+        s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
+        quarter = {u: 0.25 for u in s.traces()}
+        assert resolve_omega(s, quarter) == {u: Fraction(1, 4)
+                                             for u in s.traces()}
+        r = learn_minimal(s, LearnConfig(kappa=Fraction(1, 2),
+                                         weights=quarter, max_size=1))
+        assert r.status == SOLVED
+        assert type(r.achieved_loss) is Fraction
+        assert r.achieved_loss == Fraction(1, 2)
+        pair = parse_sample("1\n---\n0\n")
+        u, v = pair.traces()
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            learn_minimal(pair, LearnConfig(weights={u: 0.3, v: 0.7}))
+
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
             LearnConfig(kappa=Fraction(3, 2))
+
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+    def test_timeout_must_be_none_or_nonnegative(self, timeout):
+        # time.monotonic() >= deadline is never true for a NaN deadline.
+        with pytest.raises(ValueError, match="timeout"):
+            LearnConfig(timeout=timeout)
 
     def test_constant_pool_single_class(self):
         s = parse_sample("1\n0\n---\n")

@@ -297,12 +297,12 @@ class TestWcnfFormat:
             WeightedCnf(1).add_soft([1], Fraction(0))
 
     def test_clause_sink(self):
-        # The encoder's sink interface: ensure_var only ever raises
+        # The clause sink protocol: new_var numbers the variables after
         # nvars, and add_clause stores a tuple, the given one itself.
         wcnf = WeightedCnf(5)
-        for nvars, expected in ((3, 5), (7, 7), (0, 7)):
-            wcnf.ensure_var(nvars)
-            assert wcnf.nvars == expected
+        assert wcnf.new_var() == 6
+        assert wcnf.new_var() == 7
+        assert wcnf.nvars == 7
         clause = (1, -2)
         wcnf.add_clause(clause)
         wcnf.add_clause([3])
