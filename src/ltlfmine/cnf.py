@@ -9,7 +9,9 @@ Every clause emitter, this totalizer and `encoding.Encoding`, writes
 into a clause sink: an object with `new_var()`, which returns the next
 unused variable, and `add_clause(clause)`.  The sink is the one
 allocator of its variables, so emitters that share a sink never share a
-variable.  `sat.SatSolver` and `maxsat.WeightedCnf` are the sinks.
+variable.  `sat.SatSolver` and `maxsat.WeightedCnf` are the sinks; a
+`SatSolver` rejects a literal whose variable its `new_var` did not
+number, in a clause or an assumption.
 """
 
 from __future__ import annotations

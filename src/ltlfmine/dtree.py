@@ -44,6 +44,11 @@ DecisionTree = Union[Leaf, Inner]
 
 @dataclass
 class DtConfig:
+    """Tree induction settings.  `kappa` bounds a leaf's impurity and
+    `max_depth` caps the depth; the other four fields set each split
+    search through the `LearnConfig` that `learner_config` builds, which
+    also checks them."""
+
     kappa: Fraction = Fraction(1, 20)
     min_score: Fraction = Fraction(4, 5)
     with_constants: bool = False  # true and false as leaves
@@ -58,15 +63,20 @@ class DtConfig:
             raise ValueError("kappa must lie in [0, 1]")
         if not Fraction(1, 2) < self.min_score <= 1:
             raise ValueError("min_score must lie in (0.5, 1]")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be at least 0")
-        if self.max_size < 1:
-            raise ValueError("max_size must be at least 1")
-        if self.node_timeout is not None and not self.node_timeout >= 0:
-            raise ValueError("node_timeout must be None or at least 0")
+        if not isinstance(self.max_depth, int) or self.max_depth < 0:
+            raise ValueError("max_depth must be an integer of at least 0")
+        self.learner_config()
         if self.min_score >= 1 - self.kappa:
             log.warning("min_score %s >= 1 - kappa %s: splits may not beat "
                         "the stopping criterion", self.min_score, self.kappa)
+
+    def learner_config(self) -> LearnConfig:
+        """The learner settings of one polarity's split search: loss
+        threshold 1 - min_score under rebalanced weights, with the
+        constants, size cap and time budget of this config."""
+        return LearnConfig(kappa=1 - self.min_score, weights="rebalanced",
+                           with_constants=self.with_constants,
+                           max_size=self.max_size, timeout=self.node_timeout)
 
 
 @dataclass
@@ -124,14 +134,10 @@ def infer_split_formula(sample: LabeledSample,
     formula may be smaller and score lower.  The inversion is not
     searched when the first search hits the size cap or times out.
     """
-    threshold = 1 - config.min_score
+    learner_config = config.learner_config()
 
     def run(s: LabeledSample) -> Optional[Formula]:
-        cfg = LearnConfig(kappa=threshold, weights="rebalanced",
-                          with_constants=config.with_constants,
-                          max_size=config.max_size,
-                          timeout=config.node_timeout)
-        result = learn_minimal(s, cfg)
+        result = learn_minimal(s, learner_config)
         if result.status == TIMED_OUT:
             raise SolveTimeout()
         return result.formula  # None at the size cap

@@ -56,7 +56,8 @@ class Enumerator:
         starts = layout.offsets
         self.positives = layout.bits(
             starts[t] for t, (_, b) in enumerate(sample.entries) if b)
-        self.denominator, self.weights = scaled_weights(sample, omega)
+        self.denominator, self.weights = scaled_weights(
+            [omega[u] for u in sample.traces()])
         groups: dict[int, list[int]] = {}
         for t, w in enumerate(self.weights):
             groups.setdefault(w, []).append(starts[t])

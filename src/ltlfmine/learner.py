@@ -43,7 +43,6 @@ formula's size.
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -77,8 +76,8 @@ class LearnConfig:
         self.kappa = Fraction(self.kappa)
         if not 0 <= self.kappa <= 1:
             raise ValueError("kappa must lie in [0, 1]")
-        if self.max_size < 1:
-            raise ValueError("max_size must be at least 1")
+        if not isinstance(self.max_size, int) or self.max_size < 1:
+            raise ValueError("max_size must be an integer of at least 1")
         if self.timeout is not None and not self.timeout >= 0:  # NaN too
             raise ValueError("timeout must be None or at least 0")
 
@@ -201,12 +200,9 @@ def learn_minimal(sample: LabeledSample,
     """Smallest formula with weighted loss <= kappa."""
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
+    kappa = config.kappa
     enumerator = Enumerator(sample, omega, config.with_constants)
-    enumerated = functools.partial(_decide_enumerated, sample, omega,
-                                   enumerator, config.kappa)
-    solved = functools.partial(_decide_sat, sample, omega,
-                               config.with_constants, enumerator,
-                               config.kappa, [])
+    encoded: list[int] = []  # T, carried over from size to size
     deadline = (None if config.timeout is None
                 else time.monotonic() + config.timeout)
     iterations = []
@@ -215,21 +211,25 @@ def learn_minimal(sample: LabeledSample,
             check_deadline(deadline)
             started = time.monotonic()
             # A size the deadline stops keeps its "timeout" status.
-            record = {"size": n, "status": "timeout", "seconds": 0.0,
-                      "traces_encoded": 0, "rounds": 0, "candidates": 0,
-                      "pruned": 0}
+            record = {"size": n, "decision": "enumerated", "status": "timeout",
+                      "seconds": 0.0, "traces_encoded": 0, "rounds": 0,
+                      "candidates": 0, "pruned": 0}
             iterations.append(record)
-            decision = "enumerated" if n <= LIMIT else "sat"
-            decide = enumerated if n <= LIMIT else solved
             try:
-                found = decide(n, deadline, record)
+                if n <= LIMIT:
+                    found = _decide_enumerated(sample, omega, enumerator,
+                                               kappa, n, deadline, record)
+                else:
+                    record["decision"] = "sat"
+                    found = _decide_sat(sample, omega, config.with_constants,
+                                        enumerator, kappa, encoded, n,
+                                        deadline, record)
             finally:
                 record["seconds"] = time.monotonic() - started
-                log.debug("size %d (%s): %s, %d candidates, %d pruned, "
-                          "%d traces encoded, %d rounds, %.3f s", n,
-                          decision, record["status"], record["candidates"],
-                          record["pruned"], record["traces_encoded"],
-                          record["rounds"], record["seconds"])
+                log.debug("size %(size)d (%(decision)s): %(status)s, "
+                          "%(candidates)d candidates, %(pruned)d pruned, "
+                          "%(traces_encoded)d traces encoded, %(rounds)d "
+                          "rounds, %(seconds).3f s", record)
             if found is not None:
                 formula, achieved = found
                 return LearnResult(SOLVED, formula, formula.size, achieved,

@@ -20,12 +20,12 @@ from __future__ import annotations
 import bisect
 import io
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cnf import totalizer
+from .sample import scaled_weights
 from .sat import SatSolver, SolveTimeout
 
 __all__ = [
@@ -91,16 +91,9 @@ def check_hard(wcnf: WeightedCnf, assignment: dict) -> bool:
 def scaled_soft(wcnf: WeightedCnf) -> tuple[int, list[tuple[list, int]]]:
     """The weight scale D, `weight_scale` or else the lcm of the soft
     weights' denominators, and the soft clauses with weights times D."""
-    denom = wcnf.weight_scale
-    if denom is None:
-        denom = math.lcm(*(w.denominator for _, w in wcnf.soft))
-    scaled = []
-    for clause, w in wcnf.soft:
-        sw = w * denom
-        if sw.denominator != 1:
-            raise ValueError("weight scale does not clear denominators")
-        scaled.append((clause, sw.numerator))
-    return denom, scaled
+    denom, scaled = scaled_weights([w for _, w in wcnf.soft],
+                                   wcnf.weight_scale)
+    return denom, [(clause, sw) for (clause, _), sw in zip(wcnf.soft, scaled)]
 
 
 def solve_decision(solver: SatSolver, softs: Sequence[tuple[int, int]],
@@ -186,8 +179,9 @@ def _write_wcnf(wcnf: WeightedCnf, handle) -> None:
 def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
     """Read back the WCNF format written by `export_wcnf`.
 
-    Every literal's variable must lie in 1..nvars, and the clause count
-    must be the p-line's."""
+    The weight scale must be positive, the p-line must come once, every
+    literal's variable must lie in 1..nvars, every soft weight must be
+    positive, and the clause count must be the p-line's."""
     text = source if isinstance(source, str) else source.read()
     denom = 1
     top = None
@@ -200,10 +194,14 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
             continue
         if line.startswith("c weight-scale "):
             denom = int(line.split()[2])
+            if denom < 1:
+                raise ValueError(f"weight scale {denom} is not positive")
             continue
         if line.startswith("c"):
             continue
         if line.startswith("p wcnf"):
+            if top is not None:
+                raise ValueError("second p-line")
             parts = line.split()
             if len(parts) != 5 or not all(x.isdigit() for x in parts[2:]):
                 raise ValueError(f"malformed p-line {line!r}: expected "
@@ -221,8 +219,10 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
             raise ValueError(f"literal {bad[0]} outside variables 1..{nvars}")
         if weight >= top:
             hard.append(tuple(clause))
-        else:
+        elif weight > 0:
             soft.append((clause, Fraction(weight, denom)))
+        else:
+            raise ValueError(f"soft weight {weight} is not positive")
     if len(hard) + len(soft) != nclauses:
         raise ValueError(f"{len(hard) + len(soft)} clauses, but the p-line "
                          f"declares {nclauses}")

@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .formula import (PROP, Formula, Layout, LtlSyntaxError, Node,
                       parse_formula, proposition_bits)
@@ -235,13 +235,16 @@ def weighted_loss(sample: LabeledSample, formula: Formula,
     return total
 
 
-def scaled_weights(sample: LabeledSample,
-                   omega: WeightFn) -> tuple[int, list[int]]:
-    """The common denominator D of the trace weights and each trace's
-    weight times D, in sample order."""
-    traces = sample.traces()
-    denominator = math.lcm(*(omega[u].denominator for u in traces))
-    return denominator, [int(omega[u] * denominator) for u in traces]
+def scaled_weights(weights: Sequence[Fraction],
+                   denominator: Optional[int] = None) -> tuple[int, list[int]]:
+    """The weight scale D, `denominator` or else the lcm of the weights'
+    denominators, and each weight times D, in order."""
+    if denominator is None:
+        denominator = math.lcm(*(w.denominator for w in weights))
+    scaled = [w * denominator for w in weights]
+    if any(s.denominator != 1 for s in scaled):
+        raise ValueError("weight scale does not clear denominators")
+    return denominator, [s.numerator for s in scaled]
 
 
 def omega_uniform(sample: LabeledSample) -> WeightFn:

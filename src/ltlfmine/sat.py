@@ -33,7 +33,8 @@ def _luby(i: int) -> int:
 
 
 class SatSolver:
-    """CDCL over clauses of signed DIMACS-style integer literals."""
+    """CDCL over clauses of signed DIMACS-style integer literals, whose
+    variables `new_var` numbers 1, 2, ..."""
 
     RESTART_BASE = 100
     _VAR_DECAY = 0.95
@@ -64,32 +65,31 @@ class SatSolver:
 
     # -- variables and clauses --------------------------------------------
 
-    def ensure_var(self, v: int) -> None:
-        while self.nvars < v:
-            self.nvars += 1
-            self.value.append(-1)
-            self.value.append(-1)
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.saved_phase.append(0)
-            self.watch_clause += ([], [])
-            self.watch_blocker += ([], [])
-            self.queued.append(True)
-            self.seen.append(False)
-            heapq.heappush(self.order, (0.0, self.nvars))
-
     def new_var(self) -> int:
-        self.ensure_var(self.nvars + 1)
+        """A fresh variable, numbered nvars + 1: the one allocator."""
+        self.nvars += 1
+        self.value += (-1, -1)
+        self.level.append(0)
+        self.reason.append(None)
+        self.activity.append(0.0)
+        self.saved_phase.append(0)
+        self.watch_clause += ([], [])
+        self.watch_blocker += ([], [])
+        self.queued.append(True)
+        self.seen.append(False)
+        heapq.heappush(self.order, (0.0, self.nvars))
         return self.nvars
+
+    def _check_literal(self, lit: int) -> None:
+        if not 0 < abs(lit) <= self.nvars:
+            raise ValueError(f"literal {lit} outside variables "
+                             f"1..{self.nvars}")
 
     def add_clause(self, lits: Iterable[int]) -> None:
         seen = set()
         clause = []
         for lit in lits:
-            if lit == 0:
-                raise ValueError("literal 0 is not allowed")
-            self.ensure_var(abs(lit))
+            self._check_literal(lit)
             if -lit in seen:
                 return  # tautology
             if lit not in seen:
@@ -326,10 +326,10 @@ class SatSolver:
     def solve(self, assumptions: Sequence[int] = (),
               deadline: Optional[float] = None) -> bool:
         """Decide satisfiability under `assumptions` (signed literals)."""
+        for a in assumptions:
+            self._check_literal(a)
         if self.unsat:
             return False
-        for a in assumptions:
-            self.ensure_var(abs(a))
         self._backtrack(0)
         for code in self.units:
             if not self._enqueue(code, None):

@@ -121,6 +121,15 @@ def reference_valuation(f: Formula, trace):
     return value
 
 
+def solver_with(nvars: int) -> SatSolver:
+    """A fresh `SatSolver` with variables 1..nvars numbered, for clauses
+    written with raw literals."""
+    solver = SatSolver()
+    for _ in range(nvars):
+        solver.new_var()
+    return solver
+
+
 def load_decision(wcnf: WeightedCnf):
     """`wcnf` in a fresh SAT solver: (solver, softs, D) for
     `maxsat.solve_decision`, with every hard clause added and the soft
@@ -128,8 +137,7 @@ def load_decision(wcnf: WeightedCnf):
     clause is its own soft literal; a longer one gets a fresh variable s
     and the hard clause s -> clause."""
     denom, scaled = maxsat.scaled_soft(wcnf)
-    solver = SatSolver()
-    solver.ensure_var(wcnf.nvars)
+    solver = solver_with(wcnf.nvars)
     for clause in wcnf.hard:
         solver.add_clause(clause)
     softs = []

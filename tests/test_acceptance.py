@@ -23,10 +23,10 @@ from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, WeightedCnf, check_hard,
                              recompute_soft_weight)
 from ltlfmine.sample import (loss, make_sample, omega_uniform, parse_sample,
                              weighted_loss)
-from ltlfmine.sat import SatSolver
 from helpers import (brute_maxsat, brute_minimal_size, decide,
                      enumerate_formulas, find_optimum, pin_optimum,
-                     random_formula, random_sample, random_trace, sat_minimal)
+                     random_formula, random_sample, random_trace, sat_minimal,
+                     solver_with)
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +105,7 @@ def test_criterion_03_encoding_soundness_valuations():
         sample = random_sample(rng, ("p0", "p1"), max_traces=5, max_len=4)
         n = rng.randint(1, 4)
         inst = EncodingInstance(n, sample, omega_uniform(sample))
-        solver = SatSolver()
-        solver.ensure_var(inst.wcnf.nvars)
+        solver = solver_with(inst.wcnf.nvars)
         for c in inst.wcnf.hard:
             solver.add_clause(c)
         for _ in range(10):

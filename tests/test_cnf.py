@@ -6,6 +6,7 @@ import pytest
 from ltlfmine import cnf
 from ltlfmine.cnf import totalizer
 from ltlfmine.sat import SatSolver
+from helpers import solver_with
 
 
 def unit(lits):
@@ -17,8 +18,7 @@ class TestTotalizer:
         # One output per nonzero subset sum, and under every input
         # assignment the clauses force o_s to [true inputs weigh >= s].
         n = len(weights)
-        solver = SatSolver()
-        solver.ensure_var(n)
+        solver = solver_with(n)
         lits = list(range(1, n + 1))
         outs = totalizer(list(zip(lits, weights)), solver)
         sums = {sum(c) for k in range(1, n + 1)
@@ -79,8 +79,7 @@ class TestTotalizer:
         # Two leaves of weights 1 and 2 merge into a node of (1+1)*(1+1)
         # pairs of child sums, over a cap of 3.
         monkeypatch.setattr(cnf, "MAX_NODE_PAIRS", 3)
-        solver = SatSolver()
-        solver.ensure_var(2)
+        solver = solver_with(2)
         with pytest.raises(ValueError, match="too many"):
             totalizer([(1, 1), (2, 2)], solver)
 
@@ -92,8 +91,7 @@ class TestTotalizer:
     def test_output_assumption_forces_count(self):
         # Assuming o_k must force at least k true inputs in every model.
         n = 6
-        solver = SatSolver()
-        solver.ensure_var(n)
+        solver = solver_with(n)
         outs = totalizer(unit(range(1, n + 1)), solver)
         for k, out in outs:
             assert solver.solve([out])
@@ -103,8 +101,7 @@ class TestTotalizer:
     def test_negative_input_literals(self):
         # Counting falsified variables works the same way.
         n = 4
-        solver = SatSolver()
-        solver.ensure_var(n)
+        solver = solver_with(n)
         outs = totalizer(unit(-v for v in range(1, n + 1)), solver)
         assert solver.solve([outs[2][1], 1])  # >= 3 of them false, var 1 true
         model = solver.model()

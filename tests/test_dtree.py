@@ -187,7 +187,8 @@ class TestLearnTree:
                                      {"kappa": Fraction(-1, 10)},
                                      {"kappa": Fraction(3, 2)},
                                      {"node_timeout": float("nan")},
-                                     {"node_timeout": -0.5}])
+                                     {"node_timeout": -0.5},
+                                     {"max_depth": 2.5}, {"max_size": 2.5}])
     def test_config_rejects_bad_counts(self, bad):
         with pytest.raises(ValueError):
             DtConfig(**bad)

@@ -14,7 +14,7 @@ from ltlfmine.formula import FormulaBuilder, arity, parse_formula
 from ltlfmine.maxsat import FEASIBLE
 from ltlfmine.sample import (omega_uniform, parse_sample, weighted_loss)
 from ltlfmine.sat import SatSolver
-from helpers import decide, find_optimum, random_sample
+from helpers import decide, find_optimum, random_sample, solver_with
 from test_acceptance import random_structure_assumptions
 
 BASIC = "1,0;1,1\n0,1\n---\n0,0\n1,0\n"
@@ -97,8 +97,7 @@ class TestStructuralClauses:
 
 
 def hard_solver(inst):
-    solver = SatSolver()
-    solver.ensure_var(inst.wcnf.nvars)
+    solver = solver_with(inst.wcnf.nvars)
     for c in inst.wcnf.hard:
         solver.add_clause(c)
     return solver

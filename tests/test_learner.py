@@ -169,7 +169,8 @@ class TestLearnMinimal:
                 r = learn_minimal(s, LearnConfig(kappa=kappa))
             assert r.status == SOLVED
             assert r.size <= enumeration.LIMIT
-            assert all(it["candidates"] > 0 and it["traces_encoded"] == 0
+            assert all(it["decision"] == "enumerated"
+                       and it["candidates"] > 0 and it["traces_encoded"] == 0
                        and it["rounds"] == 0 for it in r.iterations)
             logged = [rec for rec in caplog.records
                       if rec.name == "ltlfmine.learner"]
@@ -213,6 +214,8 @@ class TestLearnMinimal:
             assert weighted_loss(s, r.formula, omega_uniform(s)) \
                 == r.achieved_loss
             assert [it["size"] for it in r.iterations] == [1, 2, 3, 4, 5, 6]
+            assert [it["decision"] for it in r.iterations] \
+                == ["enumerated"] * 5 + ["sat"]
             enumerated, last = r.iterations[:5], r.iterations[5]
             assert all(it["status"] == "infeasible" and it["candidates"] > 0
                        for it in enumerated)
@@ -343,6 +346,12 @@ class TestLearnMinimal:
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
             LearnConfig(kappa=Fraction(3, 2))
+
+    @pytest.mark.parametrize("max_size", [2.5, 0])
+    def test_max_size_must_be_a_positive_integer(self, max_size):
+        # A float size would only fail later, in range() at the first size.
+        with pytest.raises(ValueError, match="max_size"):
+            LearnConfig(max_size=max_size)
 
     @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
     def test_timeout_must_be_none_or_nonnegative(self, timeout):

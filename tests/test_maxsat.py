@@ -292,6 +292,20 @@ class TestWcnfFormat:
         assert wcnf.hard == [(-1, 2), ()]
         assert wcnf.soft == [([1], Fraction(1, 2))]
 
+    @pytest.mark.parametrize("text, message", [
+        ("c weight-scale 0\np wcnf 1 1 2\n1 1 0\n", "weight scale 0 "),
+        ("c weight-scale -2\np wcnf 1 1 2\n1 1 0\n", "weight scale -2 "),
+        ("p wcnf 1 2 5\n-3 1 0\n5 -1 0\n", "soft weight -3 "),
+        ("p wcnf 1 2 5\n0 1 0\n5 -1 0\n", "soft weight 0 "),
+        ("p wcnf 1 1 2\np wcnf 2 1 3\n1 1 0\n", "second p-line")],
+        ids=["zero-scale", "negative-scale", "negative-soft", "zero-soft",
+             "second-p-line"])
+    def test_parse_rejects_malformed_input(self, text, message):
+        # Input from outside: a weight scale or soft weight below 1, or
+        # a second p-line, which would reset nvars and top.
+        with pytest.raises(ValueError, match=message):
+            parse_wcnf(text)
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             WeightedCnf(1).add_soft([1], Fraction(0))

@@ -10,7 +10,7 @@ from ltlfmine.formula import BINARY_OPS, CONSTANTS, UNARY_OPS, parse_formula
 from ltlfmine.sample import (LabeledSample, SampleError, format_trace,
                              invert_labels, loss, make_sample,
                              omega_rebalanced, omega_uniform, parse_sample,
-                             weighted_loss)
+                             scaled_weights, weighted_loss)
 from helpers import random_formula, random_sample
 
 BASIC = "1,0;1,1\n0,1\n---\n0,0\n1,0\n"
@@ -213,6 +213,16 @@ class TestLossAndWeights:
         omega = {pos: Fraction(9, 10), neg: Fraction(1, 10)}
         f = parse_formula("false", s.alphabet)  # misclassifies the positive
         assert weighted_loss(s, f, omega) == Fraction(9, 10)
+
+    def test_scaled_weights(self):
+        # The lcm of the denominators unless a scale is given, which must
+        # clear every weight.
+        weights = [Fraction(1, 4), Fraction(1, 6), Fraction(7, 12)]
+        assert scaled_weights(weights) == (12, [3, 2, 7])
+        assert scaled_weights(weights, 24) == (24, [6, 4, 14])
+        assert scaled_weights([]) == (1, [])
+        with pytest.raises(ValueError, match="does not clear"):
+            scaled_weights(weights, 6)
 
 
 def test_make_sample_preserves_order():

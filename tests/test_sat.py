@@ -5,6 +5,7 @@ import time
 import pytest
 
 from ltlfmine.sat import SatSolver, SolveTimeout, _luby, check_deadline
+from helpers import solver_with
 
 
 def test_luby_sequence():
@@ -34,14 +35,14 @@ class TestBasics:
         assert SatSolver().solve()
 
     def test_unit_propagation(self):
-        s = SatSolver()
+        s = solver_with(2)
         s.add_clause([1])
         s.add_clause([-1, 2])
         assert s.solve()
         assert s.model()[1] and s.model()[2]
 
     def test_contradictory_units(self):
-        s = SatSolver()
+        s = solver_with(1)
         s.add_clause([1])
         s.add_clause([-1])
         assert not s.solve()
@@ -52,23 +53,42 @@ class TestBasics:
         assert not s.solve()
 
     def test_tautology_skipped(self):
-        s = SatSolver()
+        s = solver_with(1)
         s.add_clause([1, -1])
         assert s.solve()
 
     def test_duplicate_literals_collapsed(self):
-        s = SatSolver()
+        s = solver_with(1)
         s.add_clause([1, 1, 1])
         assert s.solve()
         assert s.model()[1]
 
     def test_zero_literal_rejected(self):
         with pytest.raises(ValueError):
-            SatSolver().add_clause([1, 0])
+            solver_with(1).add_clause([1, 0])
+
+    def test_only_numbered_variables_accepted(self):
+        # `new_var` is the one allocator: a literal it did not number is
+        # rejected, in a clause and as an assumption alike.
+        s = SatSolver()
+        with pytest.raises(ValueError,
+                           match="literal 1 outside variables 1..0"):
+            s.add_clause([1])
+        with pytest.raises(ValueError,
+                           match="literal 1 outside variables 1..0"):
+            s.solve([1])
+        assert s.new_var() == 1
+        s.add_clause([1])
+        assert s.solve([1])
+        with pytest.raises(ValueError,
+                           match="literal -2 outside variables 1..1"):
+            s.solve([-2])
+        with pytest.raises(ValueError):
+            s.add_clause([1, 0])
 
     def test_pigeonhole_3_into_2_unsat(self):
         # var(p, h) = pigeon p in hole h
-        s = SatSolver()
+        s = solver_with(6)
         v = lambda p, h: 2 * p + h + 1
         for p in range(3):
             s.add_clause([v(p, 0), v(p, 1)])
@@ -82,7 +102,7 @@ class TestBasics:
 class TestAssumptions:
     def build_xor_chain(self):
         # x1 xor x2 = x3 via clauses
-        s = SatSolver()
+        s = solver_with(3)
         s.add_clause([-1, -2, -3])
         s.add_clause([1, 2, -3])
         s.add_clause([1, -2, 3])
@@ -98,7 +118,7 @@ class TestAssumptions:
         assert s.solve([1, -2, 3])
 
     def test_assumption_conflicting_with_units(self):
-        s = SatSolver()
+        s = solver_with(1)
         s.add_clause([1])
         assert not s.solve([-1])
         assert s.solve([1])
@@ -112,7 +132,7 @@ class TestAssumptions:
             assumptions = [rng.choice([-1, 1]) * v
                            for v in rng.sample(range(1, nvars + 1),
                                                rng.randint(0, nvars))]
-            solver = SatSolver()
+            solver = solver_with(nvars)
             for c in clauses:
                 solver.add_clause(c)
             got = solver.solve(assumptions)
@@ -136,7 +156,7 @@ class TestAssumptions:
             assumptions = [rng.choice([-1, 1]) * v
                            for v in rng.sample(range(1, nvars + 1),
                                                rng.randint(0, 2))]
-            solver = SatSolver()
+            solver = solver_with(nvars)
             for c in clauses:
                 solver.add_clause(c)
             got = solver.solve(assumptions)
@@ -150,9 +170,9 @@ class TestAssumptions:
 
     def test_incremental_solving_with_clause_additions(self):
         rng = random.Random(7)
-        solver = SatSolver()
-        clauses = []
         nvars = 10
+        solver = solver_with(nvars)
+        clauses = []
         for _ in range(60):
             c = random_cnf(rng, nvars, 1)[0]
             clauses.append(c)
@@ -168,7 +188,7 @@ class TestAssumptions:
         # assumption joins the list; the solver is never rebuilt.
         rng = random.Random(seed)
         nvars = rng.randint(1, 3)
-        solver = SatSolver()
+        solver = solver_with(nvars)
         clauses = random_cnf(rng, nvars, rng.randint(0, 4))
         for c in clauses:
             solver.add_clause(c)
@@ -187,7 +207,8 @@ class TestAssumptions:
             elif solver.unsat:
                 break
             added = rng.randint(0, 2)
-            solver.ensure_var(nvars + added)
+            for _ in range(added):
+                solver.new_var()
             nvars += added
             for c in random_cnf(rng, nvars, rng.randint(1, 4)):
                 clauses.append(c)
@@ -229,6 +250,8 @@ class TestBranchOrder:
         solver.var_inc = var_inc
         clauses = []
         for nvars in (30, 40, 50, 60):
+            while solver.nvars < nvars:
+                solver.new_var()
             for _ in range(int(4.26 * nvars) - len(clauses)):
                 clause = [rng.choice([-1, 1]) * v
                           for v in rng.sample(range(1, nvars + 1), 3)]
@@ -255,7 +278,7 @@ def test_deadline_raises_timeout():
     # A hard random instance; with an already-expired deadline the solver
     # must raise at the first conflict.
     rng = random.Random(1)
-    s = SatSolver()
+    s = solver_with(56)
     v = lambda p, h: 7 * p + h + 1
     for p in range(8):
         s.add_clause([v(p, h) for h in range(7)])
