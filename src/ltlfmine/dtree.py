@@ -159,37 +159,49 @@ def infer_split_formula(sample: LabeledSample,
 
 def learn_tree(sample: LabeledSample, config: DtConfig) -> TreeResult:
     """Top-down induction: stop on class-purity, else split on an inferred
-    formula and recurse on both parts.
+    formula and induce both parts, the solid part first, depth first.
+    Parts wait on an explicit stack, so `max_depth` is not bounded by the
+    recursion limit.
 
     A node at `max_depth`, or whose split search hits `max_size`, becomes
     a majority leaf; the status is then SIZE_CAP if any node hit the size
     cap, else DEPTH_CAPPED.  A timeout ends the tree with TIMED_OUT."""
     expanded = 0
     status = SOLVED
-
-    def build(s: LabeledSample, depth: int) -> DecisionTree:
-        nonlocal expanded, status
-        label = pure_label(s, config.kappa)
-        if label is not None:
-            return Leaf(label)
-        majority = Leaf(1 if positive_fraction(s) >= Fraction(1, 2) else 0)
-        if depth >= config.max_depth:
-            if status == SOLVED:
-                status = DEPTH_CAPPED
-            return majority
-        formula = infer_split_formula(s, config)
-        if formula is None:
-            status = SIZE_CAP
-            return majority
-        expanded += 1
-        s1, s2 = split(s, formula)
-        return Inner(formula, build(s1, depth + 1), build(s2, depth + 1))
-
+    # A part still to induce is (sample, depth); a formula marks a node
+    # whose two subtrees are the last two entries of `done`.
+    stack: list[Union[tuple[LabeledSample, int], Formula]] = [(sample, 0)]
+    done: list[DecisionTree] = []
     try:
-        tree = build(sample, 0)
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Formula):
+                right = done.pop()
+                done.append(Inner(item, done.pop(), right))
+                continue
+            s, depth = item
+            label = pure_label(s, config.kappa)
+            if label is not None:
+                done.append(Leaf(label))
+                continue
+            majority = Leaf(1 if positive_fraction(s) >= Fraction(1, 2)
+                            else 0)
+            if depth >= config.max_depth:
+                if status == SOLVED:
+                    status = DEPTH_CAPPED
+                done.append(majority)
+                continue
+            formula = infer_split_formula(s, config)
+            if formula is None:
+                status = SIZE_CAP
+                done.append(majority)
+                continue
+            expanded += 1
+            s1, s2 = split(s, formula)
+            stack += [formula, (s2, depth + 1), (s1, depth + 1)]
     except SolveTimeout:
         return TreeResult(Leaf(1), TIMED_OUT, expanded)
-    return TreeResult(tree, status, expanded)
+    return TreeResult(done.pop(), status, expanded)
 
 
 # -- evaluation and conversion ----------------------------------------------

@@ -28,12 +28,24 @@ no formula of size n within the loss bound holds such a pair, so none
 of its subformulas is dropped and the streamed level still holds it.
 Two *different* formulas with one signature are both kept: they can
 differ in what they share inside a larger one.
+
+A level is produced in chunks of at most CHECK_EVERY formulas, in one
+fixed order, each chunk's signatures from one comprehension over the
+layout's operators.  The search takes each chunk's misclassified trace
+counts in a second comprehension.  With w_min the smallest scaled
+weight, a formula's scaled loss is at least w_min times its count, so a
+formula whose count exceeds `bound // w_min` cannot be within the bound,
+and a chunk with no smaller count is rejected whole; only the formulas
+left get the exact loss.  The chunk is stored up to and including the
+first hit, so the counts of formulas tried and pruned are those of a
+search one formula at a time.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .encoding import leaf_labels
@@ -42,7 +54,7 @@ from .sample import LabeledSample, WeightFn, scaled_weights
 from .sat import check_deadline
 
 LIMIT = 5          # sizes up to LIMIT are decided by enumeration
-CHECK_EVERY = 4096  # candidates between two calls of the deadline check
+CHECK_EVERY = 256  # candidates per chunk, one deadline check each
 
 
 class Enumerator:
@@ -91,82 +103,119 @@ class Enumerator:
 
     def search(self, n: int, bound: int, deadline: Optional[float]):
         """The key and scaled loss of the first formula of size n whose
-        scaled loss is at most `bound`, or None.  `self.candidates` counts
-        the formulas whose loss was computed and `self.pruned` the ones
-        of them not stored for the next size; the deadline is checked
-        before the first and after every CHECK_EVERY of them, and
-        `SolveTimeout` stops the search.
+        scaled loss is at most `bound`, or None.  The level is read in
+        chunks (module docstring): a chunk with no misclassified count
+        within `bound // w_min` is passed over, and in any other the
+        formulas within it get the exact `loss`, in order.
+        `self.candidates` counts the formulas tried and `self.pruned` the
+        ones of them not stored for the next size, as a search one
+        formula at a time would; the deadline is checked before each
+        chunk is evaluated, and `SolveTimeout` stops the search.
 
         None is exact only when no size below n has a formula within
         `bound` on this sample (module docstring): the formulas of size
         n built on formulas that were not stored are never tried."""
-        loss, every = self.loss, CHECK_EVERY
-        count = 0
-        for key, sig in self.level(n):
-            if count % every == 0:
-                self.candidates = count
-                check_deadline(deadline)
-            count += 1
-            value = loss(sig)
-            if value <= bound:
-                self.candidates = count
-                return key, value
-        self.candidates = count
+        stored = self._open(n)
+        positives, first, loss = self.positives, self.layout.first, self.loss
+        cap = bound // self.groups[0][0]  # groups ascend by weight
+        self.candidates = 0
+        for keys, sigs in self._chunks(n):
+            check_deadline(deadline)
+            counts = [((sig ^ positives) & first).bit_count() for sig in sigs]
+            hit = None
+            if min(counts) <= cap:
+                for j in [i for i, count in enumerate(counts) if count <= cap]:
+                    value = loss(sigs[j])
+                    if value <= bound:
+                        hit = j
+                        keys, sigs = keys[:j + 1], sigs[:j + 1]
+                        break
+            if stored is not None:
+                self._keep(keys, sigs, stored)
+            self.candidates += len(keys)
+            if hit is not None:
+                return keys[hit], value
+        if stored is not None:
+            self.levels[n] = stored
         return None
 
     def level(self, n: int):
         """(key, signature) of every formula of size n whose children are
-        stored, once each.  Sizes 1..n-1 must have been generated in full
-        before; size n is stored for the next one unless n is LIMIT, its
-        formulas with two subformulas of one signature left out and
-        counted in `self.pruned`."""
+        stored, once each, in the order of `_chunks`.  Sizes 1..n-1 must
+        have been generated in full before; size n is stored for the next
+        one unless n is LIMIT, its formulas with two subformulas of one
+        signature left out and counted in `self.pruned`.  Each chunk is
+        stored before its first formula is yielded."""
+        stored = self._open(n)
+        for keys, sigs in self._chunks(n):
+            if stored is not None:
+                self._keep(keys, sigs, stored)
+            yield from zip(keys, sigs)
+        if stored is not None:
+            self.levels[n] = stored
+
+    def _open(self, n: int) -> Optional[list]:
+        """Start level n: the list its stored ids go to, or None when n is
+        LIMIT and nothing is stored."""
         if sorted(self.levels) != list(range(1, n)):
             raise ValueError(f"sizes below {n} must be enumerated in full, "
                              f"and only once")
-        store = n < LIMIT
-        stored = []
         self.pruned = 0
-        for key, sig in self._generate(n):
-            if store:
-                i = self._store(key, sig)
-                if i is None:
-                    self.pruned += 1
-                else:
-                    stored.append(i)
-            yield key, sig
-        if store:
-            self.levels[n] = stored
+        return [] if n < LIMIT else None
 
-    def _generate(self, n: int):
+    def _chunks(self, n: int):
+        """(keys, signatures) of the formulas of size n whose children are
+        stored, in chunks of at most CHECK_EVERY: the leaves, then each
+        unary operator over level n-1, then each pair of `_pairs` with
+        the binary operators in turn.  A chunk's signatures come from one
+        comprehension over the layout's operators."""
+        every = CHECK_EVERY
         if n == 1:
-            yield from self.leaves
+            for i in range(0, len(self.leaves), every):
+                part = self.leaves[i:i + every]
+                yield [key for key, _ in part], [sig for _, sig in part]
             return
         sigs, layout = self.sigs, self.layout
+        below = self.levels[n - 1]
         for op in UNARY_OPS:
             apply = layout.unary[op]
-            for f in self.levels[n - 1]:
-                yield (op, f), apply(sigs[f])
-        binary = [(op, layout.binary[op]) for op in BINARY_OPS]
-        for f, g in self._pairs(n - 1):
-            a, b = sigs[f], sigs[g]
-            for op, apply in binary:
-                yield (op, f, g), apply(a, b)
+            for i in range(0, len(below), every):
+                part = below[i:i + every]
+                yield [(op, f) for f in part], [apply(sigs[f]) for f in part]
+        applies = [layout.binary[op] for op in BINARY_OPS]
+        pairs = self._pairs(n - 1)
+        # Whole pairs, enough for one chunk, then cut to chunk size.
+        while part := list(islice(pairs, -(-every // len(BINARY_OPS)))):
+            keys = [(op, f, g) for f, g in part for op in BINARY_OPS]
+            values = [apply(sigs[f], sigs[g])
+                      for f, g in part for apply in applies]
+            for i in range(0, len(keys), every):
+                yield keys[i:i + every], values[i:i + every]
+
+    def _keep(self, keys: list, sigs: list, stored: list) -> None:
+        """Store a chunk's formulas in order, each id into `stored` or,
+        when `_store` drops the formula, one more into `self.pruned`."""
+        ids = list(map(self._store, keys, sigs))
+        kept = [i for i in ids if i is not None]
+        self.pruned += len(ids) - len(kept)
+        stored += kept
 
     def _store(self, key: tuple, sig: int) -> Optional[int]:
         """The new id of the formula, or None, storing nothing, when two
         of its subformulas have one signature."""
-        sub = set()
-        for child in key[1:]:
-            sub |= self.subs[child]
-        seen = {self.sigs[j] for j in sub}
+        subs = self.subs
+        if len(key) == 3:
+            sub = subs[key[1]] | subs[key[2]]
+        else:
+            sub = subs[key[1]] if len(key) == 2 else frozenset()
+        seen = set(map(self.sigs.__getitem__, sub))
         seen.add(sig)
         if len(seen) <= len(sub):
             return None
         i = len(self.keys)
-        sub.add(i)
         self.keys.append(key)
         self.sigs.append(sig)
-        self.subs.append(frozenset(sub))
+        self.subs.append(sub | {i})
         self.intern[key] = i
         return i
 

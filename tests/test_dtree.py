@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,8 @@ from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             tree_to_formula)
 from ltlfmine.formula import parse_formula
 from ltlfmine.learner import SIZE_CAP
-from ltlfmine.sample import (loss, make_sample, omega_uniform, parse_sample,
-                             weighted_loss)
+from ltlfmine.sample import (LabeledSample, loss, make_sample, omega_uniform,
+                             parse_sample, weighted_loss)
 from helpers import random_formula, random_sample, random_trace
 
 
@@ -176,6 +178,35 @@ class TestLearnTree:
         r = learn_tree(s, DtConfig(max_depth=2))
         assert r.status == SIZE_CAP
         assert r.nodes_expanded == 2
+
+    def test_deep_induction_needs_no_recursion(self, monkeypatch):
+        # Each split peels off the first trace, a pure part, so the tree
+        # is a chain 399 nodes deep, built under a recursion limit 60
+        # frames above the caller's.
+        depth = 399
+        entries = tuple(((frozenset(),) * (i + 1), i % 2)
+                        for i in range(depth + 1))
+        sample = LabeledSample(("p0",), entries)
+        p0 = parse_formula("p0")
+
+        def peel(s, formula):
+            return (LabeledSample(s.alphabet, s.entries[:1]),
+                    LabeledSample(s.alphabet, s.entries[1:]))
+
+        monkeypatch.setattr(dtree, "infer_split_formula", lambda s, c: p0)
+        monkeypatch.setattr(dtree, "split", peel)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            r = learn_tree(sample, DtConfig(kappa=Fraction(0),
+                                            max_depth=depth))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (r.status, r.nodes_expanded) == ("solved", depth)
+        expected = "".join(f'(node "p0" (leaf {"true" if i % 2 else "false"}) '
+                           for i in range(depth))
+        expected += "(leaf true)" + ")" * depth
+        assert serialize_tree(r.tree) == expected
 
     def test_timeout_status(self):
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ltlfmine.enumeration import LIMIT, Enumerator
-from ltlfmine.formula import CONSTANTS
+from ltlfmine import enumeration
+from ltlfmine.enumeration import CHECK_EVERY, LIMIT, Enumerator
+from ltlfmine.formula import CONSTANTS, UNARY_OPS
 from ltlfmine.learner import learn_minimal, resolve_omega
 from ltlfmine.sample import omega_uniform, parse_sample, weighted_loss
 from helpers import (enumerate_formulas, random_sample, reference_evaluate,
@@ -199,6 +200,78 @@ def test_pruning_finds_the_unpruned_formula(constants, weights):
                     == unpruned.build(expected[0]).to_text(), (sample, n)
                 assert found[1] == expected[1]
                 break
+
+
+def one_at_a_time(enumerator, n, bound):
+    """The reference search: the formulas of level n in `level` order,
+    `loss` for each in turn.  The first one within `bound` and its scaled
+    loss, or None, then the formulas tried and pruned up to it.  Also
+    checks, for every formula, the prefilter's bound w_min * count <=
+    loss."""
+    w_min = min(enumerator.weights)
+    formulas = list(enumerator.level(n))
+    losses = [enumerator.loss(sig) for _, sig in formulas]
+    for (_, sig), value in zip(formulas, losses):
+        wrong = (sig ^ enumerator.positives) & enumerator.layout.first
+        assert w_min * wrong.bit_count() <= value
+    hit = next((i for i, value in enumerate(losses) if value <= bound), None)
+    tried = len(formulas) if hit is None else hit + 1
+    pruned = 0
+    if n < LIMIT:
+        stored = {enumerator.keys[i] for i in enumerator.levels[n]}
+        pruned = sum(key not in stored for key, _ in formulas[:tried])
+    found = None if hit is None else (formulas[hit][0], losses[hit])
+    return found, tried, pruned
+
+
+@pytest.mark.parametrize("chunk", [1, 3, CHECK_EVERY])
+@pytest.mark.parametrize("constants", [(), CONSTANTS],
+                         ids=["default-pool", "constants"])
+@pytest.mark.parametrize("weights", ["uniform", "rebalanced", "explicit"])
+def test_chunked_search_matches_one_at_a_time(monkeypatch, chunk, constants,
+                                              weights):
+    # Size by size up to the first feasible one, the chunked search takes
+    # the formula, loss and counts of the one-at-a-time reference, with
+    # chunks of 1 and 3 putting hits on chunk boundaries.
+    monkeypatch.setattr(enumeration, "CHECK_EVERY", chunk)
+    with_constants = bool(constants)
+    rng = random.Random(9)
+    for kappa in (Fraction(0), Fraction(1, 10), Fraction(1, 4)) * 2:
+        sample = random_sample(rng, PROPS, 8, 5,
+                               require_both_classes=weights == "rebalanced")
+        omega = resolve_omega(sample, random_weights(rng, sample)
+                              if weights == "explicit" else weights)
+        chunked = Enumerator(sample, omega, with_constants)
+        reference = Enumerator(sample, omega, with_constants)
+        bound = chunked.bound(kappa)
+        for n in range(1, LIMIT + 1):
+            found = chunked.search(n, bound, None)
+            expected, tried, pruned = one_at_a_time(reference, n, bound)
+            assert (chunked.candidates, chunked.pruned) == (tried, pruned), \
+                (sample, n)
+            assert (found is None) == (expected is None), (sample, n)
+            if found is not None:
+                assert chunked.build(found[0]).to_text() \
+                    == reference.build(expected[0]).to_text(), (sample, n)
+                assert found[1] == expected[1]
+                break
+
+
+def test_chunks_are_level_order_cut_at_check_every(monkeypatch):
+    # Level 1 (four leaves) and each unary operator's chunks are cut too.
+    monkeypatch.setattr(enumeration, "CHECK_EVERY", 3)
+    sample = random_sample(random.Random(10), PROPS, 5, 4)
+    enumerator = Enumerator(sample, omega_uniform(sample), True)
+    for n in range(1, 4):
+        chunks = list(enumerator._chunks(n))
+        assert all(1 <= len(keys) == len(sigs) <= 3 for keys, sigs in chunks)
+        streamed = [(key, sig) for keys, sigs in chunks
+                    for key, sig in zip(keys, sigs)]
+        assert streamed == list(enumerator.level(n))
+        if n > 1:
+            # each unary operator starts a chunk of its own
+            starts = [keys[0][0] for keys, _ in chunks]
+            assert all(op in starts for op in UNARY_OPS)
 
 
 def test_dag_sharing_decides_the_minimal_size():

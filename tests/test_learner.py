@@ -137,27 +137,50 @@ class TestLearnMinimal:
                 assert encoded == [s.size] * len(sizes)
                 assert rounds == [1] * len(sizes)
 
-    def test_timeout_during_enumeration(self, monkeypatch):
-        # The clock jumps past the deadline after the first candidate's
-        # loss; the next deadline check stops the size-1 pass.
-        s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
+    @staticmethod
+    def late_after_first_chunk(monkeypatch, size):
+        """Jump the clock an hour once the first chunk of `size` has been
+        searched, when the search asks for the next one."""
         real_clock = time.monotonic
         offset = [0.0]
-        real_loss = enumeration.Enumerator.loss
+        real_chunks = enumeration.Enumerator._chunks
 
-        def late_loss(*args):
-            offset[0] = 3600.0
-            return real_loss(*args)
+        def late_chunks(self, n):
+            for chunk in real_chunks(self, n):
+                yield chunk
+                if n == size:
+                    offset[0] = 3600.0
 
         monkeypatch.setattr(time, "monotonic",
                             lambda: real_clock() + offset[0])
-        monkeypatch.setattr(enumeration.Enumerator, "loss", late_loss)
+        monkeypatch.setattr(enumeration.Enumerator, "_chunks", late_chunks)
+
+    def test_timeout_during_enumeration(self, monkeypatch):
+        # The clock jumps past the deadline after the first chunk, one
+        # candidate; the check before the next chunk stops the size-1 pass.
+        s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
+        self.late_after_first_chunk(monkeypatch, 1)
         monkeypatch.setattr(enumeration, "CHECK_EVERY", 1)
         r = learn_minimal(s, LearnConfig(timeout=60))
         assert r.status == TIMED_OUT
         assert r.formula is None
         assert [(it["size"], it["status"], it["candidates"])
                 for it in r.iterations] == [(1, "timeout", 1)]
+
+    def test_timeout_inside_the_streamed_level(self, monkeypatch):
+        # The deadline passes after the first size-5 chunk: the search
+        # stops there, part of the way through the level.
+        sample = universality2_sample()
+        full = enumeration.Enumerator(sample, omega_uniform(sample))
+        for n in range(1, 5):
+            list(full.level(n))
+        level_five = sum(1 for _ in full.level(5))
+        self.late_after_first_chunk(monkeypatch, 5)
+        r = learn_minimal(sample, LearnConfig(timeout=60))
+        assert r.status == TIMED_OUT
+        last = r.iterations[-1]
+        assert (last["size"], last["status"]) == (5, "timeout")
+        assert 0 < last["candidates"] < level_five
 
     def test_records_name_the_decision(self, caplog):
         # Sizes up to enumeration.LIMIT are enumerated: candidates counted,
