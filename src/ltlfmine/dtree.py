@@ -2,9 +2,10 @@
 
 Inner nodes carry a non-trivial formula; the solid (left) subtree covers
 traces satisfying it, the dashed (right) subtree the rest.  Splitting
-formulas come from the minimal-formula learner run under rebalanced trace
-weights, once on the sample and once with labels inverted, keeping the
-candidate with the higher rebalanced score.
+formulas come from one minimal-formula learner call per split, under
+rebalanced trace weights, which searches the sample and its label
+inversion in one enumeration pass; the candidate with the higher
+rebalanced score, read off the learner's exact losses, is kept.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Optional, Union
 from .formula import Formula, FormulaBuilder, parse_formula
 from .learner import (SIZE_CAP, SOLVED, LearnConfig, TIMED_OUT,
                       learn_minimal)
-from .sample import (LabeledSample, invert_labels, omega_rebalanced,
-                     weighted_loss)
+from .sample import LabeledSample, omega_rebalanced, weighted_loss
 from .sat import SolveTimeout
 
 log = logging.getLogger(__name__)
@@ -47,14 +47,16 @@ class DtConfig:
     """Tree induction settings.  `kappa` bounds a leaf's impurity and
     `max_depth` caps the depth; the other four fields set each split
     search through the `LearnConfig` that `learner_config` builds, which
-    also checks them."""
+    also checks them.  `node_timeout` bounds a split search: its sample
+    polarity from the start, its inverted one from the moment the first
+    is solved, so each gets the whole budget."""
 
     kappa: Fraction = Fraction(1, 20)
     min_score: Fraction = Fraction(4, 5)
     with_constants: bool = False  # true and false as leaves
     max_size: int = 40
     max_depth: int = 20
-    node_timeout: Optional[float] = None  # seconds per learner invocation
+    node_timeout: Optional[float] = None  # seconds per polarity of a split
 
     def __post_init__(self):
         self.kappa = Fraction(self.kappa)
@@ -71,9 +73,9 @@ class DtConfig:
                         "the stopping criterion", self.min_score, self.kappa)
 
     def learner_config(self) -> LearnConfig:
-        """The learner settings of one polarity's split search: loss
-        threshold 1 - min_score under rebalanced weights, with the
-        constants, size cap and time budget of this config."""
+        """The learner settings of a split search: loss threshold
+        1 - min_score under rebalanced weights, with the constants, size
+        cap and time budget of this config."""
         return LearnConfig(kappa=1 - self.min_score, weights="rebalanced",
                            with_constants=self.with_constants,
                            max_size=self.max_size, timeout=self.node_timeout)
@@ -126,33 +128,33 @@ def infer_split_formula(sample: LabeledSample,
     """The higher-scoring of two minimal formulas, one per label polarity,
     or None if either search hits `max_size`.
 
-    Runs the learner on the sample and on its label inversion, each under
-    its own rebalanced weights with loss threshold 1 - min_score, and
-    keeps the result with the higher rebalanced score on the sample,
-    preferring the non-inverted one on ties.  That formula need not be
-    the smallest one with score >= min_score: the other polarity's
-    formula may be smaller and score lower.  The inversion is not
-    searched when the first search hits the size cap or times out.
+    One learner call searches the sample and its label inversion, each
+    under its own rebalanced weights (the same weight per trace) with loss
+    threshold 1 - min_score, and keeps the formula with the higher
+    rebalanced score on the sample, preferring the non-inverted one on
+    ties.  The scores come from the learner's exact losses: a formula of
+    loss l scores max(l, 1 - l), and the inversion's formula has loss
+    1 - l on the sample when l is its loss on the inversion.  That formula
+    need not be the smallest one with score >= min_score: the other
+    polarity's formula may be smaller and score lower.  The inversion is
+    not decided past the enumerated sizes when the first search hits the
+    size cap or times out.
     """
-    learner_config = config.learner_config()
-
-    def run(s: LabeledSample) -> Optional[Formula]:
-        result = learn_minimal(s, learner_config)
-        if result.status == TIMED_OUT:
-            raise SolveTimeout()
-        return result.formula  # None at the size cap
-
-    first = run(sample)
-    second = None if first is None else run(invert_labels(sample))
-    if second is None:
+    first = learn_minimal(sample, config.learner_config(), inverse=True)
+    second = first.inverse
+    if first.status == TIMED_OUT or (second and second.status == TIMED_OUT):
+        raise SolveTimeout()
+    if second is None or second.formula is None:
         return None
-    s1 = score_r(sample, first)
-    s2 = score_r(sample, second)
-    chosen = second if s2 > s1 else first
+    s1 = max(first.achieved_loss, 1 - first.achieved_loss)
+    s2 = max(second.achieved_loss, 1 - second.achieved_loss)
+    log.debug("split of %d traces: sizes %d and %d, losses %s and %s, "
+              "score %s", sample.size, first.size, second.size,
+              first.achieved_loss, second.achieved_loss, max(s1, s2))
     if max(s1, s2) < config.min_score:
         raise RuntimeError("no split formula reaches min_score; "
                            "this indicates a learner bug")
-    return chosen
+    return second.formula if s2 > s1 else first.formula
 
 
 # -- tree construction -------------------------------------------------------
@@ -165,42 +167,45 @@ def learn_tree(sample: LabeledSample, config: DtConfig) -> TreeResult:
 
     A node at `max_depth`, or whose split search hits `max_size`, becomes
     a majority leaf; the status is then SIZE_CAP if any node hit the size
-    cap, else DEPTH_CAPPED.  A timeout ends the tree with TIMED_OUT."""
+    cap, else DEPTH_CAPPED.  A split search that times out ends the
+    induction: that part and every impure part still waiting become
+    majority leaves, the nodes already split stay, and the status is
+    TIMED_OUT."""
     expanded = 0
     status = SOLVED
     # A part still to induce is (sample, depth); a formula marks a node
     # whose two subtrees are the last two entries of `done`.
     stack: list[Union[tuple[LabeledSample, int], Formula]] = [(sample, 0)]
     done: list[DecisionTree] = []
-    try:
-        while stack:
-            item = stack.pop()
-            if isinstance(item, Formula):
-                right = done.pop()
-                done.append(Inner(item, done.pop(), right))
-                continue
-            s, depth = item
-            label = pure_label(s, config.kappa)
-            if label is not None:
-                done.append(Leaf(label))
-                continue
-            majority = Leaf(1 if positive_fraction(s) >= Fraction(1, 2)
-                            else 0)
-            if depth >= config.max_depth:
-                if status == SOLVED:
-                    status = DEPTH_CAPPED
-                done.append(majority)
-                continue
-            formula = infer_split_formula(s, config)
-            if formula is None:
-                status = SIZE_CAP
-                done.append(majority)
-                continue
-            expanded += 1
-            s1, s2 = split(s, formula)
-            stack += [formula, (s2, depth + 1), (s1, depth + 1)]
-    except SolveTimeout:
-        return TreeResult(Leaf(1), TIMED_OUT, expanded)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Formula):
+            right = done.pop()
+            done.append(Inner(item, done.pop(), right))
+            continue
+        s, depth = item
+        label = pure_label(s, config.kappa)
+        if label is not None:
+            done.append(Leaf(label))
+            continue
+        formula = None
+        if depth >= config.max_depth:
+            if status == SOLVED:
+                status = DEPTH_CAPPED
+        elif status != TIMED_OUT:
+            try:
+                formula = infer_split_formula(s, config)
+                if formula is None:
+                    status = SIZE_CAP
+            except SolveTimeout:
+                status = TIMED_OUT
+        if formula is None:
+            done.append(Leaf(1 if positive_fraction(s) >= Fraction(1, 2)
+                             else 0))
+            continue
+        expanded += 1
+        s1, s2 = split(s, formula)
+        stack += [formula, (s2, depth + 1), (s1, depth + 1)]
     return TreeResult(done.pop(), status, expanded)
 
 

@@ -39,6 +39,16 @@ and a chunk with no smaller count is rejected whole; only the formulas
 left get the exact loss.  The chunk is stored up to and including the
 first hit, so the counts of formulas tried and pruned are those of a
 search one formula at a time.
+
+One pass can also search the label inversion of the sample, as a second
+polarity.  The inversion has the same layout and signatures, so the same
+formulas in the same order and the same pruning, and when the weights
+sum to 1 a formula's scaled loss on it is D minus its scaled loss on the
+sample, and its misclassified count is the number of traces minus its
+count.  A chunk is passed over only when neither polarity has a count
+within the bound; it is stored up to the last hit it needs, and a level
+in which only one polarity hits is completed and stored for the other.
+Each polarity's formula and counts are those of a search of its own.
 """
 
 from __future__ import annotations
@@ -101,42 +111,75 @@ class Enumerator:
         """The largest scaled loss that is at most kappa."""
         return math.floor(kappa * self.denominator)
 
-    def search(self, n: int, bound: int, deadline: Optional[float]):
-        """The key and scaled loss of the first formula of size n whose
-        scaled loss is at most `bound`, or None.  The level is read in
-        chunks (module docstring): a chunk with no misclassified count
-        within `bound // w_min` is passed over, and in any other the
-        formulas within it get the exact `loss`, in order.
-        `self.candidates` counts the formulas tried and `self.pruned` the
-        ones of them not stored for the next size, as a search one
-        formula at a time would; the deadline is checked before each
-        chunk is evaluated, and `SolveTimeout` stops the search.
+    def search(self, n: int, bound: int, deadlines: list,
+               polarities: tuple = (0,)):
+        """Yield (polarity, key, scaled loss) for the first formula of size
+        n whose scaled loss is at most `bound`, for each of `polarities`
+        (0 the sample, 1 its label inversion; module docstring) as the
+        level reaches it, and stop once each has one.  The level is read
+        in chunks: a chunk with no count within `bound // w_min` for an
+        open polarity is passed over, and in any other the formulas within
+        it get the exact loss, in order.
 
-        None is exact only when no size below n has a formula within
-        `bound` on this sample (module docstring): the formulas of size
-        n built on formulas that were not stored are never tried."""
+        When a formula is yielded, `self.candidates` counts the formulas
+        tried up to it and `self.pruned` the ones of them not stored for
+        the next size, as that polarity's search one formula at a time
+        would; once the level is exhausted they count all of it.  Before
+        each chunk the deadline of the first open polarity,
+        `deadlines[polarity]`, is checked, and `SolveTimeout` stops the
+        search; the caller may change `deadlines` while a formula is
+        yielded.
+
+        That a polarity gets no formula is exact only when no size below n
+        has a formula within `bound` for it (module docstring): the
+        formulas of size n built on formulas that were not stored are
+        never tried."""
         stored = self._open(n)
-        positives, first, loss = self.positives, self.layout.first, self.loss
+        positives, first = self.positives, self.layout.first
         cap = bound // self.groups[0][0]  # groups ascend by weight
+        waiting = list(polarities)
         self.candidates = 0
         for keys, sigs in self._chunks(n):
-            check_deadline(deadline)
+            check_deadline(deadlines[waiting[0]])
             counts = [((sig ^ positives) & first).bit_count() for sig in sigs]
-            hit = None
-            if min(counts) <= cap:
-                for j in [i for i, count in enumerate(counts) if count <= cap]:
-                    value = loss(sigs[j])
-                    if value <= bound:
-                        hit = j
-                        keys, sigs = keys[:j + 1], sigs[:j + 1]
-                        break
-            if stored is not None:
-                self._keep(keys, sigs, stored)
-            self.candidates += len(keys)
-            if hit is not None:
-                return keys[hit], value
+            hits = sorted(filter(None, [self._first(counts, sigs, bound, cap, p)
+                                        for p in waiting]))
+            done = 0
+            for j, p, value in hits:
+                self._take(keys[done:j + 1], sigs[done:j + 1], stored)
+                done = j + 1
+                waiting.remove(p)
+                yield p, keys[j], value
+            if not waiting:
+                return
+            self._take(keys[done:], sigs[done:], stored)
+            # Drop this chunk before `_chunks` builds the next one.
+            del keys, sigs, counts, hits
         if stored is not None:
             self.levels[n] = stored
+
+    def _first(self, counts: list, sigs: list, bound: int, cap: int,
+               polarity: int) -> Optional[tuple[int, int, int]]:
+        """The index in a chunk of its first formula within `bound` for
+        `polarity`, the polarity and that formula's scaled loss, or None.
+        Only a formula misclassifying at most `cap` traces of its
+        polarity's sample, so at least `traces - cap` of the sample for
+        polarity 1, gets the exact loss."""
+        if polarity:
+            least = len(self.weights) - cap
+            if max(counts) < least:
+                return None
+            near = [i for i, count in enumerate(counts) if count >= least]
+        else:
+            if min(counts) > cap:
+                return None
+            near = [i for i, count in enumerate(counts) if count <= cap]
+        for j in near:
+            value = self.loss(sigs[j])
+            if polarity:
+                value = self.denominator - value
+            if value <= bound:
+                return j, polarity, value
         return None
 
     def level(self, n: int):
@@ -191,6 +234,15 @@ class Enumerator:
                       for f, g in part for apply in applies]
             for i in range(0, len(keys), every):
                 yield keys[i:i + every], values[i:i + every]
+            # Drop these before the next pairs are built.
+            del part, keys, values
+
+    def _take(self, keys: list, sigs: list, stored: Optional[list]) -> None:
+        """Count a run of formulas as tried and, unless `stored` is None,
+        store them in order through `_keep`."""
+        self.candidates += len(keys)
+        if stored is not None:
+            self._keep(keys, sigs, stored)
 
     def _keep(self, keys: list, sigs: list, stored: list) -> None:
         """Store a chunk's formulas in order, each id into `stored` or,

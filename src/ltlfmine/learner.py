@@ -39,6 +39,11 @@ operators ! X F G | & -> U, with `true` and `false` as further leaves
 when `with_constants` is set.  Every path recomputes the exact weighted
 loss of the formula it accepts; the enumerated one also checks the
 formula's size.
+
+A decision-tree split needs the smallest formula of the sample and that
+of its label inversion (`learn_minimal(..., inverse=True)`).  The
+enumerated sizes of the two are one pass over each level; past `LIMIT`
+each is decided as above, the sample first, then the inverted sample.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ from . import maxsat
 from .encoding import Encoding
 from .enumeration import LIMIT, Enumerator
 from .formula import Formula
-from .sample import (LabeledSample, WeightFn, _check_domain, omega_rebalanced,
-                     omega_uniform, weighted_loss)
+from .sample import (LabeledSample, WeightFn, _check_domain, invert_labels,
+                     omega_rebalanced, omega_uniform, weighted_loss)
 from .sat import SatSolver, SolveTimeout, check_deadline
 
 SOLVED = "solved"
@@ -89,6 +94,7 @@ class LearnResult:
     size: Optional[int] = None
     achieved_loss: Optional[Fraction] = None
     iterations: list = field(default_factory=list)  # per-size statistics
+    inverse: Optional["LearnResult"] = None  # learn_minimal(inverse=True)
 
 
 def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
@@ -170,71 +176,129 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
         roots.append(instance.root_literal(t))
 
 
-def _decide_enumerated(sample, omega, enumerator, kappa, n, deadline,
-                       record):
-    """Every formula of size n, in turn: the first with weighted loss <=
-    kappa and its loss, or None."""
-    try:
-        found = enumerator.search(n, enumerator.bound(kappa), deadline)
-    finally:
-        record["candidates"] = enumerator.candidates
-        record["pruned"] = enumerator.pruned
-    if found is None:
-        record["status"] = maxsat.INFEASIBLE
-        return None
-    key, scaled = found
+def _check_enumerated(sample, omega, enumerator, kappa, n, key, scaled,
+                      inverted):
+    """The formula of an enumerated key and its loss, on the label
+    inversion of `sample` if `inverted`, recomputed and checked against
+    the enumerator's scaled loss."""
     formula = enumerator.build(key)
     achieved = Fraction(scaled, enumerator.denominator)
     recomputed = weighted_loss(sample, formula, omega)
+    if inverted:
+        # The weights sum to 1: a trace misclassified on one sample is
+        # classified correctly on the other.
+        recomputed = 1 - recomputed
     if formula.size != n or recomputed != achieved or achieved > kappa:
         raise RuntimeError(
             f"enumerated formula {formula.to_text()} of size {formula.size} "
             f"has loss {recomputed}, not {achieved} at size {n} within "
             f"{kappa}; this indicates an enumerator bug")
-    record["status"] = maxsat.FEASIBLE
     return formula, achieved
 
 
-def learn_minimal(sample: LabeledSample,
-                  config: Optional[LearnConfig] = None) -> LearnResult:
-    """Smallest formula with weighted loss <= kappa."""
+def _new_record(result: LearnResult, n: int, decision: str) -> dict:
+    """A size's record, appended to `result`; a size the deadline stops
+    keeps its "timeout" status."""
+    record = {"size": n, "decision": decision, "status": "timeout",
+              "seconds": 0.0, "traces_encoded": 0, "rounds": 0,
+              "candidates": 0, "pruned": 0}
+    result.iterations.append(record)
+    return record
+
+
+def _close(record: dict, started: float) -> None:
+    """Time a size's record from `started` and log it."""
+    record["seconds"] = time.monotonic() - started
+    log.debug("size %(size)d (%(decision)s): %(status)s, "
+              "%(candidates)d candidates, %(pruned)d pruned, "
+              "%(traces_encoded)d traces encoded, %(rounds)d "
+              "rounds, %(seconds).3f s", record)
+
+
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
+                  inverse: bool = False) -> LearnResult:
+    """Smallest formula with weighted loss <= kappa.
+
+    With `inverse`, the smallest formula of `invert_labels(sample)` under
+    the same trace weights is searched as well, polarity 1 beside this
+    search's polarity 0, and becomes the result's `inverse` when this
+    search is solved.  The enumerated sizes of both are one pass over each
+    level (`Enumerator.search`), which finds each polarity's formula in
+    the order, and with the per-size records, of a search of its own;
+    past `LIMIT` polarity 0 is decided first, then polarity 1 on the
+    inverted sample, and polarity 1 not at all when polarity 0 is not
+    solved.  `timeout` bounds polarity 0 from the start and polarity 1
+    from the moment polarity 0 is solved."""
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
     kappa = config.kappa
     enumerator = Enumerator(sample, omega, config.with_constants)
-    encoded: list[int] = []  # T, carried over from size to size
-    deadline = (None if config.timeout is None
-                else time.monotonic() + config.timeout)
-    iterations = []
-    try:
-        for n in range(1, config.max_size + 1):
-            check_deadline(deadline)
-            started = time.monotonic()
-            # A size the deadline stops keeps its "timeout" status.
-            record = {"size": n, "decision": "enumerated", "status": "timeout",
-                      "seconds": 0.0, "traces_encoded": 0, "rounds": 0,
-                      "candidates": 0, "pruned": 0}
-            iterations.append(record)
-            try:
-                if n <= LIMIT:
-                    found = _decide_enumerated(sample, omega, enumerator,
-                                               kappa, n, deadline, record)
-                else:
-                    record["decision"] = "sat"
-                    found = _decide_sat(sample, omega, config.with_constants,
-                                        enumerator, kappa, encoded, n,
-                                        deadline, record)
-            finally:
-                record["seconds"] = time.monotonic() - started
-                log.debug("size %(size)d (%(decision)s): %(status)s, "
-                          "%(candidates)d candidates, %(pruned)d pruned, "
-                          "%(traces_encoded)d traces encoded, %(rounds)d "
-                          "rounds, %(seconds).3f s", record)
-            if found is not None:
-                formula, achieved = found
-                return LearnResult(SOLVED, formula, formula.size, achieved,
-                                   iterations)
-    except SolveTimeout:
-        return LearnResult(TIMED_OUT, iterations=iterations)
-    return LearnResult(SIZE_CAP, iterations=iterations)
+    bound = enumerator.bound(kappa)
+    results = [LearnResult(SIZE_CAP) for _ in range(1 + inverse)]
+    deadlines = [_deadline(config.timeout), None]
+    waiting = list(range(len(results)))  # polarities without a formula
 
+    def solved(p, formula, achieved):
+        result = results[p]
+        result.status, result.formula = SOLVED, formula
+        result.size, result.achieved_loss = formula.size, achieved
+        waiting.remove(p)
+        if p == 0:
+            deadlines[1] = _deadline(config.timeout)
+
+    try:
+        for n in range(1, min(LIMIT, config.max_size) + 1):
+            if not waiting:
+                break
+            check_deadline(deadlines[waiting[0]])
+            started = time.monotonic()
+            records = {p: _new_record(results[p], n, "enumerated")
+                       for p in waiting}
+            try:
+                for p, key, scaled in enumerator.search(n, bound, deadlines,
+                                                        tuple(waiting)):
+                    record = records.pop(p)
+                    record["candidates"] = enumerator.candidates
+                    record["pruned"] = enumerator.pruned
+                    try:
+                        found = _check_enumerated(sample, omega, enumerator,
+                                                  kappa, n, key, scaled, p)
+                        record["status"] = maxsat.FEASIBLE
+                    finally:
+                        _close(record, started)
+                    solved(p, *found)
+                for record in records.values():
+                    record["status"] = maxsat.INFEASIBLE
+            finally:
+                for record in records.values():
+                    record["candidates"] = enumerator.candidates
+                    record["pruned"] = enumerator.pruned
+                    _close(record, started)
+        for p in tuple(waiting):
+            labeled = invert_labels(sample) if p else sample
+            encoded: list[int] = []  # T, carried over from size to size
+            for n in range(LIMIT + 1, config.max_size + 1):
+                check_deadline(deadlines[p])
+                started = time.monotonic()
+                record = _new_record(results[p], n, "sat")
+                try:
+                    found = _decide_sat(labeled, omega, config.with_constants,
+                                        enumerator, kappa, encoded, n,
+                                        deadlines[p], record)
+                finally:
+                    _close(record, started)
+                if found is not None:
+                    solved(p, *found)
+                    break
+            if p in waiting:  # the size cap
+                break
+    except SolveTimeout:
+        for p in waiting:
+            results[p].status = TIMED_OUT
+    if inverse and results[0].status == SOLVED:
+        results[0].inverse = results[1]
+    return results[0]

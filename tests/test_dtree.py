@@ -1,13 +1,15 @@
 import hashlib
 import inspect
+import logging
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltlfmine import dtree
+from ltlfmine import dtree, learner
 from ltlfmine.bench import GenSpec, spec_sample
 from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             infer_split_formula, learn_tree, parse_tree,
@@ -15,7 +17,8 @@ from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             serialize_tree, split, tree_loss,
                             tree_to_formula)
 from ltlfmine.formula import parse_formula
-from ltlfmine.learner import SIZE_CAP
+from ltlfmine.enumeration import LIMIT
+from ltlfmine.learner import SIZE_CAP, SOLVED, LearnResult
 from ltlfmine.sample import (LabeledSample, loss, make_sample, omega_uniform,
                              parse_sample, weighted_loss)
 from helpers import random_formula, random_sample, random_trace
@@ -149,15 +152,27 @@ class TestLearnTree:
 
     def test_size_cap_on_the_root(self, monkeypatch):
         # No single proposition scores 4/5 on this sample, so the first
-        # search hits the cap and the inversion is not searched.
-        calls = []
+        # search hits the cap.  The split search is one learner call; its
+        # inversion is enumerated beside it or, past LIMIT (every size at
+        # LIMIT 0), not searched at all: the inverted sample is never
+        # built.
+        calls, inverted = [], []
         real = dtree.learn_minimal
-        monkeypatch.setattr(dtree, "learn_minimal",
-                            lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(
+            dtree, "learn_minimal",
+            lambda *args, **kwargs: calls.append(args) or real(*args,
+                                                               **kwargs))
+        real_invert = learner.invert_labels
+        monkeypatch.setattr(learner, "invert_labels",
+                            lambda s: inverted.append(s) or real_invert(s))
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
-        r = learn_tree(s, DtConfig(max_size=1))
-        assert (r.status, r.tree, r.nodes_expanded) == (SIZE_CAP, Leaf(1), 0)
-        assert len(calls) == 1
+        for limit in (LIMIT, 0):
+            monkeypatch.setattr(learner, "LIMIT", limit)
+            calls.clear()
+            r = learn_tree(s, DtConfig(max_size=1))
+            assert (r.status, r.tree, r.nodes_expanded) \
+                == (SIZE_CAP, Leaf(1), 0)
+            assert (len(calls), inverted) == (1, [])
 
     @pytest.mark.parametrize("splits", [("a", None, "b"), ("a", "b", None)],
                              ids=["size-cap-first", "depth-cap-first"])
@@ -165,19 +180,68 @@ class TestLearnTree:
         # Every part of the sample is impure.  The root splits on a; of
         # the two depth-1 nodes, built solid side first, one's split
         # search hits the size cap (None) and the other splits on b into
-        # depth-2 nodes past max_depth 2.
+        # depth-2 nodes past max_depth 2.  Each split search is one
+        # scripted learner call, which gives both polarities' formulas.
         s = parse_sample("alphabet: a,b\n1,1;0,0\n1,0\n0,1\n0,0\n---\n"
                          "1,1;0,1\n1,0;0,0\n0,1;0,0\n0,0;0,0\n")
         answers = iter(splits)
 
-        def scripted(sample, config):
+        def scripted(sample, config, inverse=False):
+            assert inverse
             text = next(answers)
-            return text and parse_formula(text)
+            if text is None:
+                return LearnResult(SIZE_CAP)
+            found = LearnResult(SOLVED, parse_formula(text, s.alphabet), 1,
+                                Fraction(0))
+            found.inverse = LearnResult(
+                SOLVED, parse_formula(f"! {text}", s.alphabet), 2,
+                Fraction(0))
+            return found
 
-        monkeypatch.setattr(dtree, "infer_split_formula", scripted)
+        monkeypatch.setattr(dtree, "learn_minimal", scripted)
         r = learn_tree(s, DtConfig(max_depth=2))
         assert r.status == SIZE_CAP
         assert r.nodes_expanded == 2
+        assert next(answers, "spent") == "spent"
+
+    def test_timeout_keeps_the_tree_built_so_far(self, monkeypatch):
+        # Once the root is split the clock runs an hour per reading, so
+        # the next split search times out.  The root stays; its pure solid
+        # part is a leaf as before, and the part whose search timed out a
+        # majority leaf.
+        sample, _ = spec_sample(GenSpec("existence2", 20, 10, 0, 0.1))
+        config = DtConfig(kappa=Fraction(1, 20), node_timeout=60)
+        full = learn_tree(sample, config).tree
+        real_clock, real_learn = time.monotonic, dtree.learn_minimal
+        offset, step = [0.0], [0.0]
+
+        def clock():
+            offset[0] += step[0]
+            return real_clock() + offset[0]
+
+        def learn(*args, **kwargs):
+            result = real_learn(*args, **kwargs)
+            step[0] = 3600.0
+            return result
+
+        monkeypatch.setattr(time, "monotonic", clock)
+        monkeypatch.setattr(dtree, "learn_minimal", learn)
+        r = learn_tree(sample, config)
+        assert (r.status, r.nodes_expanded) == ("timed-out", 1)
+        rest = split(sample, full.formula)[1]
+        majority = Leaf(int(positive_fraction(rest) >= Fraction(1, 2)))
+        assert isinstance(full.right, Inner)
+        assert r.tree == Inner(full.formula, full.left, majority)
+
+    def test_one_debug_line_per_split(self, caplog):
+        sample, _ = spec_sample(GenSpec("existence2", 20, 10, 0, 0.1))
+        with caplog.at_level(logging.DEBUG, logger="ltlfmine.dtree"):
+            r = learn_tree(sample, DtConfig(kappa=Fraction(1, 20)))
+        lines = [rec.getMessage() for rec in caplog.records
+                 if rec.name == "ltlfmine.dtree"]
+        assert len(lines) == r.nodes_expanded == 4
+        assert lines[0] == ("split of 20 traces: sizes 3 and 4, losses 1/11 "
+                            "and 1/11, score 10/11")
 
     def test_deep_induction_needs_no_recursion(self, monkeypatch):
         # Each split peels off the first trace, a pure part, so the tree

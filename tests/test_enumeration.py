@@ -7,7 +7,8 @@ from ltlfmine import enumeration
 from ltlfmine.enumeration import CHECK_EVERY, LIMIT, Enumerator
 from ltlfmine.formula import CONSTANTS, UNARY_OPS
 from ltlfmine.learner import learn_minimal, resolve_omega
-from ltlfmine.sample import omega_uniform, parse_sample, weighted_loss
+from ltlfmine.sample import (invert_labels, omega_uniform, parse_sample,
+                             weighted_loss)
 from helpers import (enumerate_formulas, random_sample, reference_evaluate,
                      reference_signatures, sat_decision)
 
@@ -15,6 +16,14 @@ PROPS = ("p0", "p1")
 # The node-table enumeration of the helpers takes about a minute at size 5
 # over two propositions, so it is the oracle up to size 4 only.
 BRUTE_FORCE_SIZE = 4
+
+
+def search_one(enumerator, n, bound):
+    """The search for the sample's own labels: the key and scaled loss of
+    its formula of size n within `bound`, or None."""
+    for _, key, value in enumerator.search(n, bound, [None]):
+        return key, value
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +160,7 @@ def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
                                      for f in formulas.get(n, [])), (sample, n)
             if found is not None:
                 continue
-            found = enumerator.search(n, bound, None)
+            found = search_one(enumerator, n, bound)
             assert (found is not None) == by_sat, (sample, n)
             if found is not None:
                 f = enumerator.build(found[0])
@@ -191,8 +200,8 @@ def test_pruning_finds_the_unpruned_formula(constants, weights):
         unpruned = Unpruned(sample, omega, with_constants)
         bound = pruned.bound(kappa)
         for n in range(1, LIMIT + 1):
-            found = pruned.search(n, bound, None)
-            expected = unpruned.search(n, bound, None)
+            found = search_one(pruned, n, bound)
+            expected = search_one(unpruned, n, bound)
             assert pruned.candidates <= unpruned.candidates
             assert (found is None) == (expected is None), (sample, n)
             if found is not None:
@@ -245,7 +254,7 @@ def test_chunked_search_matches_one_at_a_time(monkeypatch, chunk, constants,
         reference = Enumerator(sample, omega, with_constants)
         bound = chunked.bound(kappa)
         for n in range(1, LIMIT + 1):
-            found = chunked.search(n, bound, None)
+            found = search_one(chunked, n, bound)
             expected, tried, pruned = one_at_a_time(reference, n, bound)
             assert (chunked.candidates, chunked.pruned) == (tried, pruned), \
                 (sample, n)
@@ -254,6 +263,49 @@ def test_chunked_search_matches_one_at_a_time(monkeypatch, chunk, constants,
                 assert chunked.build(found[0]).to_text() \
                     == reference.build(expected[0]).to_text(), (sample, n)
                 assert found[1] == expected[1]
+                break
+
+
+@pytest.mark.parametrize("chunk", [1, 3, CHECK_EVERY])
+@pytest.mark.parametrize("constants", [(), CONSTANTS],
+                         ids=["default-pool", "constants"])
+@pytest.mark.parametrize("weights", ["uniform", "rebalanced", "explicit"])
+def test_both_polarities_match_one_at_a_time(monkeypatch, chunk, constants,
+                                             weights):
+    # One search over both polarities: at each polarity's hit, and at the
+    # end of a level neither hit, the formula, loss and counts are those
+    # of the one-at-a-time reference on the sample (polarity 0) or on
+    # its label inversion (polarity 1); a level only one polarity hit is
+    # completed for the other.
+    monkeypatch.setattr(enumeration, "CHECK_EVERY", chunk)
+    with_constants = bool(constants)
+    rng = random.Random(11)
+    for kappa in (Fraction(0), Fraction(1, 10), Fraction(1, 4)) * 2:
+        sample = random_sample(rng, PROPS, 8, 5,
+                               require_both_classes=weights == "rebalanced")
+        omega = resolve_omega(sample, random_weights(rng, sample)
+                              if weights == "explicit" else weights)
+        both = Enumerator(sample, omega, with_constants)
+        references = [Enumerator(sample, omega, with_constants),
+                      Enumerator(invert_labels(sample), omega, with_constants)]
+        bound = both.bound(kappa)
+        waiting = [0, 1]
+        for n in range(1, LIMIT + 1):
+            got = {p: (both.build(key).to_text(), value, both.candidates,
+                       both.pruned)
+                   for p, key, value in both.search(n, bound, [None, None],
+                                                    tuple(waiting))}
+            for p in tuple(waiting):
+                reference = references[p]
+                expected, tried, pruned = one_at_a_time(reference, n, bound)
+                if expected is None:
+                    assert p not in got, (sample, n, p)
+                    assert (both.candidates, both.pruned) == (tried, pruned)
+                    continue
+                assert got[p] == (reference.build(expected[0]).to_text(),
+                                  expected[1], tried, pruned), (sample, n, p)
+                waiting.remove(p)
+            if not waiting:
                 break
 
 
@@ -291,10 +343,10 @@ def test_dag_sharing_decides_the_minimal_size():
 def test_search_counts_candidates_and_stops_at_first_hit():
     sample = random_sample(random.Random(5), PROPS, 6, 4)
     enumerator = Enumerator(sample, omega_uniform(sample))
-    assert enumerator.search(1, -1, None) is None
+    assert search_one(enumerator, 1, -1) is None
     assert enumerator.candidates == len(PROPS)
     # Everything is within kappa 1: the first size-2 formula is taken.
-    found = enumerator.search(2, enumerator.bound(Fraction(1)), None)
+    found = search_one(enumerator, 2, enumerator.bound(Fraction(1)))
     assert found is not None
     assert enumerator.candidates == 1
 

@@ -10,8 +10,8 @@ from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine.encoding import EncodingInstance
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega)
-from ltlfmine.sample import (loss, omega_rebalanced, omega_uniform,
-                             parse_sample, weighted_loss)
+from ltlfmine.sample import (invert_labels, loss, omega_rebalanced,
+                             omega_uniform, parse_sample, weighted_loss)
 from ltlfmine.sat import SolveTimeout
 from ltlfmine.sat import SatSolver
 from helpers import (brute_minimal_size, decide, enumerate_formulas,
@@ -426,6 +426,118 @@ def size_six_sample():
     # separates them.
     return generate_sample(GenSpec("absence3", num_traces=20,
                                    max_trace_length=6, seed=0))
+
+
+def outcome(result):
+    """What a search decided, its per-size records without their times."""
+    records = [{k: v for k, v in it.items() if k != "seconds"}
+               for it in result.iterations]
+    text = result.formula and result.formula.to_text()
+    return result.status, text, result.size, result.achieved_loss, records
+
+
+class TestInverse:
+    """`learn_minimal(sample, config, inverse=True)` searches both label
+    polarities in one pass; each must come out as its own call would."""
+
+    @pytest.mark.parametrize("chunk", [1, enumeration.CHECK_EVERY])
+    @pytest.mark.parametrize("limit", [enumeration.LIMIT, 2],
+                             ids=["enumerated", "sat-past-2"])
+    @pytest.mark.parametrize("constants", [False, True],
+                             ids=["default-pool", "constants"])
+    def test_one_pass_matches_two_calls(self, monkeypatch, chunk, limit,
+                                        constants):
+        # Against learn_minimal on the sample and on its inversion, under
+        # rebalanced weights: formula text, loss, status and the per-size
+        # records.  Past a LIMIT of 2 the larger sizes are SAT decisions.
+        # A sample whose polarities differ in size runs again with the
+        # size cap at the smaller one, so the other is capped.
+        monkeypatch.setattr(enumeration, "CHECK_EVERY", chunk)
+        monkeypatch.setattr(enumeration, "LIMIT", limit)
+        monkeypatch.setattr(learner, "LIMIT", limit)
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(15):
+            s = random_sample(rng, ("p0", "p1"), 6, 4,
+                              require_both_classes=True)
+            kappa = rng.choice([Fraction(0), Fraction(1, 10), Fraction(1, 4)])
+            caps = [40]
+            while caps:
+                config = LearnConfig(kappa=kappa, weights="rebalanced",
+                                     with_constants=constants,
+                                     max_size=caps.pop())
+                both = learn_minimal(s, config, inverse=True)
+                first = learn_minimal(s, config)
+                assert outcome(both) == outcome(first), s
+                if first.status != SOLVED:
+                    assert both.inverse is None
+                    seen.add("polarity 0 capped")
+                    continue
+                second = learn_minimal(invert_labels(s), config)
+                assert outcome(both.inverse) == outcome(second), s
+                if second.status != SOLVED:
+                    seen.add("polarity 1 capped")
+                elif second.size != first.size and config.max_size == 40:
+                    seen.add("sizes differ")
+                    caps.append(min(first.size, second.size))
+                if max(first.size, second.size or 0) > limit:
+                    seen.add("past LIMIT")
+        expected = {"polarity 0 capped", "polarity 1 capped", "sizes differ"}
+        if limit < enumeration.LIMIT:
+            expected.add("past LIMIT")
+        assert seen >= expected
+
+    @pytest.mark.parametrize("late, status", [(20.0, SOLVED),
+                                              (70.0, TIMED_OUT)])
+    def test_inversion_budget_starts_when_the_sample_is_solved(
+            self, monkeypatch, late, status):
+        # p0 classifies the sample at size 1; its inversion needs (! p0),
+        # size 2.  The clock jumps 50 s while p0 is checked and `late`
+        # seconds more as size 2 starts: the inversion's 60 s budget runs
+        # from p0's solution, not from the start.
+        s = parse_sample("1\n---\n0\n")
+        real_clock = time.monotonic
+        offset = [0.0]
+        real_loss = learner.weighted_loss
+        real_chunks = enumeration.Enumerator._chunks
+
+        def late_loss(*args):
+            offset[0] += 50.0
+            return real_loss(*args)
+
+        def late_chunks(self, n):
+            if n == 2:
+                offset[0] += late
+            yield from real_chunks(self, n)
+
+        monkeypatch.setattr(time, "monotonic",
+                            lambda: real_clock() + offset[0])
+        monkeypatch.setattr(learner, "weighted_loss", late_loss)
+        monkeypatch.setattr(enumeration.Enumerator, "_chunks", late_chunks)
+        r = learn_minimal(s, LearnConfig(timeout=60), inverse=True)
+        assert (r.status, r.formula.to_text()) == (SOLVED, "p0")
+        assert r.inverse.status == status
+        if status == SOLVED:
+            assert r.inverse.formula.to_text() == "(! p0)"
+
+    def test_inversion_is_not_decided_past_a_failed_search(self,
+                                                           monkeypatch):
+        # Every size is a SAT decision (LIMIT 0).  When the sample's
+        # search hits the size cap its inversion is neither built nor
+        # searched; when it is solved the inversion is built once.
+        inverted = []
+        monkeypatch.setattr(learner, "LIMIT", 0)
+        monkeypatch.setattr(learner, "invert_labels",
+                            lambda s: inverted.append(s) or invert_labels(s))
+        s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
+        r = learn_minimal(s, LearnConfig(max_size=1), inverse=True)
+        assert (r.status, r.inverse, inverted) == (SIZE_CAP, None, [])
+        r = learn_minimal(parse_sample("1\n---\n0\n"), inverse=True)
+        assert (r.formula.to_text(), r.inverse.formula.to_text()) \
+            == ("p0", "(! p0)")
+        assert [it["decision"] for it in r.inverse.iterations] \
+            == ["sat", "sat"]
+        assert len(inverted) == 1
 
 
 class TestExactPath:
