@@ -4,7 +4,7 @@ labeled finite traces via exact partial weighted MaxSAT."""
 from .formula import (Formula, FormulaBuilder, LtlSyntaxError,
                       UnknownPropositionError, from_tree, parse_formula)
 from .sample import (LabeledSample, SampleError, Trace, WeightFn,
-                     invert_labels, load_sample, loss, make_sample,
+                     invert_labels, load_sample, make_sample,
                      omega_rebalanced, omega_uniform, parse_sample,
                      weighted_loss)
 from .encoding import EncodingError, EncodingInstance
@@ -25,7 +25,7 @@ __all__ = [
     "Formula", "FormulaBuilder", "LtlSyntaxError", "UnknownPropositionError",
     "from_tree", "parse_formula",
     "LabeledSample", "SampleError", "Trace", "WeightFn", "invert_labels",
-    "load_sample", "loss", "make_sample", "omega_rebalanced", "omega_uniform",
+    "load_sample", "make_sample", "omega_rebalanced", "omega_uniform",
     "parse_sample", "weighted_loss",
     "EncodingError", "EncodingInstance",
     "FEASIBLE", "HARD_UNSAT", "INFEASIBLE", "MaxSatSolution",

@@ -8,7 +8,7 @@ operations, the ones `Formula.signature` applies.  The leaves' signatures
 are the sample's proposition bits.  A trace is misclassified when the
 bit of its position 0 is set in `(signature ^ positives) & first`, and
 the loss, scaled by the weights' common denominator D, is one popcount
-per distinct weight.
+per distinct weight, in integers.
 
 Formulas are enumerated level by level in DAG size, the number of
 distinct subformulas (as `Formula` counts it after hash-consing): a
@@ -27,7 +27,13 @@ smaller formula with the same loss.  Once every smaller size is refuted,
 no formula of size n within the loss bound holds such a pair, so none
 of its subformulas is dropped and the streamed level still holds it.
 Two *different* formulas with one signature are both kept: they can
-differ in what they share inside a larger one.
+differ in what they share inside a larger one.  The store tests a chunk
+in one loop, with no call per formula.  A stored formula's subformulas
+already have distinct signatures, so a unary formula is pruned when its
+signature is one of its child's subformulas', and a binary one when the
+union of its children's subformulas has two of one signature or one
+equal to its own; the binary operators over one pair of children come
+in a row and share that union and its signatures.
 
 A level is produced in chunks of at most CHECK_EVERY formulas, in one
 fixed order, each chunk's signatures from one comprehension over the
@@ -245,31 +251,39 @@ class Enumerator:
             self._keep(keys, sigs, stored)
 
     def _keep(self, keys: list, sigs: list, stored: list) -> None:
-        """Store a chunk's formulas in order, each id into `stored` or,
-        when `_store` drops the formula, one more into `self.pruned`."""
-        ids = list(map(self._store, keys, sigs))
-        kept = [i for i in ids if i is not None]
-        self.pruned += len(ids) - len(kept)
-        stored += kept
-
-    def _store(self, key: tuple, sig: int) -> Optional[int]:
-        """The new id of the formula, or None, storing nothing, when two
-        of its subformulas have one signature."""
-        subs = self.subs
-        if len(key) == 3:
-            sub = subs[key[1]] | subs[key[2]]
-        else:
-            sub = subs[key[1]] if len(key) == 2 else frozenset()
-        seen = set(map(self.sigs.__getitem__, sub))
-        seen.add(sig)
-        if len(seen) <= len(sub):
-            return None
-        i = len(self.keys)
-        self.keys.append(key)
-        self.sigs.append(sig)
-        self.subs.append(sub | {i})
-        self.intern[key] = i
-        return i
+        """Store a run of formulas in order, each new id into `stored`, or
+        count it in `self.pruned` and store nothing when two of its
+        subformulas have one signature (module docstring).  One pair of
+        children's union and signatures serve the formulas over it in a
+        row."""
+        all_keys, all_sigs, subs = self.keys, self.sigs, self.subs
+        intern = self.intern
+        sig_of = all_sigs.__getitem__
+        i = start = len(all_keys)
+        f = g = None
+        for key, sig in zip(keys, sigs):
+            if len(key) == 3:
+                if key[2] != g or key[1] != f:
+                    _, f, g = key
+                    union = subs[f] | subs[g]
+                    below = set(map(sig_of, union))
+                    clash = len(below) < len(union)
+                if clash or sig in below:
+                    continue
+                sub = union
+            elif len(key) == 2:
+                sub = subs[key[1]]
+                if sig in map(sig_of, sub):
+                    continue
+            else:
+                sub = frozenset()
+            all_keys.append(key)
+            all_sigs.append(sig)
+            subs.append(sub | {i})
+            intern[key] = i
+            stored.append(i)
+            i += 1
+        self.pruned += len(keys) - (i - start)
 
     def _pairs(self, s: int):
         """Ordered pairs (f, g) of stored formulas with s subformulas

@@ -37,8 +37,12 @@ budget B = floor(kappa * D).  Each size has one decision path:
 Both paths search formulas over the sample's propositions and the
 operators ! X F G | & -> U, with `true` and `false` as further leaves
 when `with_constants` is set.  Every path recomputes the exact weighted
-loss of the formula it accepts; the enumerated one also checks the
-formula's size.
+loss of the formula it accepts from `sample.truth`, which does not read
+the enumerator's signatures.  The enumerated one sums the integer
+weights w_t of the traces it misclassifies, compares that sum with the
+enumerator's scaled loss and checks the formula's size; the loss becomes
+a `Fraction` once, for the result.  The SAT path recomputes it with
+`weighted_loss`.
 
 A decision-tree split needs the smallest formula of the sample and that
 of its label inversion (`learn_minimal(..., inverse=True)`).  The
@@ -176,23 +180,27 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
         roots.append(instance.root_literal(t))
 
 
-def _check_enumerated(sample, omega, enumerator, kappa, n, key, scaled,
-                      inverted):
+def _check_enumerated(sample, enumerator, kappa, n, key, scaled, inverted):
     """The formula of an enumerated key and its loss, on the label
-    inversion of `sample` if `inverted`, recomputed and checked against
-    the enumerator's scaled loss."""
+    inversion of `sample` if `inverted`, checked against the enumerator's
+    scaled loss: the scaled weights of the traces that `sample.truth`
+    misclassifies, summed in integers."""
     formula = enumerator.build(key)
-    achieved = Fraction(scaled, enumerator.denominator)
-    recomputed = weighted_loss(sample, formula, omega)
+    denominator = enumerator.denominator
+    recomputed = sum(w for w, value, (_, b) in zip(enumerator.weights,
+                                                    sample.truth(formula),
+                                                    sample.entries)
+                     if value != b)
     if inverted:
-        # The weights sum to 1: a trace misclassified on one sample is
-        # classified correctly on the other.
-        recomputed = 1 - recomputed
-    if formula.size != n or recomputed != achieved or achieved > kappa:
+        # The scaled weights sum to D: a trace misclassified on one sample
+        # is classified correctly on the other.
+        recomputed = denominator - recomputed
+    achieved = Fraction(scaled, denominator)
+    if formula.size != n or recomputed != scaled or achieved > kappa:
         raise RuntimeError(
             f"enumerated formula {formula.to_text()} of size {formula.size} "
-            f"has loss {recomputed}, not {achieved} at size {n} within "
-            f"{kappa}; this indicates an enumerator bug")
+            f"has loss {Fraction(recomputed, denominator)}, not {achieved} "
+            f"at size {n} within {kappa}; this indicates an enumerator bug")
     return formula, achieved
 
 
@@ -265,8 +273,8 @@ def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
                     record["candidates"] = enumerator.candidates
                     record["pruned"] = enumerator.pruned
                     try:
-                        found = _check_enumerated(sample, omega, enumerator,
-                                                  kappa, n, key, scaled, p)
+                        found = _check_enumerated(sample, enumerator, kappa,
+                                                  n, key, scaled, p)
                         record["status"] = maxsat.FEASIBLE
                     finally:
                         _close(record, started)

@@ -1,8 +1,9 @@
 """Labeled trace samples: file I/O, weight functions and loss computation.
 
-Weights and losses are kept as exact `Fraction`s internally; callers that
-want floats can convert at the surface.  This keeps threshold comparisons
-("soft weight >= 1 - kappa") immune to float accumulation error.
+Weights and losses are exact `Fraction`s at the surface, so threshold
+comparisons ("soft weight >= 1 - kappa") are immune to float
+accumulation error.  The searches scale the weights to integers by their
+common denominator (`scaled_weights`) and sum those.
 
 A sample keeps one table, its `Layout` and each proposition's bits on
 it, from which every evaluation of a formula on the sample reads.
@@ -219,11 +220,6 @@ def load_sample(path) -> LabeledSample:
 
 # -- loss and weights -------------------------------------------------------
 
-def loss(sample: LabeledSample, formula: Formula) -> Fraction:
-    """Fraction of sample traces the formula misclassifies."""
-    return weighted_loss(sample, formula, omega_uniform(sample))
-
-
 def weighted_loss(sample: LabeledSample, formula: Formula,
                   omega: WeightFn) -> Fraction:
     """Total weight of the misclassified traces under `omega`."""
@@ -238,13 +234,15 @@ def weighted_loss(sample: LabeledSample, formula: Formula,
 def scaled_weights(weights: Sequence[Fraction],
                    denominator: Optional[int] = None) -> tuple[int, list[int]]:
     """The weight scale D, `denominator` or else the lcm of the weights'
-    denominators, and each weight times D, in order."""
+    denominators, and each weight times D, in order.  A weight n/d is
+    scaled as n * (D // d), in integers: D must be a multiple of every d,
+    else ValueError."""
     if denominator is None:
         denominator = math.lcm(*(w.denominator for w in weights))
-    scaled = [w * denominator for w in weights]
-    if any(s.denominator != 1 for s in scaled):
+    elif any(denominator % w.denominator for w in weights):
         raise ValueError("weight scale does not clear denominators")
-    return denominator, [s.numerator for s in scaled]
+    return denominator, [w.numerator * (denominator // w.denominator)
+                         for w in weights]
 
 
 def omega_uniform(sample: LabeledSample) -> WeightFn:

@@ -276,6 +276,13 @@ def random_sample(rng: random.Random, props, max_traces, max_len,
             return sample
 
 
+def random_weights(rng: random.Random, sample: LabeledSample) -> dict:
+    """Explicit trace weights summing to 1, each k/total for k in 1..5."""
+    raw = {u: rng.randint(1, 5) for u in sample.traces()}
+    total = sum(raw.values())
+    return {u: Fraction(k, total) for u, k in raw.items()}
+
+
 def random_formula(rng: random.Random, props, depth) -> Formula:
     builder = FormulaBuilder()
 

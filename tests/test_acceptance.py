@@ -21,7 +21,7 @@ from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, learn_minimal)
 from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, WeightedCnf, check_hard,
                              export_wcnf, import_model, parse_wcnf,
                              recompute_soft_weight)
-from ltlfmine.sample import (loss, make_sample, omega_uniform, parse_sample,
+from ltlfmine.sample import (make_sample, omega_uniform, parse_sample,
                              weighted_loss)
 from helpers import (brute_maxsat, brute_minimal_size, decide,
                      enumerate_formulas, find_optimum, pin_optimum,
@@ -210,7 +210,7 @@ def test_criterion_06_tree_learning_terminates_with_bounded_loss():
             assert tree_loss(sample, result.tree) <= kappa
             # independent recomputation through the formula conversion
             f = tree_to_formula(result.tree)
-            assert loss(sample, f) <= kappa
+            assert weighted_loss(sample, f, omega_uniform(sample)) <= kappa
 
 
 def test_criterion_07_noise_robustness_and_kappa_monotonicity():
@@ -303,4 +303,4 @@ def test_criterion_10_benchmark_generation_deterministic(tmp_path):
         assert a.read_bytes() == b.read_bytes()
         sample = parse_sample(a.read_text())
         target = parse_formula(PATTERNS[pattern], sample.alphabet)
-        assert loss(sample, target) == 0
+        assert weighted_loss(sample, target, omega_uniform(sample)) == 0

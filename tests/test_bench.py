@@ -10,7 +10,7 @@ from ltlfmine.bench import (GenSpec, GenerationError, PATTERNS,
                             pattern_formula, render_sample_file,
                             spec_sample)
 from ltlfmine.formula import parse_formula
-from ltlfmine.sample import loss, parse_sample
+from ltlfmine.sample import omega_uniform, parse_sample, weighted_loss
 
 
 class TestCatalog:
@@ -46,7 +46,7 @@ class TestGeneration:
             spec = GenSpec(name, num_traces=30, max_trace_length=8, seed=3)
             sample = generate_sample(spec)
             target = parse_formula(PATTERNS[name], sample.alphabet)
-            assert loss(sample, target) == 0
+            assert weighted_loss(sample, target, omega_uniform(sample)) == 0
 
     def test_classes_balanced(self):
         sample = generate_sample(GenSpec("existence1", num_traces=21, seed=4))
@@ -130,7 +130,8 @@ class TestNoise:
         target = parse_formula(PATTERNS["universality1"], sample.alphabet)
         for seed in range(10):
             noisy, k = inject_noise(sample, 0.05, seed=seed)
-            assert loss(noisy, target) == Fraction(k, noisy.size)
+            assert weighted_loss(noisy, target, omega_uniform(noisy)) \
+                == Fraction(k, noisy.size)
 
     def test_invalid_rate(self):
         sample = generate_sample(GenSpec("existence1", num_traces=10, seed=0))

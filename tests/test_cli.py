@@ -13,7 +13,8 @@ from ltlfmine import cli
 from ltlfmine.dtree import parse_tree, tree_loss
 from ltlfmine.formula import parse_formula
 from ltlfmine.maxsat import parse_wcnf
-from ltlfmine.sample import load_sample, loss, parse_sample
+from ltlfmine.sample import (load_sample, omega_uniform, parse_sample,
+                             weighted_loss)
 
 BASIC = "1,0;1,1\n0,1\n---\n0,0\n1,0\n"
 
@@ -37,7 +38,7 @@ class TestLearn:
         assert code == cli.EXIT_OK
         sample = parse_sample(BASIC)
         f = parse_formula(out.strip(), sample.alphabet)
-        assert loss(sample, f) == 0
+        assert weighted_loss(sample, f, omega_uniform(sample)) == 0
         assert "size: " in err and "loss: 0" in err
 
     def test_kappa_accepts_fractions(self, sample_file, capsys):
@@ -45,7 +46,8 @@ class TestLearn:
         assert code == cli.EXIT_OK
         sample = parse_sample(BASIC)
         f = parse_formula(out.strip(), sample.alphabet)
-        assert loss(sample, f) <= Fraction(1, 4)
+        assert weighted_loss(sample, f, omega_uniform(sample)) \
+            <= Fraction(1, 4)
 
     def test_size_cap_exit_code(self, tmp_path, capsys):
         path = tmp_path / "s.txt"

@@ -19,7 +19,7 @@ from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
 from ltlfmine.formula import parse_formula
 from ltlfmine.enumeration import LIMIT
 from ltlfmine.learner import SIZE_CAP, SOLVED, LearnResult
-from ltlfmine.sample import (LabeledSample, loss, make_sample, omega_uniform,
+from ltlfmine.sample import (LabeledSample, make_sample, omega_uniform,
                              parse_sample, weighted_loss)
 from helpers import random_formula, random_sample, random_trace
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from ltlfmine.formula import CONSTANTS, UNARY_OPS
 from ltlfmine.learner import learn_minimal, resolve_omega
 from ltlfmine.sample import (invert_labels, omega_uniform, parse_sample,
                              weighted_loss)
-from helpers import (enumerate_formulas, random_sample, reference_evaluate,
-                     reference_signatures, sat_decision)
+from helpers import (enumerate_formulas, random_sample, random_weights,
+                     reference_evaluate, reference_signatures, sat_decision)
 
 PROPS = ("p0", "p1")
 # The node-table enumeration of the helpers takes about a minute at size 5
@@ -120,10 +121,23 @@ def test_scaled_loss_is_weighted_loss(weights):
                     == weighted_loss(sample, enumerator.build(key), omega)
 
 
-def random_weights(rng, sample):
-    raw = {u: rng.randint(1, 5) for u in sample.traces()}
-    total = sum(raw.values())
-    return {u: Fraction(k, total) for u, k in raw.items()}
+@pytest.mark.parametrize("weights", ["uniform", "rebalanced", "explicit"])
+def test_scaled_weights_are_the_trace_weights(weights):
+    # The integer weight w_t of every trace is its weight times D, and D
+    # is the lcm of the weights' denominators.
+    rng = random.Random(11)
+    for _ in range(40):
+        sample = random_sample(rng, PROPS, 12, 5, require_both_classes=True)
+        omega = resolve_omega(sample, random_weights(rng, sample)
+                              if weights == "explicit" else weights)
+        enumerator = Enumerator(sample, omega)
+        denominator = enumerator.denominator
+        assert denominator == math.lcm(*(w.denominator
+                                         for w in omega.values()))
+        assert len(enumerator.weights) == sample.size
+        for u, w in zip(sample.traces(), enumerator.weights):
+            assert isinstance(w, int)
+            assert Fraction(w, denominator) == omega[u]
 
 
 @pytest.mark.parametrize("constants", [(), CONSTANTS],
@@ -172,14 +186,15 @@ def test_enumeration_sat_and_brute_force_decide_alike(reference, constants,
 class Unpruned(Enumerator):
     """The enumerator with every formula stored: no signature pruning."""
 
-    def _store(self, key, sig):
-        i = len(self.keys)
-        self.keys.append(key)
-        self.sigs.append(sig)
-        self.subs.append(frozenset({i}.union(*(self.subs[c]
-                                               for c in key[1:]))))
-        self.intern[key] = i
-        return i
+    def _keep(self, keys, sigs, stored):
+        for key, sig in zip(keys, sigs):
+            i = len(self.keys)
+            self.keys.append(key)
+            self.sigs.append(sig)
+            self.subs.append(frozenset({i}.union(*(self.subs[c]
+                                                   for c in key[1:]))))
+            self.intern[key] = i
+            stored.append(i)
 
 
 @pytest.mark.parametrize("constants", [(), CONSTANTS],
@@ -188,9 +203,11 @@ class Unpruned(Enumerator):
 def test_pruning_finds_the_unpruned_formula(constants, weights):
     # Size by size up to the first feasible one, the pruned and the
     # unpruned search decide alike and take the same formula, by text:
-    # ids differ once formulas are pruned.  The pruned one tries no more.
+    # ids differ once formulas are pruned.  The pruned one tries no more,
+    # and on some sample stores fewer: else the two would be one search.
     with_constants = bool(constants)
     rng = random.Random(8)
+    stored_fewer = False
     for kappa in (Fraction(0), Fraction(1, 10), Fraction(1, 4)) * 2:
         sample = random_sample(rng, PROPS, 10, 6,
                                require_both_classes=weights == "rebalanced")
@@ -203,12 +220,47 @@ def test_pruning_finds_the_unpruned_formula(constants, weights):
             found = search_one(pruned, n, bound)
             expected = search_one(unpruned, n, bound)
             assert pruned.candidates <= unpruned.candidates
+            stored_fewer |= len(pruned.keys) < len(unpruned.keys)
             assert (found is None) == (expected is None), (sample, n)
             if found is not None:
                 assert pruned.build(found[0]).to_text() \
                     == unpruned.build(expected[0]).to_text(), (sample, n)
                 assert found[1] == expected[1]
                 break
+    assert stored_fewer
+
+
+@pytest.mark.parametrize("order", ["pairs", "second-child", "shuffled"])
+def test_store_prunes_each_formula_on_its_own(order):
+    # However a run of formulas is ordered, each is stored exactly when
+    # its subformulas, its own id included, have pairwise distinct
+    # signatures.  Sorting by the second child puts pairs with one second
+    # child and different first children side by side.
+    rng = random.Random(21)
+    for _ in range(4):
+        sample = random_sample(rng, PROPS, 8, 5, require_both_classes=True)
+        enumerator = Enumerator(sample, omega_uniform(sample))
+        for n in range(1, 4):
+            for _ in enumerator.level(n):
+                pass
+        subs, sigs = enumerator.subs, enumerator.sigs
+        formulas = [item for keys, values in enumerator._chunks(4)
+                    for item in zip(keys, values)]
+        if order == "second-child":
+            formulas.sort(key=lambda item: item[0][2:] + item[0][1:2])
+        elif order == "shuffled":
+            rng.shuffle(formulas)
+        expected = []
+        for key, sig in formulas:
+            sub = frozenset().union(*(subs[c] for c in key[1:]))
+            if len({sig, *(sigs[i] for i in sub)}) == len(sub) + 1:
+                expected.append(key)
+        enumerator._open(4)
+        stored = []
+        enumerator._keep([key for key, _ in formulas],
+                         [sig for _, sig in formulas], stored)
+        assert [enumerator.keys[i] for i in stored] == expected
+        assert enumerator.pruned == len(formulas) - len(expected) > 0
 
 
 def one_at_a_time(enumerator, n, bound):

@@ -10,12 +10,12 @@ from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine.encoding import EncodingInstance
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega)
-from ltlfmine.sample import (invert_labels, loss, omega_rebalanced,
+from ltlfmine.sample import (invert_labels, omega_rebalanced,
                              omega_uniform, parse_sample, weighted_loss)
 from ltlfmine.sat import SolveTimeout
 from ltlfmine.sat import SatSolver
 from helpers import (brute_minimal_size, decide, enumerate_formulas,
-                     random_sample, sat_decision, sat_minimal)
+                     random_sample, random_weights, sat_decision, sat_minimal)
 
 
 class TestLearnMinimal:
@@ -32,7 +32,7 @@ class TestLearnMinimal:
         r = learn_minimal(s)
         assert r.status == SOLVED
         assert r.size == 2
-        assert loss(s, r.formula) == 0
+        assert weighted_loss(s, r.formula, omega_uniform(s)) == 0
 
     def test_kappa_trades_size_for_loss(self):
         # One outlier positive; kappa = 1/4 lets a single-node formula
@@ -387,7 +387,7 @@ class TestLearnMinimal:
         r = learn_minimal(s, LearnConfig(with_constants=True))
         assert r.status == SOLVED
         assert r.size == 1
-        assert loss(s, r.formula) == 0
+        assert weighted_loss(s, r.formula, omega_uniform(s)) == 0
 
 
 def refuse(*args, **kwargs):
@@ -408,12 +408,6 @@ def record_decisions(monkeypatch):
 
     monkeypatch.setattr(maxsat, "solve_decision", decide)
     return calls
-
-
-def random_weights(rng, sample):
-    raw = {u: rng.randint(1, 5) for u in sample.traces()}
-    total = sum(raw.values())
-    return {u: Fraction(k, total) for u, k in raw.items()}
 
 
 def universality2_sample():
@@ -539,6 +533,33 @@ class TestInverse:
             == ["sat", "sat"]
         assert len(inverted) == 1
 
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("polarity", [0, 1])
+    def test_scaled_loss_off_by_one_is_an_enumerator_bug(self, monkeypatch,
+                                                         polarity, delta):
+        # p0, the first formula, misclassifies 2 of the 4 traces on either
+        # polarity: scaled loss 2 of D = 4.  The re-check sums the weights
+        # of the traces `truth` misclassifies, so an enumerator that is
+        # one off for either polarity fails it, kappa 1 or not.
+        s = parse_sample("1,0;1,1\n0,1\n---\n0,0\n1,0\n")
+        config = LearnConfig(kappa=1)
+        r = learn_minimal(s, config, inverse=True)
+        for result in (r, r.inverse):
+            assert (result.formula.to_text(), result.achieved_loss) \
+                == ("p0", Fraction(1, 2))
+        search = enumeration.Enumerator.search
+
+        def off_by_one(self, n, bound, deadlines, polarities=(0,)):
+            for p, key, value in search(self, n, bound, deadlines,
+                                        polarities):
+                yield p, key, value + delta if p == polarity else value
+
+        monkeypatch.setattr(enumeration.Enumerator, "search", off_by_one)
+        claimed = Fraction(2 + delta, 4)
+        with pytest.raises(RuntimeError, match=f"has loss 1/2, not {claimed} "
+                           ".*enumerator bug"):
+            learn_minimal(s, config, inverse=True)
+
 
 class TestExactPath:
     """kappa = 0 encodes a growing subset T of the traces into one SAT
@@ -607,7 +628,7 @@ class TestExactPath:
         size, formula, _, records = sat_minimal(s, omega_uniform(s),
                                                 Fraction(0), 4)
         assert size == 2
-        assert loss(s, formula) == 0
+        assert weighted_loss(s, formula, omega_uniform(s)) == 0
         first, last = records
         assert last["rounds"] > 1
         assert last["traces_encoded"] > first["traces_encoded"]

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 import re
@@ -8,7 +9,7 @@ import pytest
 from ltlfmine import sample as samplemod
 from ltlfmine.formula import BINARY_OPS, CONSTANTS, UNARY_OPS, parse_formula
 from ltlfmine.sample import (LabeledSample, SampleError, format_trace,
-                             invert_labels, loss, make_sample,
+                             invert_labels, make_sample,
                              omega_rebalanced, omega_uniform, parse_sample,
                              scaled_weights, weighted_loss)
 from helpers import random_formula, random_sample
@@ -154,17 +155,20 @@ class TestLossAndWeights:
         s = parse_sample(BASIC)
         f = parse_formula("F p1", s.alphabet)
         # f accepts both positives and rejects both negatives
-        assert loss(s, f) == 0
+        assert weighted_loss(s, f, omega_uniform(s)) == 0
         g = parse_formula("p0", s.alphabet)
         # g accepts one positive and one negative: 2 of 4 wrong
-        assert loss(s, g) == Fraction(1, 2)
+        assert weighted_loss(s, g, omega_uniform(s)) == Fraction(1, 2)
 
     def test_uniform_weights_reduce_to_loss(self):
         rng = random.Random(5)
         for _ in range(50):
             s = random_sample(rng, ("p0", "p1"), max_traces=8, max_len=5)
             f = random_formula(rng, s.alphabet, depth=3)
-            assert weighted_loss(s, f, omega_uniform(s)) == loss(s, f)
+            wrong = sum(value != b for value, (_, b)
+                        in zip(s.truth(f), s.entries))
+            assert weighted_loss(s, f, omega_uniform(s)) \
+                == Fraction(wrong, s.size)
 
     def test_weights_sum_to_one(self):
         rng = random.Random(6)
@@ -198,7 +202,8 @@ class TestLossAndWeights:
         assert set(inv.positives()) == set(s.negatives())
         assert set(inv.negatives()) == set(s.positives())
         f = parse_formula("p0", s.alphabet)
-        assert loss(s, f) + loss(inv, f) == 1
+        assert weighted_loss(s, f, omega_uniform(s)) \
+            + weighted_loss(inv, f, omega_uniform(inv)) == 1
 
     def test_sample_pickles_after_its_table_is_built(self):
         s = parse_sample(BASIC)
@@ -223,6 +228,21 @@ class TestLossAndWeights:
         assert scaled_weights([]) == (1, [])
         with pytest.raises(ValueError, match="does not clear"):
             scaled_weights(weights, 6)
+        # Any multiple of the lcm scales each weight to the integer it
+        # stands for; a scale that misses one denominator is refused.
+        rng = random.Random(12)
+        for _ in range(200):
+            weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 30))
+                       for _ in range(rng.randint(1, 8))]
+            lcm = math.lcm(*(w.denominator for w in weights))
+            assert scaled_weights(weights)[0] == lcm
+            for scale in (lcm, lcm * rng.randint(2, 5)):
+                assert scaled_weights(weights, scale)[0] == scale
+                assert [Fraction(w, scale) for w in
+                        scaled_weights(weights, scale)[1]] == weights
+            if lcm > 1:
+                with pytest.raises(ValueError, match="does not clear"):
+                    scaled_weights(weights, lcm * rng.randint(1, 5) + 1)
 
 
 def test_make_sample_preserves_order():
