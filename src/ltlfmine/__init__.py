@@ -2,7 +2,7 @@
 labeled finite traces via exact partial weighted MaxSAT."""
 
 from .formula import (Formula, FormulaBuilder, LtlSyntaxError,
-                      UnknownPropositionError, from_tree, parse_formula)
+                      UnknownPropositionError, parse_formula)
 from .sample import (LabeledSample, SampleError, Trace, WeightFn,
                      invert_labels, load_sample, make_sample,
                      omega_rebalanced, omega_uniform, parse_sample,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Formula", "FormulaBuilder", "LtlSyntaxError", "UnknownPropositionError",
-    "from_tree", "parse_formula",
+    "parse_formula",
     "LabeledSample", "SampleError", "Trace", "WeightFn", "invert_labels",
     "load_sample", "make_sample", "omega_rebalanced", "omega_uniform",
     "parse_sample", "weighted_loss",

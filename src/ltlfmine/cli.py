@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn-dt", help="learn a decision tree over formulas")
     _add_learn_opts(p, "wall-clock budget in seconds for each learner "
-                       "call (two per split), not for the whole tree")
+                       "call (one per split; each label polarity gets the "
+                       "whole budget), not for the whole tree")
     p.add_argument("--min-score", type=_fraction, default=Fraction(4, 5),
                    help="minimum rebalanced split score (default 4/5)")
     p.add_argument("--max-depth", type=int, default=20)

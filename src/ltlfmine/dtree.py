@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .formula import Formula, FormulaBuilder, parse_formula
 from .learner import (SIZE_CAP, SOLVED, LearnConfig, TIMED_OUT,
                       learn_minimal)
-from .sample import LabeledSample, omega_rebalanced, weighted_loss
+from .sample import LabeledSample, exact, omega_rebalanced, weighted_loss
 from .sat import SolveTimeout
 
 log = logging.getLogger(__name__)
@@ -59,8 +59,8 @@ class DtConfig:
     node_timeout: Optional[float] = None  # seconds per polarity of a split
 
     def __post_init__(self):
-        self.kappa = Fraction(self.kappa)
-        self.min_score = Fraction(self.min_score)
+        self.kappa = exact(self.kappa)
+        self.min_score = exact(self.min_score)
         if not 0 <= self.kappa <= 1:
             raise ValueError("kappa must lie in [0, 1]")
         if not Fraction(1, 2) < self.min_score <= 1:

@@ -7,7 +7,7 @@ structurally equal subformulas are always represented by the same node,
 so the node count equals the number of unique subformulas.
 
 The semantics has one code path, `Formula.signature`, on traces laid end
-to end in a `Layout`: a sample's traces, or the one trace of `evaluate`.
+to end in a `Layout`: a sample's traces, or the one trace of `satisfies`.
 """
 
 from __future__ import annotations
@@ -220,18 +220,11 @@ class Formula:
             values.append(value)
         return values[-1]
 
-    def evaluate(self, trace, position: int) -> int:
-        """Finite-trace valuation of the formula at `position`: one bit of
-        its signature on the trace alone."""
-        if not 0 <= position < len(trace):
-            raise IndexError(f"position {position} out of range for trace "
-                             f"of length {len(trace)}")
-        layout = _trace_layout(len(trace))
-        signature = self.signature(layout, proposition_bits(trace))
-        return (signature >> position) & 1
-
     def satisfies(self, trace) -> int:
-        return self.evaluate(trace, 0)
+        """1 if the formula holds at the first position of `trace`, else
+        0: bit 0 of its signature on the trace alone."""
+        return self.signature(_trace_layout(len(trace)),
+                              proposition_bits(trace)) & 1
 
 
 # -- bitset semantics -------------------------------------------------------
@@ -317,30 +310,6 @@ def proposition_bits(symbols) -> dict[str, int]:
 @functools.lru_cache(maxsize=256)
 def _trace_layout(length: int) -> Layout:
     return Layout((length,))
-
-
-# -- construction helpers ---------------------------------------------------
-
-def from_tree(tree, builder: Optional[FormulaBuilder] = None) -> Formula:
-    """Build a formula from a nested-tuple tree like ("U", ("prop","p"), ...).
-
-    Subtrees are built children first, left before right, over an
-    explicit stack, so nesting depth is not bounded by the recursion
-    limit."""
-    builder = builder or FormulaBuilder()
-    built: list[int] = []               # ids of the finished subtrees
-    stack = [(tree, False)]             # (subtree, children built)
-    while stack:
-        t, expanded = stack.pop()
-        if t[0] == PROP:
-            built.append(builder.add(t[1]))
-        elif not expanded and len(t) > 1:
-            stack.append((t, True))
-            stack.extend((child, False) for child in reversed(t[1:]))
-        else:
-            first = len(built) - (len(t) - 1)   # t's built children
-            built[first:] = [builder.add(t[0], *built[first:])]
-    return builder.finish(built.pop())
 
 
 # -- parser -----------------------------------------------------------------

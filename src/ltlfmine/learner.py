@@ -62,8 +62,9 @@ from . import maxsat
 from .encoding import Encoding
 from .enumeration import LIMIT, Enumerator
 from .formula import Formula
-from .sample import (LabeledSample, WeightFn, _check_domain, invert_labels,
-                     omega_rebalanced, omega_uniform, weighted_loss)
+from .sample import (LabeledSample, WeightFn, _check_domain, exact,
+                     invert_labels, omega_rebalanced, omega_uniform,
+                     weighted_loss)
 from .sat import SatSolver, SolveTimeout, check_deadline
 
 SOLVED = "solved"
@@ -82,7 +83,7 @@ class LearnConfig:
     timeout: Optional[float] = None  # wall-clock seconds for the whole run
 
     def __post_init__(self):
-        self.kappa = Fraction(self.kappa)
+        self.kappa = exact(self.kappa)
         if not 0 <= self.kappa <= 1:
             raise ValueError("kappa must lie in [0, 1]")
         if not isinstance(self.max_size, int) or self.max_size < 1:
@@ -110,8 +111,7 @@ def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
         raise ValueError(f"unknown weights {weights!r}: expected 'uniform', "
                          "'rebalanced' or a weight per trace")
     _check_domain(sample, weights)
-    # Exact weights: a float such as 0.5 becomes the fraction it stores.
-    weights = {u: Fraction(w) for u, w in weights.items()}
+    weights = {u: exact(w) for u, w in weights.items()}
     total = sum(weights.values(), Fraction(0))
     if total != 1:
         raise ValueError("explicit trace weights must sum to exactly 1")

@@ -18,11 +18,10 @@ weights, for WCNF export and import only.
 from __future__ import annotations
 
 import bisect
-import io
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .cnf import totalizer
 from .sample import scaled_weights
@@ -53,7 +52,6 @@ class WeightedCnf:
     hard: list = field(default_factory=list)              # list[tuple[int, ...]]
     soft: list = field(default_factory=list)              # list[(clause, Fraction)]
     comments: list = field(default_factory=list)          # extra "c" lines for export
-    weight_scale: Optional[int] = None                    # fixed denominator, else lcm
 
     def add_clause(self, clause: Sequence[int]) -> None:
         self.hard.append(tuple(clause))
@@ -89,10 +87,9 @@ def check_hard(wcnf: WeightedCnf, assignment: dict) -> bool:
 
 
 def scaled_soft(wcnf: WeightedCnf) -> tuple[int, list[tuple[list, int]]]:
-    """The weight scale D, `weight_scale` or else the lcm of the soft
-    weights' denominators, and the soft clauses with weights times D."""
-    denom, scaled = scaled_weights([w for _, w in wcnf.soft],
-                                   wcnf.weight_scale)
+    """The weight scale D, the lcm of the soft weights' denominators, and
+    the soft clauses with weights times D."""
+    denom, scaled = scaled_weights([w for _, w in wcnf.soft])
     return denom, [(clause, sw) for (clause, _), sw in zip(wcnf.soft, scaled)]
 
 
@@ -139,8 +136,9 @@ def _weighed(solver: SatSolver, softs) -> MaxSatSolution:
 # -- DIMACS WCNF interchange ------------------------------------------------
 
 def export_wcnf(wcnf: WeightedCnf, target) -> None:
-    """Write DIMACS WCNF: soft weights scaled to integers by the common
-    denominator (recorded as `c weight-scale <D>`), hard weight = top.
+    """Write DIMACS WCNF: soft weights scaled to integers by the lcm D of
+    their denominators (recorded as `c weight-scale <D>`), hard weight =
+    top.
 
     The header goes out first, then the hard clauses in slices of
     WRITE_SLICE, so the whole file is never held as one string.  Each
@@ -176,13 +174,14 @@ def _write_wcnf(wcnf: WeightedCnf, handle) -> None:
                          for clause, sw in scaled))
 
 
-def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
+def parse_wcnf(text: str) -> WeightedCnf:
     """Read back the WCNF format written by `export_wcnf`.
 
-    The weight scale must be positive, the p-line must come once, every
-    literal's variable must lie in 1..nvars, every soft weight must be
-    positive, and the clause count must be the p-line's."""
-    text = source if isinstance(source, str) else source.read()
+    Each soft weight w reads back as the exact fraction w / D, D the
+    `c weight-scale` (1 if absent).  The weight scale must be positive,
+    the p-line must come once, every literal's variable must lie in
+    1..nvars, every soft weight must be positive, and the clause count
+    must be the p-line's."""
     denom = 1
     top = None
     nvars = nclauses = 0
@@ -226,7 +225,7 @@ def parse_wcnf(source: Union[str, io.TextIOBase]) -> WeightedCnf:
     if len(hard) + len(soft) != nclauses:
         raise ValueError(f"{len(hard) + len(soft)} clauses, but the p-line "
                          f"declares {nclauses}")
-    return WeightedCnf(nvars, hard, soft, weight_scale=denom)
+    return WeightedCnf(nvars, hard, soft)
 
 
 def import_model(source, wcnf: WeightedCnf) -> dict:

@@ -12,12 +12,11 @@ it, from which every evaluation of a formula on the sample reads.
 from __future__ import annotations
 
 import functools
-import io
 import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
 from .formula import (PROP, Formula, Layout, LtlSyntaxError, Node,
                       parse_formula, proposition_bits)
@@ -163,7 +162,7 @@ def parse_trace_row(row: str, alphabet: tuple[str, ...], lineno: int) -> Trace:
     return tuple(symbols)
 
 
-def parse_sample(source: Union[str, io.TextIOBase]) -> LabeledSample:
+def parse_sample(text: str) -> LabeledSample:
     """Parse the sample file format.
 
     Format: an optional `alphabet: p0,p1,...` header (once, before the
@@ -172,10 +171,6 @@ def parse_sample(source: Union[str, io.TextIOBase]) -> LabeledSample:
     separator, then negative rows.  `#` starts a comment.  Anything after
     a second `---` is ignored with a warning (compatibility sections).
     """
-    if isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
     alphabet: tuple[str, ...] = ()
     entries: list[tuple[Trace, int]] = []
     section = 1  # 1 = positives, 0 = negatives
@@ -231,16 +226,21 @@ def weighted_loss(sample: LabeledSample, formula: Formula,
     return total
 
 
-def scaled_weights(weights: Sequence[Fraction],
-                   denominator: Optional[int] = None) -> tuple[int, list[int]]:
-    """The weight scale D, `denominator` or else the lcm of the weights'
-    denominators, and each weight times D, in order.  A weight n/d is
-    scaled as n * (D // d), in integers: D must be a multiple of every d,
-    else ValueError."""
-    if denominator is None:
-        denominator = math.lcm(*(w.denominator for w in weights))
-    elif any(denominator % w.denominator for w in weights):
-        raise ValueError("weight scale does not clear denominators")
+def exact(value) -> Fraction:
+    """`value` as an exact `Fraction`, a float as the fraction it stores.
+    NaN and the infinities are a ValueError, like any out-of-range value
+    (`Fraction` raises OverflowError for an infinity)."""
+    try:
+        return Fraction(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def scaled_weights(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The weight scale D, the lcm of the weights' denominators, and each
+    weight times D, in order.  A weight n/d is scaled as n * (D // d), in
+    integers."""
+    denominator = math.lcm(*(w.denominator for w in weights))
     return denominator, [w.numerator * (denominator // w.denominator)
                          for w in weights]
 

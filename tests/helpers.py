@@ -62,7 +62,7 @@ def enumerate_formulas(props, max_n, constants=()):
 
 def reference_evaluate(f: Formula, trace, position: int) -> int:
     """Finite-trace valuation by memoized recursion over (node, position):
-    the reference for `Formula.evaluate`."""
+    the reference for the bits of `Formula.signature`."""
     return reference_valuation(f, trace)(f.root, position)
 
 

@@ -156,7 +156,8 @@ class TestLearnDt:
     def test_timeout_help_names_each_learner_call(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["learn-dt", "--help"])
-        assert "each learner call" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "each learner call" in out and "one per split" in out
 
 
 class TestGen:

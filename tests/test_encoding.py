@@ -127,10 +127,11 @@ class TestModels:
             assert solver.solve(inst.structure_assumptions(f))
             model = solver.model()
             assert inst.decode_model(model) == f
+            signature = f.signature(sample.layout, sample.holds)
             for t, trace in enumerate(inst.traces):
                 for tau in range(len(trace)):
-                    assert model[inst.y[(t, inst.n, tau)]] \
-                        == bool(f.evaluate(trace, tau))
+                    assert model[inst.y[(t, inst.n, tau)]] == bool(
+                        (signature >> (sample.layout.offsets[t] + tau)) & 1)
 
     def test_decode_drops_unreachable_nodes(self):
         # Node 2 is a well-formed node the root does not reach.
@@ -236,14 +237,17 @@ class TestChannels:
                 assert solver.solve(random_structure_assumptions(rng, inst))
                 model = solver.model()
                 formulas = node_formulas(inst, model)
+                signatures = {i: f.signature(sample.layout, sample.holds)
+                              for i, f in formulas.items()}
                 children = {i: (chosen_child(model, inst.l, i),
                                 chosen_child(model, inst.r, i))
                             for i in range(2, n + 1)}
                 for t, trace in enumerate(inst.traces):
                     for tau in range(len(trace)):
+                        bit = sample.layout.offsets[t] + tau
                         for i in range(1, n + 1):
                             assert model[inst.y[(t, i, tau)]] \
-                                == bool(formulas[i].evaluate(trace, tau))
+                                == bool((signatures[i] >> bit) & 1)
                         for i, (j, k) in children.items():
                             assert model[inst.left[(t, i, tau)]] \
                                 == model[inst.y[(t, j, tau)]]

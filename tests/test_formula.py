@@ -3,11 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltlfmine.formula import (PROP, Formula, FormulaBuilder, LtlSyntaxError,
-                              UnknownPropositionError, arity, from_tree,
-                              parse_formula)
+from ltlfmine.formula import (Formula, FormulaBuilder, Layout,
+                              LtlSyntaxError, UnknownPropositionError, arity,
+                              parse_formula, proposition_bits)
 from ltlfmine.sample import make_sample
 from helpers import random_formula, random_trace, reference_evaluate
+
+
+def trace_bits(f: Formula, trace) -> list[int]:
+    """`f`'s value at each position of `trace`: the bits of its signature
+    on a layout of that one trace."""
+    signature = f.signature(Layout((len(trace),)), proposition_bits(trace))
+    return [(signature >> pos) & 1 for pos in range(len(trace))]
 
 
 def naive_eval(f: Formula, i: int, trace, pos: int) -> bool:
@@ -167,26 +174,6 @@ class TestParser:
             parse_formula("p | r", alphabet=("p", "q"))
         parse_formula("p | q", alphabet=("p", "q"))
 
-    def test_from_tree(self):
-        f = from_tree(("U", ("prop", "p"), ("G", ("prop", "q"))))
-        assert f.to_text() == "(p U (G q))"
-
-    def test_from_tree_keeps_operand_order_and_sharing(self):
-        xq = ("X", ("prop", "q"))
-        f = from_tree(("&", ("U", ("prop", "p"), xq), ("->", xq, ("prop", "p"))))
-        assert f == parse_formula("(p U X q) & (X q -> p)")
-        assert f.size == 6
-
-    def test_from_tree_deep_chain(self):
-        # 1500 nested X are far past the interpreter's recursion limit.
-        depth = 1500
-        tree = ("prop", "p")
-        for _ in range(depth):
-            tree = ("X", tree)
-        f = from_tree(tree)
-        assert f.size == depth + 1
-        assert f.to_text() == "(X " * depth + "p" + ")" * depth
-
     def test_deep_chain_prints_parses_and_converts(self):
         # 1500 nested X are far past the interpreter's recursion limit.
         from ltlfmine.dtree import Inner, Leaf, tree_to_formula
@@ -231,20 +218,15 @@ class TestSemantics:
         assert e.satisfies(tr) == 1
         assert g.satisfies((self.sym("p"), self.sym("p"))) == 1
 
-    def test_position_out_of_range(self):
-        f = parse_formula("p")
-        with pytest.raises(IndexError):
-            f.evaluate((self.sym("p"),), 1)
-
     def test_matches_naive_semantics_randomized(self):
         rng = random.Random(11)
         props = ("p", "q")
         for _ in range(300):
             f = random_formula(rng, props, depth=4)
             trace = random_trace(rng, props, max_len=6)
-            for pos in range(len(trace)):
-                assert f.evaluate(trace, pos) == int(
-                    naive_eval(f, f.root, trace, pos))
+            assert trace_bits(f, trace) == [
+                int(naive_eval(f, f.root, trace, pos))
+                for pos in range(len(trace))]
 
 
 @st.composite
@@ -277,8 +259,8 @@ traces = st.lists(st.frozensets(st.sampled_from(["p", "q"])),
 @settings(max_examples=300, deadline=None)
 @given(formulas_with_constants(), traces)
 def test_evaluate_matches_reference_at_every_position(f, trace):
-    for pos in range(len(trace)):
-        assert f.evaluate(trace, pos) == reference_evaluate(f, trace, pos)
+    assert trace_bits(f, trace) == [reference_evaluate(f, trace, pos)
+                                    for pos in range(len(trace))]
 
 
 @st.composite
@@ -302,9 +284,9 @@ def test_sample_signature_matches_evaluate_and_reference(f, sample):
     assert 0 <= signature <= sample.layout.full
     for (u, _), value, offset in zip(sample.entries, truth,
                                      sample.layout.offsets):
-        assert value == reference_evaluate(f, u, 0)
-        for pos in range(len(u)):
-            assert (signature >> (offset + pos)) & 1 == f.evaluate(u, pos)
+        assert value == reference_evaluate(f, u, 0) == f.satisfies(u)
+        assert [(signature >> (offset + pos)) & 1
+                for pos in range(len(u))] == trace_bits(f, u)
 
 
 def test_deep_formula_evaluates_without_recursion():
@@ -317,7 +299,7 @@ def test_deep_formula_evaluates_without_recursion():
     p = frozenset(["p"])
     assert f.satisfies((frozenset(),) * 1500 + (p,)) == 1
     assert f.satisfies((p,) * 1500) == 0
-    assert f.evaluate((frozenset(),) * 1501 + (p,), 1) == 1
+    assert trace_bits(f, (frozenset(),) * 1501 + (p,))[:2] == [0, 1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -333,18 +315,6 @@ def test_canonicalization_idempotent(f):
     assert again.nodes == f.nodes
 
 
-def nested_tuple(f: Formula) -> tuple:
-    """`f` as the nested-tuple tree `from_tree` reads."""
-    trees: list[tuple] = []
-    for node in f.nodes:
-        if node.op == PROP:
-            trees.append((PROP, node.name))
-        else:
-            trees.append((node.op, *(trees[c - 1] for c in
-                                     (node.left, node.right) if c)))
-    return trees[-1]
-
-
 @settings(max_examples=200, deadline=None)
 @given(formulas_with_constants())
 def test_rebuilding_with_add_and_from_tree_gives_equal_formula(f):
@@ -354,4 +324,3 @@ def test_rebuilding_with_add_and_from_tree_gives_equal_formula(f):
         ids.append(builder.add(node.label, *(ids[c - 1] for c in
                                              (node.left, node.right) if c)))
     assert builder.finish(ids[-1]) == f
-    assert from_tree(nested_tuple(f)) == f

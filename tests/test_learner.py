@@ -7,6 +7,7 @@ import pytest
 
 from ltlfmine import encoding, enumeration, learner, maxsat
 from ltlfmine.bench import GenSpec, generate_sample
+from ltlfmine.dtree import DtConfig
 from ltlfmine.encoding import EncodingInstance
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega)
@@ -369,6 +370,22 @@ class TestLearnMinimal:
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
             LearnConfig(kappa=Fraction(3, 2))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    @pytest.mark.parametrize("field", ["kappa", "dt_kappa", "min_score",
+                                       "weight"])
+    def test_non_finite_values_are_value_errors(self, field, value):
+        # Fraction(inf) raises OverflowError, not the ValueError that
+        # every other out-of-range value raises.
+        s = parse_sample("1\n---\n0\n")
+        u, v = s.traces()
+        build = {"kappa": lambda: LearnConfig(kappa=value),
+                 "dt_kappa": lambda: DtConfig(kappa=value),
+                 "min_score": lambda: DtConfig(min_score=value),
+                 "weight": lambda: resolve_omega(s, {u: value, v: 0.5})}
+        with pytest.raises(ValueError):
+            build[field]()
 
     @pytest.mark.parametrize("max_size", [2.5, 0])
     def test_max_size_must_be_a_positive_integer(self, max_size):

@@ -389,12 +389,6 @@ class TestExportBytes:
         assert text == reference_export(wcnf)
         assert "\n2  0\n" in text  # the empty clause, weight top = 2
 
-    def test_fixed_weight_scale(self):
-        wcnf = mixed_wcnf(random.Random(8), 10)
-        wcnf.add_soft([1], Fraction(1, 3))
-        wcnf.weight_scale = 3 * maxsat.scaled_soft(wcnf)[0]
-        assert export_text(wcnf) == reference_export(wcnf)
-
     def test_slice_boundaries(self, monkeypatch):
         rng = random.Random(13)
         for width in (1, 2, 7):

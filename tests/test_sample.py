@@ -220,29 +220,19 @@ class TestLossAndWeights:
         assert weighted_loss(s, f, omega) == Fraction(9, 10)
 
     def test_scaled_weights(self):
-        # The lcm of the denominators unless a scale is given, which must
-        # clear every weight.
+        # The scale is the lcm of the denominators, and each weight scales
+        # to the integer it stands for.
         weights = [Fraction(1, 4), Fraction(1, 6), Fraction(7, 12)]
         assert scaled_weights(weights) == (12, [3, 2, 7])
-        assert scaled_weights(weights, 24) == (24, [6, 4, 14])
         assert scaled_weights([]) == (1, [])
-        with pytest.raises(ValueError, match="does not clear"):
-            scaled_weights(weights, 6)
-        # Any multiple of the lcm scales each weight to the integer it
-        # stands for; a scale that misses one denominator is refused.
         rng = random.Random(12)
         for _ in range(200):
             weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 30))
                        for _ in range(rng.randint(1, 8))]
             lcm = math.lcm(*(w.denominator for w in weights))
-            assert scaled_weights(weights)[0] == lcm
-            for scale in (lcm, lcm * rng.randint(2, 5)):
-                assert scaled_weights(weights, scale)[0] == scale
-                assert [Fraction(w, scale) for w in
-                        scaled_weights(weights, scale)[1]] == weights
-            if lcm > 1:
-                with pytest.raises(ValueError, match="does not clear"):
-                    scaled_weights(weights, lcm * rng.randint(1, 5) + 1)
+            scale, scaled = scaled_weights(weights)
+            assert scale == lcm
+            assert [Fraction(w, scale) for w in scaled] == weights
 
 
 def test_make_sample_preserves_order():
