@@ -292,7 +292,8 @@ def cmd_export_wcnf(args) -> int:
                                 with_constants=args.with_constants,
                                 var_comments=args.var_comments)
     if args.import_model:
-        assignment = maxsat.import_model(args.import_model, instance.wcnf)
+        with open(args.import_model, "r", encoding="utf-8") as handle:
+            assignment = maxsat.import_model(handle.read(), instance.wcnf)
         formula = instance.decode_model(assignment)
         weight = maxsat.recompute_soft_weight(instance.wcnf, assignment)
         print(formula.to_text())

@@ -136,29 +136,42 @@ class Enumerator:
         search; the caller may change `deadlines` while a formula is
         yielded.
 
+        Sizes 1..n-1 must have been searched to the end of their levels,
+        and n not yet, else ValueError.  Unless n is LIMIT, each formula
+        tried is stored for size n+1, or counted in `self.pruned` when two
+        of its subformulas have one signature, and once the level is
+        exhausted it is the one size n+1 builds on.
+
         That a polarity gets no formula is exact only when no size below n
         has a formula within `bound` for it (module docstring): the
         formulas of size n built on formulas that were not stored are
         never tried."""
-        stored = self._open(n)
+        if sorted(self.levels) != list(range(1, n)):
+            raise ValueError(f"sizes below {n} must be enumerated in full, "
+                             f"and only once")
+        stored = [] if n < LIMIT else None  # the last level is not stored
         positives, first = self.positives, self.layout.first
         cap = bound // self.groups[0][0]  # groups ascend by weight
         waiting = list(polarities)
-        self.candidates = 0
+        self.candidates = self.pruned = 0
         for keys, sigs in self._chunks(n):
             check_deadline(deadlines[waiting[0]])
             counts = [((sig ^ positives) & first).bit_count() for sig in sigs]
             hits = sorted(filter(None, [self._first(counts, sigs, bound, cap, p)
                                         for p in waiting]))
+            # Count and store the chunk up to each hit before yielding it,
+            # then the rest while a polarity is open.
             done = 0
-            for j, p, value in hits:
-                self._take(keys[done:j + 1], sigs[done:j + 1], stored)
+            for j, p, value in [*hits, (len(keys) - 1, None, None)]:
+                self.candidates += j + 1 - done
+                if stored is not None:
+                    self._keep(keys[done:j + 1], sigs[done:j + 1], stored)
                 done = j + 1
-                waiting.remove(p)
-                yield p, keys[j], value
-            if not waiting:
-                return
-            self._take(keys[done:], sigs[done:], stored)
+                if p is not None:
+                    waiting.remove(p)
+                    yield p, keys[j], value
+                    if not waiting:
+                        return
             # Drop this chunk before `_chunks` builds the next one.
             del keys, sigs, counts, hits
         if stored is not None:
@@ -187,30 +200,6 @@ class Enumerator:
             if value <= bound:
                 return j, polarity, value
         return None
-
-    def level(self, n: int):
-        """(key, signature) of every formula of size n whose children are
-        stored, once each, in the order of `_chunks`.  Sizes 1..n-1 must
-        have been generated in full before; size n is stored for the next
-        one unless n is LIMIT, its formulas with two subformulas of one
-        signature left out and counted in `self.pruned`.  Each chunk is
-        stored before its first formula is yielded."""
-        stored = self._open(n)
-        for keys, sigs in self._chunks(n):
-            if stored is not None:
-                self._keep(keys, sigs, stored)
-            yield from zip(keys, sigs)
-        if stored is not None:
-            self.levels[n] = stored
-
-    def _open(self, n: int) -> Optional[list]:
-        """Start level n: the list its stored ids go to, or None when n is
-        LIMIT and nothing is stored."""
-        if sorted(self.levels) != list(range(1, n)):
-            raise ValueError(f"sizes below {n} must be enumerated in full, "
-                             f"and only once")
-        self.pruned = 0
-        return [] if n < LIMIT else None
 
     def _chunks(self, n: int):
         """(keys, signatures) of the formulas of size n whose children are
@@ -242,13 +231,6 @@ class Enumerator:
                 yield keys[i:i + every], values[i:i + every]
             # Drop these before the next pairs are built.
             del part, keys, values
-
-    def _take(self, keys: list, sigs: list, stored: Optional[list]) -> None:
-        """Count a run of formulas as tried and, unless `stored` is None,
-        store them in order through `_keep`."""
-        self.candidates += len(keys)
-        if stored is not None:
-            self._keep(keys, sigs, stored)
 
     def _keep(self, keys: list, sigs: list, stored: list) -> None:
         """Store a run of formulas in order, each new id into `stored`, or
@@ -320,7 +302,7 @@ class Enumerator:
                             yield g
 
     def build(self, key: tuple) -> Formula:
-        """The formula of a key from `level` or `search`."""
+        """The formula of a key, as `search` yields it."""
         builder = FormulaBuilder()
 
         def node(key) -> int:

@@ -228,17 +228,12 @@ def parse_wcnf(text: str) -> WeightedCnf:
     return WeightedCnf(nvars, hard, soft)
 
 
-def import_model(source, wcnf: WeightedCnf) -> dict:
-    """Parse a model file (space-separated signed ints, optionally on
+def import_model(text: str, wcnf: WeightedCnf) -> dict:
+    """Parse a model's text (space-separated signed ints, optionally on
     `v`-prefixed lines) and validate it against the hard clauses.
 
     Every literal's variable must lie in 1..nvars and no variable may be
     given both signs; variables the model leaves out are false."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
     assignment = {v: False for v in range(1, wcnf.nvars + 1)}
     given: set[int] = set()
     for line in text.splitlines():

@@ -53,13 +53,15 @@ def _check_alphabet(alphabet: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """Labeled traces over a fixed alphabet, each trace once."""
+    """Labeled traces over a fixed alphabet, at least one, each once."""
 
     alphabet: tuple[str, ...]
     entries: tuple[tuple[Trace, int], ...]
 
     def __post_init__(self):
         _check_alphabet(tuple(self.alphabet))
+        if not self.entries:
+            raise SampleError("sample contains no traces")
         labels: dict[Trace, int] = {}
         props = set(self.alphabet)
         for trace, label in self.entries:
@@ -203,8 +205,6 @@ def parse_sample(text: str) -> LabeledSample:
             alphabet = tuple(f"p{k}" for k in range(width))
         trace = parse_trace_row(line, alphabet, lineno)
         entries.append((trace, section))
-    if not entries:
-        raise SampleError("sample contains no traces")
     return make_sample(alphabet, entries)
 
 

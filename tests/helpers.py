@@ -1,7 +1,7 @@
 """Shared test oracles: exhaustive formula enumeration and brute-force
 weighted MaxSAT, both independent of the code under test's search logic,
-and a loader that puts a `WeightedCnf` in front of
-`maxsat.solve_decision`."""
+a loader that puts a `WeightedCnf` in front of `maxsat.solve_decision`,
+and a reader of one enumeration level through `Enumerator.search`."""
 
 from __future__ import annotations
 
@@ -211,6 +211,28 @@ def sat_decision(sample, omega, with_constants, kappa, n, encoded=None,
         sample, omega, with_constants,
         Enumerator(sample, omega, with_constants), kappa,
         [] if encoded is None else encoded, n, deadline, record)
+
+
+def read_level(enumerator, n):
+    """(key, signature) of every formula of size n, in `_chunks` order,
+    read by a search with bound -1 that records each chunk `_chunks`
+    hands it.  No scaled loss is at most -1, so the search passes over
+    every chunk and stores it whole, as any search does the chunks before
+    its first hit."""
+    streamed = []
+    chunks = type(enumerator)._chunks
+
+    def recorded(m):
+        for keys, sigs in chunks(enumerator, m):
+            streamed.extend(zip(keys, sigs))
+            yield keys, sigs
+
+    enumerator._chunks = recorded
+    try:
+        assert list(enumerator.search(n, -1, [None])) == []
+    finally:
+        del enumerator._chunks
+    return streamed
 
 
 def sat_minimal(sample, omega, kappa, max_size, with_constants=False):

@@ -279,7 +279,7 @@ def test_criterion_09_format_fidelity():
         assert external == direct
         lits = [v if external_model[v] else -v
                 for v in range(1, parsed.nvars + 1)]
-        model = import_model(io.StringIO("v " + " ".join(map(str, lits))),
+        model = import_model("v " + " ".join(map(str, lits)),
                              inst.wcnf)
         imported_f = inst.decode_model(model)
         direct_f = inst.decode_model(direct_model)

@@ -87,6 +87,14 @@ class TestLearn:
         assert code == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("command", ["learn", "learn-dt"])
+    def test_sample_without_traces_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.txt"
+        path.write_text("alphabet: p\n---\n")
+        code, out, err = run([command, str(path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "no traces" in err
+
+    @pytest.mark.parametrize("command", ["learn", "learn-dt"])
     @pytest.mark.parametrize("header", ["1a,q", "p q,r"])
     def test_unreadable_proposition_name_rejected(self, tmp_path, capsys,
                                                   command, header):
@@ -379,3 +387,10 @@ class TestExportWcnf:
              "--import-model", str(model_path)], capsys)
         assert code == cli.EXIT_USAGE
         assert "100000" in err and "outside" in err
+
+    def test_missing_model_file(self, sample_file, tmp_path, capsys):
+        code, _, err = run(
+            ["export-wcnf", sample_file, "2",
+             "--import-model", str(tmp_path / "absent.txt")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "error:" in err

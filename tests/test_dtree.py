@@ -19,8 +19,8 @@ from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
 from ltlfmine.formula import parse_formula
 from ltlfmine.enumeration import LIMIT
 from ltlfmine.learner import SIZE_CAP, SOLVED, LearnResult
-from ltlfmine.sample import (LabeledSample, make_sample, omega_uniform,
-                             parse_sample, weighted_loss)
+from ltlfmine.sample import (LabeledSample, SampleError, make_sample,
+                             omega_uniform, parse_sample, weighted_loss)
 from helpers import random_formula, random_sample, random_trace
 
 
@@ -85,7 +85,10 @@ class TestSplit:
         f = parse_formula("F q")
         assert weighted_loss(s, f, omega_uniform(s)) == Fraction(1, 2)
         assert score_r(s, f) == Fraction(1, 2)
-        assert [part.size for part in split(s, f)] == [0, 2]
+        assert s.truth(f) == [0, 0]
+        # Such a formula is no split: its satisfied part has no traces.
+        with pytest.raises(SampleError, match="no traces"):
+            split(s, f)
         assert tree_loss(s, Inner(f, Leaf(0), Leaf(1))) == Fraction(1, 2)
 
     def test_high_score_split_nonempty_both_sides(self):

@@ -11,7 +11,8 @@ from ltlfmine.learner import learn_minimal, resolve_omega
 from ltlfmine.sample import (invert_labels, omega_uniform, parse_sample,
                              weighted_loss)
 from helpers import (enumerate_formulas, random_sample, random_weights,
-                     reference_evaluate, reference_signatures, sat_decision)
+                     read_level, reference_evaluate, reference_signatures,
+                     sat_decision)
 
 PROPS = ("p0", "p1")
 # The node-table enumeration of the helpers takes about a minute at size 5
@@ -64,7 +65,7 @@ def test_levels_match_node_table_enumeration(reference, props, constants):
     traces = sample.traces()
     enumerator = Enumerator(sample, omega_uniform(sample), bool(constants))
     for n in range(1, BRUTE_FORCE_SIZE + 1):
-        got = [enumerator.build(key) for key, _ in enumerator.level(n)]
+        got = [enumerator.build(key) for key, _ in read_level(enumerator, n)]
         assert len(got) == len(set(got))
         assert all(f.size == n for f in got)
         streamed, stored = set(), set()
@@ -76,6 +77,7 @@ def test_levels_match_node_table_enumeration(reference, props, constants):
                 if distinct[f.root]:
                     stored.add(f)
         assert set(got) == streamed
+        assert enumerator.candidates == len(streamed)
         assert {enumerator.build(enumerator.keys[i])
                 for i in enumerator.levels[n]} == stored
         assert enumerator.pruned == len(streamed) - len(stored)
@@ -98,7 +100,7 @@ def test_signatures_hold_every_position():
         offsets = enumerator.layout.offsets
         # sizes 1-3 apply every operator to leaves and to composite formulas
         for n in range(1, 4):
-            for key, sig in enumerator.level(n):
+            for key, sig in read_level(enumerator, n):
                 f = enumerator.build(key)
                 assert sig <= enumerator.layout.full
                 for t, u in enumerate(traces):
@@ -116,7 +118,7 @@ def test_scaled_loss_is_weighted_loss(weights):
                               if weights == "explicit" else weights)
         enumerator = Enumerator(sample, omega)
         for n in range(1, 4):
-            for key, sig in enumerator.level(n):
+            for key, sig in read_level(enumerator, n):
                 assert Fraction(enumerator.loss(sig), enumerator.denominator) \
                     == weighted_loss(sample, enumerator.build(key), omega)
 
@@ -241,8 +243,7 @@ def test_store_prunes_each_formula_on_its_own(order):
         sample = random_sample(rng, PROPS, 8, 5, require_both_classes=True)
         enumerator = Enumerator(sample, omega_uniform(sample))
         for n in range(1, 4):
-            for _ in enumerator.level(n):
-                pass
+            read_level(enumerator, n)
         subs, sigs = enumerator.subs, enumerator.sigs
         formulas = [item for keys, values in enumerator._chunks(4)
                     for item in zip(keys, values)]
@@ -255,7 +256,7 @@ def test_store_prunes_each_formula_on_its_own(order):
             sub = frozenset().union(*(subs[c] for c in key[1:]))
             if len({sig, *(sigs[i] for i in sub)}) == len(sub) + 1:
                 expected.append(key)
-        enumerator._open(4)
+        enumerator.pruned = 0
         stored = []
         enumerator._keep([key for key, _ in formulas],
                          [sig for _, sig in formulas], stored)
@@ -264,13 +265,13 @@ def test_store_prunes_each_formula_on_its_own(order):
 
 
 def one_at_a_time(enumerator, n, bound):
-    """The reference search: the formulas of level n in `level` order,
+    """The reference search: the formulas of level n in `_chunks` order,
     `loss` for each in turn.  The first one within `bound` and its scaled
     loss, or None, then the formulas tried and pruned up to it.  Also
     checks, for every formula, the prefilter's bound w_min * count <=
     loss."""
     w_min = min(enumerator.weights)
-    formulas = list(enumerator.level(n))
+    formulas = read_level(enumerator, n)
     losses = [enumerator.loss(sig) for _, sig in formulas]
     for (_, sig), value in zip(formulas, losses):
         wrong = (sig ^ enumerator.positives) & enumerator.layout.first
@@ -363,15 +364,20 @@ def test_both_polarities_match_one_at_a_time(monkeypatch, chunk, constants,
 
 def test_chunks_are_level_order_cut_at_check_every(monkeypatch):
     # Level 1 (four leaves) and each unary operator's chunks are cut too.
-    monkeypatch.setattr(enumeration, "CHECK_EVERY", 3)
+    # Cut into chunks of 3, a level is the one a second enumerator reads
+    # with chunks larger than the level.
     sample = random_sample(random.Random(10), PROPS, 5, 4)
     enumerator = Enumerator(sample, omega_uniform(sample), True)
+    uncut = Enumerator(sample, omega_uniform(sample), True)
     for n in range(1, 4):
+        monkeypatch.setattr(enumeration, "CHECK_EVERY", 3)
         chunks = list(enumerator._chunks(n))
         assert all(1 <= len(keys) == len(sigs) <= 3 for keys, sigs in chunks)
         streamed = [(key, sig) for keys, sigs in chunks
                     for key, sig in zip(keys, sigs)]
-        assert streamed == list(enumerator.level(n))
+        read_level(enumerator, n)
+        monkeypatch.setattr(enumeration, "CHECK_EVERY", len(streamed) + 1)
+        assert read_level(uncut, n) == streamed
         if n > 1:
             # each unary operator starts a chunk of its own
             starts = [keys[0][0] for keys, _ in chunks]
@@ -407,8 +413,8 @@ def test_levels_must_be_generated_in_order_and_once():
     sample = random_sample(random.Random(6), PROPS, 4, 3)
     enumerator = Enumerator(sample, omega_uniform(sample))
     with pytest.raises(ValueError):
-        next(enumerator.level(2))
-    list(enumerator.level(1))
+        read_level(enumerator, 2)
+    read_level(enumerator, 1)
     with pytest.raises(ValueError):
-        next(enumerator.level(1))
-    assert len(list(enumerator.level(2))) == 16
+        read_level(enumerator, 1)
+    assert len(read_level(enumerator, 2)) == 16

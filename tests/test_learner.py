@@ -16,7 +16,8 @@ from ltlfmine.sample import (invert_labels, omega_rebalanced,
 from ltlfmine.sat import SolveTimeout
 from ltlfmine.sat import SatSolver
 from helpers import (brute_minimal_size, decide, enumerate_formulas,
-                     random_sample, random_weights, sat_decision, sat_minimal)
+                     random_sample, random_weights, read_level, sat_decision,
+                     sat_minimal)
 
 
 class TestLearnMinimal:
@@ -174,8 +175,8 @@ class TestLearnMinimal:
         sample = universality2_sample()
         full = enumeration.Enumerator(sample, omega_uniform(sample))
         for n in range(1, 5):
-            list(full.level(n))
-        level_five = sum(1 for _ in full.level(5))
+            read_level(full, n)
+        level_five = len(read_level(full, 5))
         self.late_after_first_chunk(monkeypatch, 5)
         r = learn_minimal(sample, LearnConfig(timeout=60))
         assert r.status == TIMED_OUT

@@ -232,38 +232,38 @@ class TestWcnfFormat:
 
     def test_import_model_v_lines(self):
         wcnf = self.build()
-        model = import_model(io.StringIO("s OPTIMUM FOUND\nv 1 2 -3 0\n"), wcnf)
+        model = import_model("s OPTIMUM FOUND\nv 1 2 -3 0\n", wcnf)
         assert model == {1: True, 2: True, 3: False}
 
     def test_import_model_bare_ints(self):
         wcnf = self.build()
-        model = import_model(io.StringIO("1 -2 3"), wcnf)
+        model = import_model("1 -2 3", wcnf)
         assert model[1] and not model[2] and model[3]
 
     def test_import_model_rejects_hard_violation(self):
         wcnf = self.build()
         with pytest.raises(ValueError, match="hard"):
-            import_model(io.StringIO("v -1 2 -3 0"), wcnf)
+            import_model("v -1 2 -3 0", wcnf)
 
     def test_import_model_rejects_empty(self):
         with pytest.raises(ValueError, match="no literals"):
-            import_model(io.StringIO("c nothing\n"), self.build())
+            import_model("c nothing\n", self.build())
 
     def test_import_model_rejects_unknown_variable(self):
         with pytest.raises(ValueError, match="outside"):
-            import_model(io.StringIO("v 1 -2 7 0"), WeightedCnf(2))
+            import_model("v 1 -2 7 0", WeightedCnf(2))
 
     def test_import_model_rejects_both_signs(self):
         with pytest.raises(ValueError, match="both signs"):
-            import_model(io.StringIO("1 -1 2"), WeightedCnf(2))
+            import_model("1 -1 2", WeightedCnf(2))
 
     def test_import_model_rejects_bit_string(self):
         # MaxSAT-Evaluation-style "v 0110" is not a list of literals.
         with pytest.raises(ValueError, match="outside"):
-            import_model(io.StringIO("v 0110\n"), WeightedCnf(4))
+            import_model("v 0110\n", WeightedCnf(4))
 
     def test_import_model_accepts_repeated_literal(self):
-        model = import_model(io.StringIO("v 1 1 -2 0"), WeightedCnf(2))
+        model = import_model("v 1 1 -2 0", WeightedCnf(2))
         assert model == {1: True, 2: False}
 
     def test_parse_rejects_short_p_line(self):

@@ -82,6 +82,16 @@ class TestValidation:
         with pytest.raises(SampleError, match="empty"):
             LabeledSample(("p",), (((), 1),))
 
+    @pytest.mark.parametrize("build", [
+        lambda: LabeledSample(("p",), ()),
+        lambda: make_sample(("p",), []),
+    ], ids=["LabeledSample", "make_sample"])
+    def test_sample_without_traces_rejected(self, build):
+        # Uniform weights divide by the number of traces, so a sample
+        # without one would fail later with ZeroDivisionError.
+        with pytest.raises(SampleError, match="no traces"):
+            build()
+
     def test_unknown_proposition_rejected(self):
         with pytest.raises(SampleError, match="not in alphabet"):
             LabeledSample(("p",), (((sym("q"),), 1),))
