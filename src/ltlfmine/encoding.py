@@ -35,7 +35,9 @@ after a totalizer over the root literals gets variables of its own.
 The learner's sink is a `SatSolver`, the only copy of the clauses, to
 which it adds traces in batches; `EncodingInstance` fills a
 `WeightedCnf` with every trace and the soft clauses, for WCNF export.
-From a fresh sink both number variables and order clauses alike.
+Every encoder literal comes from `new_var`, so its sink appends to the
+hard clauses without `WeightedCnf.add_clause`'s literal check.  From a
+fresh sink both number variables and order clauses alike.
 
 The clause tuples share their literal objects: per trace, each node's
 valuation literals and their negations, each inner node's L and R
@@ -50,6 +52,7 @@ bytes per hard clause instead of about 90 (tracemalloc, CPython
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import formula as F
 from .formula import Formula, FormulaBuilder
@@ -319,7 +322,8 @@ class EncodingInstance(Encoding):
     def __init__(self, n: int, sample: LabeledSample, omega: WeightFn,
                  with_constants: bool = False, var_comments: bool = False):
         self.wcnf = WeightedCnf(0)
-        super().__init__(n, sample, with_constants, self.wcnf)
+        super().__init__(n, sample, with_constants, SimpleNamespace(
+            new_var=self.wcnf.new_var, add_clause=self.wcnf.hard.append))
         self.add_traces(range(len(self.traces)))
         if var_comments:
             self.wcnf.comments.extend(

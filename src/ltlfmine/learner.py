@@ -27,22 +27,22 @@ budget B = floor(kappa * D).  Each size has one decision path:
     whose root literals are the assumptions.  INFEASIBLE means no size-n
     formula classifies T correctly, so none classifies the whole sample
     correctly either: the size is infeasible, and T carries over to
-    n + 1.  A model decodes to a formula that is checked on the whole
-    sample with the exact loss; loss <= kappa ends the search, and
-    otherwise the first misclassified trace joins T and the same solver
-    decides again.  Clauses are only ever added, so its learned clauses
-    stay valid.  Each round adds a trace, so a size takes at most
-    |S| + 1 rounds.
+    n + 1.  A model decodes to a formula whose misclassified traces are
+    read once on the whole sample; none ends the search, and otherwise
+    the first of them joins T and the same solver decides again.
+    Clauses are only ever added, so its learned clauses stay valid.
+    Each round adds a trace, so a size takes at most |S| + 1 rounds.
 
 Both paths search formulas over the sample's propositions and the
 operators ! X F G | & -> U, with `true` and `false` as further leaves
-when `with_constants` is set.  Every path recomputes the exact weighted
-loss of the formula it accepts from `sample.truth`, which does not read
-the enumerator's signatures.  The enumerated one sums the integer
-weights w_t of the traces it misclassifies, compares that sum with the
-enumerator's scaled loss and checks the formula's size; the loss becomes
-a `Fraction` once, for the result.  The SAT path recomputes it with
-`weighted_loss`.
+when `with_constants` is set.  Either path hands the formula it accepts
+and its scaled loss to one re-check (`_recheck`): the enumerator's loss,
+the unsatisfied soft weight when every trace is counted, or 0 with T.
+The formula's size must be n; the weights w_t of the traces it
+misclassifies on the sample, read from `sample.truth` and not from the
+enumerator's signatures, must sum to that loss in integers (D minus
+them for the label inversion); and the loss must be at most B.  It
+becomes a `Fraction` there, once, for the result.
 
 A decision-tree split needs the smallest formula of the sample and that
 of its label inversion (`learn_minimal(..., inverse=True)`).  The
@@ -63,8 +63,8 @@ from .encoding import Encoding
 from .enumeration import LIMIT, Enumerator
 from .formula import Formula
 from .sample import (LabeledSample, WeightFn, _check_domain, exact,
-                     invert_labels, omega_rebalanced, omega_uniform,
-                     weighted_loss)
+                     invert_labels, omega_rebalanced, omega_uniform)
+from .sample import weighted_loss  # noqa: F401  perfbench/tracing.py wraps it
 from .sat import SatSolver, SolveTimeout, check_deadline
 
 SOLVED = "solved"
@@ -120,16 +120,14 @@ def resolve_omega(sample: LabeledSample, weights) -> WeightFn:
     return weights
 
 
-def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
-                n, deadline, record):
-    """SAT decisions on one size-n solver, with the trace weights scaled
-    by `enumerator`: every trace counted when the loss budget allows a
+def _decide_sat(sample, with_constants, weights, bound, encoded, n,
+                deadline, record):
+    """SAT decisions on one size-n solver over the scaled trace `weights`:
+    every trace counted when the loss budget `bound` allows a
     misclassified trace, else the traces of `encoded` (T) assumed
     correctly classified, with T grown by counterexamples and carried
-    over to the next size.  A formula with weighted loss <= kappa and its
-    loss, or None."""
-    bound = enumerator.bound(kappa)
-    weights = enumerator.weights
+    over to the next size.  A formula and its scaled loss, for `_recheck`,
+    or None."""
     solver = SatSolver()
     instance = Encoding(n, sample, with_constants, solver)
     if bound >= min(weights):
@@ -141,7 +139,6 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
             instance.add_traces([t])
         softs, target = [], 0
     roots = [instance.root_literal(t) for t in encoded]
-    entries = sample.entries
     while True:
         record["traces_encoded"] = sample.size if softs else len(encoded)
         check_deadline(deadline)
@@ -155,53 +152,49 @@ def _decide_sat(sample, omega, with_constants, enumerator, kappa, encoded,
             record["status"] = result.status
             return None
         formula = instance.decode_model(result.assignment)
-        truth = sample.truth(formula)
-        if any(truth[t] != entries[t][1] for t in encoded):
+        wrong = _misclassified(sample, formula)
+        if not set(encoded).isdisjoint(wrong):
             raise RuntimeError("decoded formula misclassifies an encoded "
                                "trace; this indicates an encoder bug")
-        achieved = weighted_loss(sample, formula, omega)
-        if softs:
-            # Every trace is counted: the loss is the unsatisfied weight.
-            unsatisfied = Fraction(sum(weights) - result.weight,
-                                   enumerator.denominator)
-            if achieved != unsatisfied or achieved > kappa:
-                raise RuntimeError(f"decoded loss {achieved}, unsatisfied "
-                                   f"soft weight {unsatisfied}, not equal "
-                                   f"and within {kappa}")
-        if achieved <= kappa:
+        if softs or not wrong:
             record["status"] = maxsat.FEASIBLE
-            return formula, achieved
-        # Every trace outweighs the budget, so some trace outside T is
-        # misclassified.
-        t = next(t for t, ((_, b), value) in enumerate(zip(entries, truth))
-                 if value != b)
+            # Counted, the loss is the unsatisfied weight; with T, none.
+            return formula, (sum(weights) - result.weight if softs else 0)
+        # Every trace outweighs the budget, so a misclassified one, which
+        # lies outside T, rules the formula out: the first joins T.
+        t = wrong[0]
         encoded.append(t)
         instance.add_traces([t])
         roots.append(instance.root_literal(t))
 
 
-def _check_enumerated(sample, enumerator, kappa, n, key, scaled, inverted):
-    """The formula of an enumerated key and its loss, on the label
-    inversion of `sample` if `inverted`, checked against the enumerator's
-    scaled loss: the scaled weights of the traces that `sample.truth`
-    misclassifies, summed in integers."""
-    formula = enumerator.build(key)
-    denominator = enumerator.denominator
-    recomputed = sum(w for w, value, (_, b) in zip(enumerator.weights,
-                                                    sample.truth(formula),
-                                                    sample.entries)
-                     if value != b)
+def _misclassified(sample, formula) -> list[int]:
+    """The traces of `sample` that `formula` misclassifies, by index."""
+    truth = sample.truth(formula)
+    return [t for t, (_, b) in enumerate(sample.entries) if truth[t] != b]
+
+
+def _recheck(sample, weights, bound, record, formula, scaled, inverted):
+    """The loss of `formula`, accepted by `record`'s decision with scaled
+    loss `scaled` on `sample` (its label inversion if `inverted`), once
+    checked as the module docstring says."""
+    denominator = sum(weights)  # omega sums to 1, its scaled weights to D
+    recomputed = sum(weights[t] for t in _misclassified(sample, formula))
     if inverted:
-        # The scaled weights sum to D: a trace misclassified on one sample
-        # is classified correctly on the other.
+        # A trace misclassified on one sample is classified correctly on
+        # the other.
         recomputed = denominator - recomputed
-    achieved = Fraction(scaled, denominator)
-    if formula.size != n or recomputed != scaled or achieved > kappa:
+    n, decision = record["size"], record["decision"]
+    if formula.size != n or recomputed != scaled or scaled > bound:
+        culprit = ("enumerator" if decision == "enumerated"
+                   else "encoder or solver")
         raise RuntimeError(
-            f"enumerated formula {formula.to_text()} of size {formula.size} "
-            f"has loss {Fraction(recomputed, denominator)}, not {achieved} "
-            f"at size {n} within {kappa}; this indicates an enumerator bug")
-    return formula, achieved
+            f"{decision} formula {formula.to_text()} of size {formula.size} "
+            f"has loss {Fraction(recomputed, denominator)}, not "
+            f"{Fraction(scaled, denominator)} at size {n} within "
+            f"{Fraction(bound, denominator)}; this indicates an {culprit} "
+            "bug")
+    return Fraction(scaled, denominator)
 
 
 def _new_record(result: LearnResult, n: int, decision: str) -> dict:
@@ -243,17 +236,18 @@ def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
     from the moment polarity 0 is solved."""
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
-    kappa = config.kappa
     enumerator = Enumerator(sample, omega, config.with_constants)
-    bound = enumerator.bound(kappa)
+    weights, bound = enumerator.weights, enumerator.bound(config.kappa)
     results = [LearnResult(SIZE_CAP) for _ in range(1 + inverse)]
     deadlines = [_deadline(config.timeout), None]
     waiting = list(range(len(results)))  # polarities without a formula
 
-    def solved(p, formula, achieved):
+    def solved(p, record, formula, scaled):
         result = results[p]
         result.status, result.formula = SOLVED, formula
-        result.size, result.achieved_loss = formula.size, achieved
+        result.size = formula.size
+        result.achieved_loss = _recheck(sample, weights, bound, record,
+                                        formula, scaled, p)
         waiting.remove(p)
         if p == 0:
             deadlines[1] = _deadline(config.timeout)
@@ -272,13 +266,9 @@ def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
                     record = records.pop(p)
                     record["candidates"] = enumerator.candidates
                     record["pruned"] = enumerator.pruned
-                    try:
-                        found = _check_enumerated(sample, enumerator, kappa,
-                                                  n, key, scaled, p)
-                        record["status"] = maxsat.FEASIBLE
-                    finally:
-                        _close(record, started)
-                    solved(p, *found)
+                    record["status"] = maxsat.FEASIBLE
+                    _close(record, started)
+                    solved(p, record, enumerator.build(key), scaled)
                 for record in records.values():
                     record["status"] = maxsat.INFEASIBLE
             finally:
@@ -294,13 +284,13 @@ def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
                 started = time.monotonic()
                 record = _new_record(results[p], n, "sat")
                 try:
-                    found = _decide_sat(labeled, omega, config.with_constants,
-                                        enumerator, kappa, encoded, n,
+                    found = _decide_sat(labeled, config.with_constants,
+                                        weights, bound, encoded, n,
                                         deadlines[p], record)
                 finally:
                     _close(record, started)
                 if found is not None:
-                    solved(p, *found)
+                    solved(p, record, *found)
                     break
             if p in waiting:  # the size cap
                 break

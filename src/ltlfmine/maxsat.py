@@ -46,7 +46,8 @@ class WeightedCnf:
 
     A clause sink (see `cnf`): `new_var` raises `nvars` by one and
     returns it, and `add_clause` stores a hard clause as a tuple of ints,
-    as `parse_wcnf` does."""
+    as `parse_wcnf` does; it and `add_soft` reject a literal outside
+    1..nvars, as `SatSolver` does, so the export reads back."""
 
     nvars: int
     hard: list = field(default_factory=list)              # list[tuple[int, ...]]
@@ -54,7 +55,7 @@ class WeightedCnf:
     comments: list = field(default_factory=list)          # extra "c" lines for export
 
     def add_clause(self, clause: Sequence[int]) -> None:
-        self.hard.append(tuple(clause))
+        self.hard.append(self._checked(tuple(clause)))
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -63,7 +64,14 @@ class WeightedCnf:
     def add_soft(self, clause: Sequence[int], weight: Fraction) -> None:
         if weight <= 0:
             raise ValueError("soft weights must be positive")
-        self.soft.append((list(clause), Fraction(weight)))
+        self.soft.append((self._checked(list(clause)), Fraction(weight)))
+
+    def _checked(self, clause):
+        for lit in clause:
+            if not 0 < abs(lit) <= self.nvars:
+                raise ValueError(f"literal {lit} outside variables "
+                                 f"1..{self.nvars}")
+        return clause
 
 
 @dataclass
@@ -184,9 +192,8 @@ def parse_wcnf(text: str) -> WeightedCnf:
     must be the p-line's."""
     denom = 1
     top = None
-    nvars = nclauses = 0
-    hard: list[tuple[int, ...]] = []
-    soft: list[tuple[list[int], Fraction]] = []
+    nclauses = 0
+    wcnf = WeightedCnf(0)
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -205,7 +212,7 @@ def parse_wcnf(text: str) -> WeightedCnf:
             if len(parts) != 5 or not all(x.isdigit() for x in parts[2:]):
                 raise ValueError(f"malformed p-line {line!r}: expected "
                                  "'p wcnf <nvars> <nclauses> <top>'")
-            nvars, nclauses, top = map(int, parts[2:])
+            wcnf.nvars, nclauses, top = map(int, parts[2:])
             continue
         parts = [int(x) for x in line.split()]
         if parts[-1] != 0:
@@ -213,19 +220,17 @@ def parse_wcnf(text: str) -> WeightedCnf:
         weight, clause = parts[0], parts[1:-1]
         if top is None:
             raise ValueError("clause before p-line")
-        bad = [lit for lit in clause if not 1 <= abs(lit) <= nvars]
-        if bad:
-            raise ValueError(f"literal {bad[0]} outside variables 1..{nvars}")
         if weight >= top:
-            hard.append(tuple(clause))
+            wcnf.add_clause(clause)
         elif weight > 0:
-            soft.append((clause, Fraction(weight, denom)))
+            wcnf.add_soft(clause, Fraction(weight, denom))
         else:
             raise ValueError(f"soft weight {weight} is not positive")
-    if len(hard) + len(soft) != nclauses:
-        raise ValueError(f"{len(hard) + len(soft)} clauses, but the p-line "
-                         f"declares {nclauses}")
-    return WeightedCnf(nvars, hard, soft)
+    count = len(wcnf.hard) + len(wcnf.soft)
+    if count != nclauses:
+        raise ValueError(f"{count} clauses, but the p-line declares "
+                         f"{nclauses}")
+    return wcnf
 
 
 def import_model(text: str, wcnf: WeightedCnf) -> dict:

@@ -19,7 +19,8 @@ from ltlfmine.maxsat import (FEASIBLE, HARD_UNSAT, INFEASIBLE, WeightedCnf,
                              check_hard, clause_satisfied,
                              recompute_soft_weight)
 from ltlfmine.sat import SatSolver
-from ltlfmine.sample import LabeledSample, Trace, make_sample
+from ltlfmine.sample import (LabeledSample, Trace, make_sample,
+                             scaled_weights)
 
 
 @functools.cache
@@ -199,18 +200,28 @@ def find_optimum(wcnf: WeightedCnf):
 def sat_decision(sample, omega, with_constants, kappa, n, encoded=None,
                  deadline=None, record=None):
     """The learner's SAT-side decision of size n, `_decide_sat`, called
-    directly, with T the trace subset `encoded`.  A formula and its loss,
-    or None."""
+    directly, with T the trace subset `encoded`, and the learner's
+    re-check of the formula it finds, at that formula's own size: a
+    decision above the smallest feasible size may decode a smaller
+    formula, which `learn_minimal` never asks for.  A formula and its
+    loss, or None."""
     from ltlfmine import learner
-    from ltlfmine.enumeration import Enumerator
 
+    denominator, weights = scaled_weights([omega[u] for u in sample.traces()])
+    bound = math.floor(kappa * denominator)
     record = {} if record is None else record
-    record.setdefault("traces_encoded", 0)
-    record.setdefault("rounds", 0)
-    return learner._decide_sat(
-        sample, omega, with_constants,
-        Enumerator(sample, omega, with_constants), kappa,
+    for key, value in (("decision", "sat"), ("traces_encoded", 0),
+                       ("rounds", 0)):
+        record.setdefault(key, value)
+    found = learner._decide_sat(
+        sample, with_constants, weights, bound,
         [] if encoded is None else encoded, n, deadline, record)
+    if found is None:
+        return None
+    formula, scaled = found
+    return formula, learner._recheck(sample, weights, bound,
+                                     dict(record, size=formula.size),
+                                     formula, scaled, False)
 
 
 def read_level(enumerator, n):

@@ -9,6 +9,7 @@ from ltlfmine import encoding, enumeration, learner, maxsat
 from ltlfmine.bench import GenSpec, generate_sample
 from ltlfmine.dtree import DtConfig
 from ltlfmine.encoding import EncodingInstance
+from ltlfmine.formula import parse_formula
 from ltlfmine.learner import (LearnConfig, SIZE_CAP, SOLVED, TIMED_OUT,
                               learn_minimal, resolve_omega)
 from ltlfmine.sample import (invert_labels, omega_rebalanced,
@@ -93,23 +94,23 @@ class TestLearnMinimal:
 
     def test_timeout_between_counterexample_rounds(self, monkeypatch):
         # The first candidate at size 1 misclassifies a trace outside T;
-        # the clock jumps past the deadline while it is being checked, so
-        # the decision must stop before it solves again.  Sizes up to
-        # enumeration.LIMIT never reach SAT in learn_minimal, so this and
-        # the next test call the SAT decisions directly.
+        # the clock jumps past the deadline while its misclassified traces
+        # are read, so the decision must stop before it solves again.
+        # Sizes up to enumeration.LIMIT never reach SAT in learn_minimal,
+        # so this and the next test call the SAT decisions directly.
         s = parse_sample("0,0;0,1\n0,1;0,0\n---\n0,0\n0,0;0,0\n")
         deadline = time.monotonic() + 60
         real_clock = time.monotonic
         offset = [0.0]
-        real_loss = learner.weighted_loss
+        real_read = learner._misclassified
 
-        def late_loss(*args):
+        def late_read(*args):
             offset[0] = 3600.0
-            return real_loss(*args)
+            return real_read(*args)
 
         monkeypatch.setattr(time, "monotonic",
                             lambda: real_clock() + offset[0])
-        monkeypatch.setattr(learner, "weighted_loss", late_loss)
+        monkeypatch.setattr(learner, "_misclassified", late_read)
         record = {"size": 1, "status": "timeout"}
         with pytest.raises(SolveTimeout):
             sat_decision(s, omega_uniform(s), False, Fraction(0), 1,
@@ -510,12 +511,12 @@ class TestInverse:
         s = parse_sample("1\n---\n0\n")
         real_clock = time.monotonic
         offset = [0.0]
-        real_loss = learner.weighted_loss
+        real_read = learner._misclassified
         real_chunks = enumeration.Enumerator._chunks
 
-        def late_loss(*args):
+        def late_read(*args):
             offset[0] += 50.0
-            return real_loss(*args)
+            return real_read(*args)
 
         def late_chunks(self, n):
             if n == 2:
@@ -524,7 +525,7 @@ class TestInverse:
 
         monkeypatch.setattr(time, "monotonic",
                             lambda: real_clock() + offset[0])
-        monkeypatch.setattr(learner, "weighted_loss", late_loss)
+        monkeypatch.setattr(learner, "_misclassified", late_read)
         monkeypatch.setattr(enumeration.Enumerator, "_chunks", late_chunks)
         r = learn_minimal(s, LearnConfig(timeout=60), inverse=True)
         assert (r.status, r.formula.to_text()) == (SOLVED, "p0")
@@ -577,6 +578,76 @@ class TestInverse:
         with pytest.raises(RuntimeError, match=f"has loss 1/2, not {claimed} "
                            ".*enumerator bug"):
             learn_minimal(s, config, inverse=True)
+
+
+class TestSatGuards:
+    """Each check on a SAT-found formula raises `RuntimeError` when the
+    solver, the decoder or the loss reader is wrong."""
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_counted_weight_off_by_one(self, monkeypatch, delta):
+        # At kappa 1/2 two of the four traces may be misclassified, so
+        # every trace is counted and the decision reports the satisfied
+        # weight, which must match the formula's own loss.
+        s = parse_sample("1,0;1,1\n0,1\n---\n0,0\n1,0\n")
+        solve = maxsat.solve_decision
+
+        def off_by_one(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            if result.status == maxsat.FEASIBLE:
+                result.weight += delta
+            return result
+
+        assert sat_decision(s, omega_uniform(s), False, Fraction(1, 2), 1) \
+            is not None
+        monkeypatch.setattr(maxsat, "solve_decision", off_by_one)
+        with pytest.raises(RuntimeError, match="loss"):
+            sat_decision(s, omega_uniform(s), False, Fraction(1, 2), 1)
+
+    def test_decoded_formula_misclassifies_an_encoded_trace(self,
+                                                            monkeypatch):
+        # T holds the positive trace; a decoder that returns (! p0)
+        # misclassifies it.
+        s = parse_sample("1\n---\n0\n")
+        monkeypatch.setattr(encoding.Encoding, "decode_model",
+                            lambda self, assignment: parse_formula("(! p0)"))
+        with pytest.raises(RuntimeError, match="misclassifies an encoded "
+                                               "trace"):
+            sat_decision(s, omega_uniform(s), False, Fraction(0), 1, [0])
+
+    def test_hard_unsat_is_an_encoder_bug(self, monkeypatch):
+        s = parse_sample("1\n---\n0\n")
+        monkeypatch.setattr(
+            maxsat, "solve_decision",
+            lambda *args, **kwargs: maxsat.MaxSatSolution(maxsat.HARD_UNSAT))
+        for kappa in (Fraction(0), Fraction(1, 2)):
+            with pytest.raises(RuntimeError, match="hard constraints "
+                                                   "unsatisfiable"):
+                sat_decision(s, omega_uniform(s), False, kappa, 1)
+
+    def test_wrong_loss_of_an_inverted_formula(self, monkeypatch):
+        # Every size is a SAT decision (LIMIT 0), and kappa 1/4 counts
+        # every trace.  Once the inverted sample is built, the sample's
+        # evaluation reads trace 0 wrong, so the loss of the formula SAT
+        # finds for the inversion disagrees with the solver's.
+        s = parse_sample("1,0;1,1\n0,1\n---\n0,0\n1,0\n")
+        config = LearnConfig(kappa=Fraction(1, 4))
+        monkeypatch.setattr(learner, "LIMIT", 0)
+        r = learn_minimal(s, config, inverse=True)
+        assert (r.status, r.inverse.status) == (SOLVED, SOLVED)
+        armed = []
+        monkeypatch.setattr(learner, "invert_labels",
+                            lambda s: armed.append(s) or invert_labels(s))
+        truth = type(s).truth
+
+        def misread(self, formula):
+            values = truth(self, formula)
+            return [1 - values[0]] + values[1:] if armed else values
+
+        monkeypatch.setattr(type(s), "truth", misread)
+        with pytest.raises(RuntimeError, match="loss"):
+            learn_minimal(s, config, inverse=True)
+        assert len(armed) == 1
 
 
 class TestExactPath:

@@ -325,6 +325,29 @@ class TestWcnfFormat:
         assert wcnf.hard[0] is clause
         assert all(type(c) is tuple for c in wcnf.hard)
 
+    def test_hard_literal_beyond_nvars_rejected(self):
+        # Stored, literal 5 was exported as "p wcnf 1 2 2 / 2 5 0 / 1 1 0",
+        # a file parse_wcnf rejects; the sink rejects it as SatSolver does,
+        # stores nothing, and what it holds reads back.
+        wcnf = WeightedCnf(1)
+        with pytest.raises(ValueError, match="literal 5 outside variables "
+                                             r"1\.\.1"):
+            wcnf.add_clause([5])
+        for clause in ([1, -2], [0]):
+            with pytest.raises(ValueError, match="outside variables"):
+                wcnf.add_clause(clause)
+        wcnf.add_soft([1], Fraction(1))
+        assert wcnf.hard == []
+        assert parse_wcnf(export_text(wcnf)).soft == [([1], Fraction(1))]
+
+    @pytest.mark.parametrize("lit", [2, -2, 0])
+    def test_soft_literal_beyond_nvars_rejected(self, lit):
+        wcnf = WeightedCnf(1)
+        with pytest.raises(ValueError, match=f"literal {lit} outside "
+                                             r"variables 1\.\.1"):
+            wcnf.add_soft([1, lit], Fraction(1))
+        assert wcnf.soft == []
+
 
 def reference_export(wcnf):
     """One line per clause, built clause by clause: the format
