@@ -4,7 +4,7 @@ For a target DAG size n and a labeled sample, the instance contains:
 
 * structural hard clauses fixing one label per node, from the sample's
   propositions, `true` and `false` when constants are asked for
-  (`leaf_labels`), and the operators ! X F G | & -> U, and one
+  (`formula.leaf_labels`), and the operators ! X F G | & -> U, and one
   left/right child (with smaller id) per non-leaf node;
 * channel clauses: per trace t, node i >= 2 and position tau, the
   variables L(t,i,tau) and R(t,i,tau) equal the valuation of the chosen
@@ -55,23 +55,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import formula as F
-from .formula import Formula, FormulaBuilder
+from .formula import Formula, FormulaBuilder, leaf_labels
 from .maxsat import WeightedCnf
 from .sample import LabeledSample, Trace, WeightFn, _check_domain
 
 
 class EncodingError(RuntimeError):
     """A model violates the encoder's exactly-one invariants."""
-
-
-def leaf_labels(alphabet, with_constants: bool) -> tuple[str, ...]:
-    """The nullary labels of the search: the propositions of `alphabet`,
-    then `true` and `false` if `with_constants`.  The operators are
-    always `F.UNARY_OPS` and `F.BINARY_OPS`."""
-    leaves = tuple(alphabet) + (F.CONSTANTS if with_constants else ())
-    if not leaves:
-        raise ValueError("the search needs a proposition or the constants")
-    return leaves
 
 
 def _signal(lits: list[int]) -> tuple[list[int], list[int]]:

@@ -55,6 +55,8 @@ count.  A chunk is passed over only when neither polarity has a count
 within the bound; it is stored up to the last hit it needs, and a level
 in which only one polarity hits is completed and stored for the other.
 Each polarity's formula and counts are those of a search of its own.
+
+No SAT instance is built: the module imports no `encoding` or `maxsat`.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .encoding import leaf_labels
-from .formula import BINARY_OPS, TRUE, UNARY_OPS, Formula, FormulaBuilder
+from .formula import (BINARY_OPS, TRUE, UNARY_OPS, Formula, FormulaBuilder,
+                      leaf_labels)
 from .sample import LabeledSample, WeightFn, scaled_weights
 from .sat import check_deadline
 
-LIMIT = 5          # sizes up to LIMIT are decided by enumeration
+LIMIT = 5          # largest size decided by enumeration; the only copy
 CHECK_EVERY = 256  # candidates per chunk, one deadline check each
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 # Operator symbols.  Propositions are nullary operators tagged PROP and
 # carry their name separately.
@@ -44,6 +43,16 @@ def arity(op: str) -> int:
     return 0
 
 
+def leaf_labels(alphabet, with_constants: bool) -> tuple[str, ...]:
+    """The nullary labels of a formula search: the propositions of
+    `alphabet`, then `true` and `false` if `with_constants`.  The
+    operators are always `UNARY_OPS` and `BINARY_OPS`."""
+    leaves = tuple(alphabet) + (CONSTANTS if with_constants else ())
+    if not leaves:
+        raise ValueError("the search needs a proposition or the constants")
+    return leaves
+
+
 class LtlSyntaxError(ValueError):
     """Raised on malformed formula text; carries the offending position."""
 
@@ -56,8 +65,7 @@ class UnknownPropositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     op: str
     name: Optional[str] = None  # proposition name when op == PROP
     left: int = 0               # child node ids, 0 = absent
@@ -77,8 +85,7 @@ class FormulaBuilder:
     """
 
     def __init__(self):
-        self._nodes: list[Node] = []
-        self._intern: dict[tuple, int] = {}
+        self._intern: dict[Node, int] = {}  # in id order
 
     def add(self, label: str, *children: int) -> int:
         """The id of the node `label` over `children`, which must number
@@ -87,20 +94,17 @@ class FormulaBuilder:
         if len(children) != arity(label):
             raise ValueError(f"{label!r} takes {arity(label)} children, "
                              f"got {len(children)}")
-        left, right = (*children, 0, 0)[:2]
         if children or label in CONSTANTS:
-            key = (label, None, left, right)
+            node = Node(label, None, *children)
         else:
-            key = (PROP, label, 0, 0)
-        idx = self._intern.get(key)
+            node = Node(PROP, label)
+        idx = self._intern.get(node)
         if idx is None:
-            self._nodes.append(Node(*key))
-            idx = len(self._nodes)
-            self._intern[key] = idx
+            idx = self._intern[node] = len(self._intern) + 1
         return idx
 
     def finish(self, root: int) -> "Formula":
-        return Formula._from_nodes(self._nodes, root)
+        return Formula._from_nodes(list(self._intern), root)
 
 
 class Formula:

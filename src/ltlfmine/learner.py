@@ -7,13 +7,14 @@ The trace weights are scaled to integers w_t by their common denominator
 D, so the question reads "misclassified weight <= B" with the loss
 budget B = floor(kappa * D).  Each size has one decision path:
 
-* n <= enumeration.LIMIT (5): every formula of size n is enumerated
-  with its bitset signature on the whole sample, and the first whose
-  weighted loss is <= kappa is taken (`enumeration`).  A formula with
-  two subformulas of one signature is not stored for the next size:
-  a smaller formula has its loss, and the smaller sizes are refuted
-  before n is decided.  No instance is built; `candidates` counts the
-  formulas tried and `pruned` those not stored.
+* n <= enumeration.LIMIT (5), the limit's one copy, read at each call:
+  every formula of size n is enumerated with its bitset signature on
+  the whole sample, and the first whose weighted loss is <= kappa is
+  taken (`enumeration`).  A formula with two subformulas of one
+  signature is not stored for the next size: a smaller formula has its
+  loss, and the smaller sizes are refuted before n is decided.  No
+  instance is built; `candidates` counts the formulas tried and `pruned`
+  those not stored.
 * larger n: SAT decisions (`maxsat.solve_decision`) on one solver per
   size, into which `encoding.Encoding` writes the structural clauses
   and the clauses of the encoded traces.  The budget decides what the
@@ -58,9 +59,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import maxsat
+from . import enumeration, maxsat
 from .encoding import Encoding
-from .enumeration import LIMIT, Enumerator
+from .enumeration import Enumerator
 from .formula import Formula
 from .sample import (LabeledSample, WeightFn, _check_domain, exact,
                      invert_labels, omega_rebalanced, omega_uniform)
@@ -230,9 +231,9 @@ def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
     search is solved.  The enumerated sizes of both are one pass over each
     level (`Enumerator.search`), which finds each polarity's formula in
     the order, and with the per-size records, of a search of its own;
-    past `LIMIT` polarity 0 is decided first, then polarity 1 on the
-    inverted sample, and polarity 1 not at all when polarity 0 is not
-    solved.  `timeout` bounds polarity 0 from the start and polarity 1
+    past `enumeration.LIMIT` polarity 0 is decided first, then polarity 1
+    on the inverted sample, and polarity 1 not at all when polarity 0 is
+    not solved.  `timeout` bounds polarity 0 from the start and polarity 1
     from the moment polarity 0 is solved."""
     config = config or LearnConfig()
     omega = resolve_omega(sample, config.weights)
@@ -253,7 +254,7 @@ def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
             deadlines[1] = _deadline(config.timeout)
 
     try:
-        for n in range(1, min(LIMIT, config.max_size) + 1):
+        for n in range(1, min(enumeration.LIMIT, config.max_size) + 1):
             if not waiting:
                 break
             check_deadline(deadlines[waiting[0]])
@@ -279,7 +280,7 @@ def learn_minimal(sample: LabeledSample, config: Optional[LearnConfig] = None,
         for p in tuple(waiting):
             labeled = invert_labels(sample) if p else sample
             encoded: list[int] = []  # T, carried over from size to size
-            for n in range(LIMIT + 1, config.max_size + 1):
+            for n in range(enumeration.LIMIT + 1, config.max_size + 1):
                 check_deadline(deadlines[p])
                 started = time.monotonic()
                 record = _new_record(results[p], n, "sat")

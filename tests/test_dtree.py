@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltlfmine import dtree, learner
+from ltlfmine import dtree, enumeration, learner
 from ltlfmine.bench import GenSpec, spec_sample
 from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             infer_split_formula, learn_tree, parse_tree,
@@ -17,7 +17,6 @@ from ltlfmine.dtree import (DtConfig, Inner, Leaf, evaluate_tree,
                             serialize_tree, split, tree_loss,
                             tree_to_formula)
 from ltlfmine.formula import parse_formula
-from ltlfmine.enumeration import LIMIT
 from ltlfmine.learner import SIZE_CAP, SOLVED, LearnResult
 from ltlfmine.sample import (LabeledSample, SampleError, make_sample,
                              omega_uniform, parse_sample, weighted_loss)
@@ -169,8 +168,8 @@ class TestLearnTree:
         monkeypatch.setattr(learner, "invert_labels",
                             lambda s: inverted.append(s) or real_invert(s))
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
-        for limit in (LIMIT, 0):
-            monkeypatch.setattr(learner, "LIMIT", limit)
+        for limit in (enumeration.LIMIT, 0):
+            monkeypatch.setattr(enumeration, "LIMIT", limit)
             calls.clear()
             r = learn_tree(s, DtConfig(max_size=1))
             assert (r.status, r.tree, r.nodes_expanded) \

@@ -8,9 +8,9 @@ import pytest
 
 from ltlfmine.bench import GenSpec, generate_sample, spec_sample
 from ltlfmine import encoding, maxsat
-from ltlfmine.encoding import (Encoding, EncodingError, EncodingInstance,
-                               leaf_labels)
-from ltlfmine.formula import FormulaBuilder, arity, parse_formula
+from ltlfmine.encoding import Encoding, EncodingError, EncodingInstance
+from ltlfmine.formula import (FormulaBuilder, arity, leaf_labels,
+                              parse_formula)
 from ltlfmine.maxsat import FEASIBLE
 from ltlfmine.sample import (omega_uniform, parse_sample, weighted_loss)
 from ltlfmine.sat import SatSolver

@@ -214,9 +214,11 @@ class TestLearnMinimal:
         assert all(it["candidates"] > 0 and it["traces_encoded"] == 0
                    and it["rounds"] == 0 for it in r.iterations)
 
-    def test_records_count_the_pruned_formulas(self, caplog):
+    def test_records_count_the_pruned_formulas(self, monkeypatch, caplog):
         # Over four propositions, levels 3 and 4 are built from the
         # pruned levels below them, and each drops formulas of its own.
+        # Size 5 stores nothing only while it is the last enumerated size.
+        monkeypatch.setattr(enumeration, "LIMIT", 5)
         with caplog.at_level(logging.DEBUG, logger="ltlfmine.learner"):
             r = learn_minimal(universality2_sample())
         _, _, three, four, five = r.iterations
@@ -228,7 +230,9 @@ class TestLearnMinimal:
                   if rec.name == "ltlfmine.learner"]
         assert f"{four['pruned']} pruned" in logged[3]
 
-    def test_size_six_is_handed_to_sat(self, caplog):
+    def test_size_six_is_handed_to_sat(self, monkeypatch, caplog):
+        # Size 6 reaches SAT only past a LIMIT of 5.
+        monkeypatch.setattr(enumeration, "LIMIT", 5)
         s = size_six_sample()
         for kappa in (Fraction(0), Fraction(1, 40)):
             caplog.clear()
@@ -260,6 +264,8 @@ class TestLearnMinimal:
         # be misclassified.  Each round is one maxsat.solve_decision with
         # nothing counted, target 0 and the root literals of T, in the
         # order its traces joined, assumed; no WCNF instance is built.
+        # Size 6 reaches SAT only past a LIMIT of 5.
+        monkeypatch.setattr(enumeration, "LIMIT", 5)
         monkeypatch.setattr(encoding.EncodingInstance, "__init__", refuse)
         instances, added = [], []
 
@@ -293,6 +299,8 @@ class TestLearnMinimal:
         # 12 traces of weight 1/12 at kappa 1/12: D = 12 and the loss
         # budget 1 allows one misclassified trace, so every trace is
         # counted with weight 1 and the target is 12 - 1 = 11.
+        # Size 6 reaches SAT only past a LIMIT of 5.
+        monkeypatch.setattr(enumeration, "LIMIT", 5)
         s = generate_sample(GenSpec("absence3", num_traces=12,
                                     max_trace_length=4, seed=0))
         assert s.size == 12
@@ -467,7 +475,6 @@ class TestInverse:
         # size cap at the smaller one, so the other is capped.
         monkeypatch.setattr(enumeration, "CHECK_EVERY", chunk)
         monkeypatch.setattr(enumeration, "LIMIT", limit)
-        monkeypatch.setattr(learner, "LIMIT", limit)
         rng = random.Random(43)
         seen = set()
         for _ in range(15):
@@ -539,7 +546,7 @@ class TestInverse:
         # search hits the size cap its inversion is neither built nor
         # searched; when it is solved the inversion is built once.
         inverted = []
-        monkeypatch.setattr(learner, "LIMIT", 0)
+        monkeypatch.setattr(enumeration, "LIMIT", 0)
         monkeypatch.setattr(learner, "invert_labels",
                             lambda s: inverted.append(s) or invert_labels(s))
         s = parse_sample("1,0\n0,1\n---\n1,1\n0,0\n")
@@ -632,7 +639,7 @@ class TestSatGuards:
         # finds for the inversion disagrees with the solver's.
         s = parse_sample("1,0;1,1\n0,1\n---\n0,0\n1,0\n")
         config = LearnConfig(kappa=Fraction(1, 4))
-        monkeypatch.setattr(learner, "LIMIT", 0)
+        monkeypatch.setattr(enumeration, "LIMIT", 0)
         r = learn_minimal(s, config, inverse=True)
         assert (r.status, r.inverse.status) == (SOLVED, SOLVED)
         armed = []
